@@ -14,7 +14,7 @@ from .gait_planner import (
     save_planner_model,
 )
 from .oscillator import OscillatorParams, find_limit_cycle, step_oscillator
-from .simulator import EnvParams, RobotState, spawn_state, step_physics
+from .simulator import EnvParams
 
 __all__ = [
     "RunConfig",
@@ -30,8 +30,5 @@ __all__ = [
     "find_limit_cycle",
     "step_oscillator",
     "EnvParams",
-    "RobotState",
-    "spawn_state",
-    "step_physics",
     "__version__",
 ]

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, RunConfig, config_hash, load_config, save_config
+from .env import substeps_per_policy_step
 from .evaluate import constant_profile, contact_gait_stats, export_gait, ramp_profile, run_eval
 from .gait_planner import load_demo_csv, load_planner_model, save_planner_model
 from .simulator import NumericalDivergence
@@ -102,7 +103,8 @@ def cmd_eval(args) -> int:
     trace_path = out / "trace.csv"
     summary, data = run_eval(cfg, ck["planner"], policy, profile, args.duration,
                              trace_path=trace_path)
-    gait = contact_gait_stats(data)
+    period_steps = ck["planner"].orbit.period_ticks // substeps_per_policy_step(cfg.sim.dt)
+    gait = contact_gait_stats(data, period_steps)
     print(f"trace              {trace_path}")
     for line in summary.lines():
         print(line)

@@ -1,8 +1,8 @@
 """Vectorized locomotion environment: N independent robots in lockstep.
 
-State lives in stacked arrays and every numerical path reuses the same
-broadcast-friendly kernels as the scalar simulator, so batched stepping is
-bit-identical to stepping each env alone. Each env owns its RNG stream,
+State lives in stacked arrays that the broadcast-friendly simulator and
+task kernels step in one call, so batched stepping is bit-identical to
+stepping each env's slice alone. Each env owns its RNG stream,
 seeded from (master seed, env index), which makes whole runs reproducible
 and env streams mutually independent.
 """
@@ -20,11 +20,25 @@ from .randomization import (
     sample_command_values,
     schedule_impulse,
 )
-from .simulator import NumericalDivergence, _check_divergence, _step_core, trunk_clearance
+from .simulator import (
+    NumericalDivergence,
+    _check_divergence,
+    _step_core,
+    low_pass,
+    trunk_clearance,
+)
 from .task import build_observation_arrays, compose_action, reward_terms_arrays
 
 POLICY_RATE = 50.0  # Hz
 POLICY_DT = 1.0 / POLICY_RATE
+
+
+def substeps_per_policy_step(dt: float) -> int:
+    """Physics substeps (and planner ticks) in one policy step."""
+    substeps = int(round(1.0 / (dt * POLICY_RATE)))
+    if abs(substeps * dt * POLICY_RATE - 1.0) > 1e-9:
+        raise ValueError("sim.dt must divide the policy period 1/50 s")
+    return substeps
 
 
 class VecLocomotionEnv:
@@ -47,9 +61,7 @@ class VecLocomotionEnv:
         self.desired_feet = planner.desired_feet_table(self.geometry)  # (T, 4, 3)
         self.period = planner.orbit.period_ticks
 
-        self.substeps = int(round(1.0 / (self.base_params.dt * POLICY_RATE)))
-        if abs(self.substeps * self.base_params.dt * POLICY_RATE - 1.0) > 1e-9:
-            raise ValueError("sim.dt must divide the policy period 1/50 s")
+        self.substeps = substeps_per_policy_step(self.base_params.dt)
 
         n = self.n
         self.pos = np.zeros((n, 3))
@@ -150,7 +162,7 @@ class VecLocomotionEnv:
 
         target = compose_action(self.baseline[self.phase % self.period], actions,
                                 self.cfg.robot.residual_limit)
-        filtered = self.cfg.robot.filter_alpha * target + (1.0 - self.cfg.robot.filter_alpha) * self.filter_mem
+        filtered = low_pass(target, self.filter_mem, self.cfg.robot.filter_alpha)
         self.filter_mem = filtered
 
         prev_qdot = self.qdot.copy()
@@ -165,12 +177,12 @@ class VecLocomotionEnv:
                 pos, rot, linvel, angvel, q, qdot, air, ep_time,
                 filtered, p, p.dt, mass=self.mass, friction=self.friction,
             )
-        bad, worst = _check_divergence(pos, linvel, q, qdot, p.divergence_limit)
-        if bad:
-            per_env = np.max(np.abs(pos), axis=-1)
-            idx = int(np.argmax(per_env))
+        bad = _check_divergence(pos, linvel, q, qdot, p.divergence_limit)
+        if bad.any():
+            idx = int(np.argmax(bad))
             raise NumericalDivergence(
-                f"state magnitude {worst:.3e} exceeds {p.divergence_limit:.1e}", env_index=idx
+                f"env {idx}: state is non-finite or exceeds {p.divergence_limit:.1e}",
+                env_index=idx,
             )
         self.pos, self.rot, self.linvel, self.angvel = pos, rot, linvel, angvel
         self.q, self.qdot, self.air, self.ep_time = q, qdot, air, ep_time

@@ -9,10 +9,10 @@ import numpy as np
 from . import quat
 from .config import RunConfig
 from .env import POLICY_DT, POLICY_RATE, VecLocomotionEnv
-from .gait_planner import GaitPlannerModel
+from .gait_planner import GaitPlannerModel, cyclic_lag_distance
 from .kinematics import LEG_NAMES, forward_kinematics_all
 from .ppo import GaussianPolicy, policy_sample
-from .task import RewardBreakdown
+from .task import REWARD_TERMS
 
 
 def constant_profile(value: float):
@@ -43,7 +43,7 @@ TRACE_COLUMNS = (
     + [f"contact_{name}" for name in LEG_NAMES]
     + [f"foot_{name}_{ax}_world" for name in LEG_NAMES for ax in "xyz"]
     + [f"foot_{name}_{ax}_body" for name in LEG_NAMES for ax in "xyz"]
-    + [f"reward_{name}" for name in RewardBreakdown.term_names()]
+    + [f"reward_{name}" for name in REWARD_TERMS]
     + ["reward_total"]
 )
 
@@ -111,7 +111,7 @@ def run_eval(cfg: RunConfig, planner: GaitPlannerModel, policy: GaussianPolicy |
         vx_body = float(quat.rotate_inv(env.rot[0], env.linvel[0])[0])
         feet_b = forward_kinematics_all(env.q[0], env.geometry)
         feet_w = env.pos[0] + quat.rotate(env.rot[0], feet_b)
-        term_values = [float(info["terms"][name][0]) for name in RewardBreakdown.term_names()]
+        term_values = [float(info["terms"][name][0]) for name in REWARD_TERMS]
         rows.append(
             [t, *cmd, *env.pos[0], *rpy, *env.linvel[0], vx_body, *env.angvel[0],
              *env.q[0], *env.qdot[0], *env.contacts[0].astype(int),
@@ -168,9 +168,13 @@ def export_gait(planner: GaitPlannerModel, geometry, n_periods: int, path) -> in
     return n_rows
 
 
-def contact_gait_stats(data: np.ndarray):
+def contact_gait_stats(data: np.ndarray, period_steps: int):
     """Trot structure from an eval trace: diagonal/adjacent contact lags and
-    per-foot stance fractions, on the 50 Hz contact log."""
+    per-foot stance fractions, on the 50 Hz contact log.
+
+    period_steps is the gait period in policy steps,
+    planner.orbit.period_ticks // substeps.
+    """
     col = {name: i for i, name in enumerate(TRACE_COLUMNS)}
     contacts = np.stack(
         [data[:, col[f"contact_{name}"]] for name in LEG_NAMES], axis=1
@@ -183,17 +187,11 @@ def contact_gait_stats(data: np.ndarray):
         scores = [(float(np.dot(a, np.roll(b, -lag))), lag) for lag in range(max_lag)]
         return max(scores)[1]
 
-    period_steps = 30  # 120 oscillator ticks / 4 substeps per policy step
     diag = best_lag(contacts[:, 0], contacts[:, 3], period_steps)
     adj = best_lag(contacts[:, 0], contacts[:, 1], period_steps)
-
-    def cyc_dist(lag, target):
-        d = abs(lag - target) % period_steps
-        return min(d, period_steps - d)
-
     return {
         "stance_fraction": stance_fraction,
-        "diag_lag_dist": cyc_dist(diag, 0),
-        "adj_lag_dist": cyc_dist(adj, period_steps // 2),
+        "diag_lag_dist": cyclic_lag_distance(diag, 0, period_steps),
+        "adj_lag_dist": cyclic_lag_distance(adj, period_steps // 2, period_steps),
         "period_steps": period_steps,
     }

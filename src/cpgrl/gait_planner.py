@@ -539,20 +539,38 @@ def foot_clearances(feet_table: np.ndarray) -> np.ndarray:
 _MODEL_VERSION = 1
 
 
-def save_planner_model(model: GaitPlannerModel, path) -> None:
-    np.savez(
-        path,
-        version=_MODEL_VERSION,
-        phi=model.params.phi,
-        alpha=model.params.alpha,
-        tick_rate=model.params.tick_rate,
-        orbit_samples=model.orbit.samples,
-        period_ticks=model.orbit.period_ticks,
-        centers=model.rbf.centers,
-        sigma=model.rbf.sigma,
-        weights=model.motor.weights,
-        bias=model.motor.bias,
+def planner_arrays(model: GaitPlannerModel, prefix: str = "") -> dict:
+    """The model as named npz arrays; `planner_from_arrays` inverts it."""
+    arrays = {
+        "phi": model.params.phi,
+        "alpha": model.params.alpha,
+        "tick_rate": model.params.tick_rate,
+        "orbit_samples": model.orbit.samples,
+        "period_ticks": model.orbit.period_ticks,
+        "centers": model.rbf.centers,
+        "sigma": model.rbf.sigma,
+        "weights": model.motor.weights,
+        "bias": model.motor.bias,
+    }
+    return {prefix + k: v for k, v in arrays.items()}
+
+
+def planner_from_arrays(data, prefix: str = "") -> GaitPlannerModel:
+    params = OscillatorParams(
+        phi=float(data[prefix + "phi"]),
+        alpha=float(data[prefix + "alpha"]),
+        tick_rate=float(data[prefix + "tick_rate"]),
     )
+    orbit = PeriodicOrbit(
+        samples=data[prefix + "orbit_samples"], period_ticks=int(data[prefix + "period_ticks"])
+    )
+    rbf = RbfLayer(centers=data[prefix + "centers"], sigma=float(data[prefix + "sigma"]))
+    motor = MotorLayer(weights=data[prefix + "weights"], bias=data[prefix + "bias"])
+    return GaitPlannerModel(params=params, orbit=orbit, rbf=rbf, motor=motor)
+
+
+def save_planner_model(model: GaitPlannerModel, path) -> None:
+    np.savez(path, version=_MODEL_VERSION, **planner_arrays(model))
 
 
 def load_planner_model(path) -> GaitPlannerModel:
@@ -560,14 +578,4 @@ def load_planner_model(path) -> GaitPlannerModel:
         version = int(data["version"])
         if version != _MODEL_VERSION:
             raise ValueError(f"unsupported planner model version {version}")
-        params = OscillatorParams(
-            phi=float(data["phi"]),
-            alpha=float(data["alpha"]),
-            tick_rate=float(data["tick_rate"]),
-        )
-        orbit = PeriodicOrbit(
-            samples=data["orbit_samples"], period_ticks=int(data["period_ticks"])
-        )
-        rbf = RbfLayer(centers=data["centers"], sigma=float(data["sigma"]))
-        motor = MotorLayer(weights=data["weights"], bias=data["bias"])
-    return GaitPlannerModel(params=params, orbit=orbit, rbf=rbf, motor=motor)
+        return planner_from_arrays(data)

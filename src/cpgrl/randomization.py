@@ -10,7 +10,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .simulator import EnvParams
 from .task import (
     ANG_SCALE,
     ANGVEL_SLICE,
@@ -77,29 +76,10 @@ def initial_curriculum(config: CurriculumConfig, dr: RandomizationConfig) -> Cur
     )
 
 
-def sample_env_params(rng: np.random.Generator, config: RandomizationConfig, base: EnvParams) -> EnvParams:
-    """Episode dynamics: mass offset and absolute friction, both uniform."""
-    config.validate()
-    mass = base.trunk_mass + rng.uniform(*config.mass_offset_range)
-    friction = rng.uniform(*config.friction_range)
-    return replace(base, trunk_mass=mass, friction=friction)
-
-
 def sample_command_values(rng: np.random.Generator, ranges=None) -> np.ndarray:
     """One (vx*, vy*, wz*) draw; per-component uniform ranges, default [-1, 1]."""
     ranges = np.asarray(ranges if ranges is not None else [(-1, 1)] * 3, dtype=float)
     return rng.uniform(ranges[:, 0], ranges[:, 1])
-
-
-def sample_command(rng: np.random.Generator, t: float, current: np.ndarray,
-                   ranges=None, interval: float = 10.0) -> np.ndarray:
-    """Resample all three command components at t = 0 mod interval."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    steps = t / interval
-    if abs(steps - round(steps)) < 1e-9:
-        return sample_command_values(rng, ranges)
-    return np.asarray(current, dtype=float)
 
 
 def add_sensor_noise(obs: np.ndarray, rng: np.random.Generator,
@@ -115,7 +95,6 @@ def add_sensor_noise(obs: np.ndarray, rng: np.random.Generator,
     def band(width, size):
         return rng.uniform(-width, width, size=size)
 
-    n_ang = obs[..., ANGVEL_SLICE].shape[-1]
     obs[..., ANGVEL_SLICE] += band(config.noise_ang_vel, obs[..., ANGVEL_SLICE].shape) * ANG_SCALE
     obs[..., GRAVITY_SLICE] += band(config.noise_gravity, obs[..., GRAVITY_SLICE].shape)
     obs[..., QPOS_SLICE] += band(config.noise_joint_pos, obs[..., QPOS_SLICE].shape)

@@ -7,11 +7,10 @@ reflected inertia so joint-acceleration and action-rate penalties stay
 meaningful without articulated leg dynamics.
 
 The numerical core `_step_core` operates on arrays with arbitrary leading
-axes: the scalar `step_physics` and the vectorized training environment call
-the same code, so batched stepping is bit-identical to per-env stepping.
+axes: the vectorized training environment steps all envs in one call, and
+stepping one env's slice alone gives bit-identical results.
 """
 
-import enum
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -26,12 +25,6 @@ class NumericalDivergence(RuntimeError):
     def __init__(self, message: str, env_index: int | None = None):
         self.env_index = env_index
         super().__init__(message)
-
-
-class Termination(enum.Enum):
-    RUNNING = "running"
-    TIMEOUT = "timeout"
-    TRUNK_COLLISION = "trunk_collision"
 
 
 _DEFAULT_JOINT_LIMITS = (
@@ -51,7 +44,7 @@ def default_joint_limits() -> np.ndarray:
 
 @dataclass(frozen=True)
 class EnvParams:
-    """Physical constants plus the actuation plumbing step_physics needs."""
+    """Physical constants plus the actuation plumbing _step_core needs."""
 
     trunk_mass: float = 12.0
     trunk_inertia: np.ndarray = field(default_factory=lambda: np.array([0.1, 0.25, 0.3]))
@@ -91,44 +84,6 @@ class EnvParams:
     def with_slope(self, angle_rad: float) -> "EnvParams":
         normal = np.array([-np.sin(angle_rad), 0.0, np.cos(angle_rad)])
         return replace(self, terrain_normal=normal)
-
-
-@dataclass
-class TrunkState:
-    position: np.ndarray          # (3,) world
-    orientation: np.ndarray       # (4,) unit quaternion, body->world
-    lin_vel: np.ndarray           # (3,) world
-    ang_vel: np.ndarray           # (3,) body frame
-
-
-@dataclass
-class RobotState:
-    trunk: TrunkState
-    q: np.ndarray                 # (12,)
-    qdot: np.ndarray              # (12,)
-    contacts: np.ndarray          # (4,) bool
-    filter_mem: np.ndarray        # (12,) last filtered joint command
-    air_time: np.ndarray          # (4,) seconds airborne per foot
-    episode_time: float = 0.0
-
-
-def spawn_state(params: EnvParams, drop_height: float = 0.05) -> RobotState:
-    """Default-pose state slightly in the air above the nominal stance."""
-    nominal = params.nominal_q
-    return RobotState(
-        trunk=TrunkState(
-            position=np.array([0.0, 0.0, params.stand_height + drop_height]),
-            orientation=quat.IDENTITY.copy(),
-            lin_vel=np.zeros(3),
-            ang_vel=np.zeros(3),
-        ),
-        q=nominal.copy(),
-        qdot=np.zeros(12),
-        contacts=np.zeros(4, dtype=bool),
-        filter_mem=nominal.copy(),
-        air_time=np.zeros(4),
-        episode_time=0.0,
-    )
 
 
 def low_pass(q_t, s_prev, alpha: float) -> np.ndarray:
@@ -268,55 +223,12 @@ def _step_core(pos, rot, linvel, angvel, q, qdot, air, ep_time,
 
 
 def _check_divergence(pos, linvel, q, qdot, limit):
-    worst = max(
-        float(np.max(np.abs(pos))), float(np.max(np.abs(linvel))),
-        float(np.max(np.abs(q))), float(np.max(np.abs(qdot))),
-    )
-    bad = worst > limit or not (
-        np.all(np.isfinite(pos)) and np.all(np.isfinite(linvel))
-        and np.all(np.isfinite(q)) and np.all(np.isfinite(qdot))
-    )
-    return bad, worst
-
-
-def step_physics(state: RobotState, joint_targets, params: EnvParams, dt: float | None = None) -> RobotState:
-    """Advance one simulation substep (default 1/200 s); pure function."""
-    dt = params.dt if dt is None else dt
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    out = _step_core(
-        state.trunk.position, state.trunk.orientation, state.trunk.lin_vel,
-        state.trunk.ang_vel, state.q, state.qdot, state.air_time,
-        state.episode_time, np.asarray(joint_targets, dtype=float), params, dt,
-    )
-    pos, rot, linvel, angvel, q, qdot, contacts, air, ep_time = out
-    bad, worst = _check_divergence(pos, linvel, q, qdot, params.divergence_limit)
-    if bad:
-        raise NumericalDivergence(f"state magnitude {worst:.3e} exceeds {params.divergence_limit:.1e}")
-    return RobotState(
-        trunk=TrunkState(position=pos, orientation=rot, lin_vel=linvel, ang_vel=angvel),
-        q=q, qdot=qdot, contacts=contacts, filter_mem=state.filter_mem,
-        air_time=air, episode_time=float(ep_time),
-    )
-
-
-def apply_impulse(state: RobotState, delta_v, cap: float = 1.8) -> RobotState:
-    """Instant change of the trunk's horizontal velocity by delta_v (2,)."""
-    delta_v = np.asarray(delta_v, dtype=float)
-    if np.any(np.abs(delta_v) > cap + 1e-12):
-        raise ValueError(f"impulse {delta_v} exceeds the configured cap {cap}")
-    lin_vel = state.trunk.lin_vel.copy()
-    lin_vel[0] += delta_v[0]
-    lin_vel[1] += delta_v[1]
-    return RobotState(
-        trunk=TrunkState(
-            position=state.trunk.position, orientation=state.trunk.orientation,
-            lin_vel=lin_vel, ang_vel=state.trunk.ang_vel,
-        ),
-        q=state.q, qdot=state.qdot, contacts=state.contacts,
-        filter_mem=state.filter_mem, air_time=state.air_time,
-        episode_time=state.episode_time,
-    )
+    """Per-env flags: a checked field is non-finite or exceeds limit in magnitude."""
+    bad = np.zeros(pos.shape[:-1], dtype=bool)
+    for x in (pos, linvel, q, qdot):
+        # NaN fails the comparison, so it is flagged too
+        bad |= ~np.all(np.abs(x) <= limit, axis=-1)
+    return bad
 
 
 def trunk_clearance(pos, rot, params: EnvParams):
@@ -333,13 +245,3 @@ def trunk_clearance(pos, rot, params: EnvParams):
     )
     return np.min(heights, axis=-1)
 
-
-def check_termination(state: RobotState, params: EnvParams) -> Termination:
-    """Timeout at the episode limit; collision when the trunk nears the ground."""
-    # half a substep of tolerance: 1000 * (1/200 s) accumulates float error
-    if state.episode_time >= params.episode_limit - 0.5 * params.dt:
-        return Termination.TIMEOUT
-    clearance = trunk_clearance(state.trunk.position, state.trunk.orientation, params)
-    if clearance < params.collision_margin:
-        return Termination.TRUNK_COLLISION
-    return Termination.RUNNING

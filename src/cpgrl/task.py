@@ -2,8 +2,8 @@
 and the 11-term locomotion reward.
 
 Every function here is pure over value inputs and broadcasts over leading
-axes, so the vectorized training environment and the scalar API share the
-same arithmetic.
+axes: the vectorized training environment calls them on (n, ...) arrays, and
+the same call on one env's slice gives the same values.
 """
 
 from dataclasses import dataclass, fields
@@ -11,7 +11,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import quat
-from .kinematics import forward_kinematics_all, LegGeometry
 
 OBS_DIM = 61
 
@@ -32,18 +31,6 @@ QVEL_SCALE = 0.05
 
 
 @dataclass(frozen=True)
-class Command:
-    """Body-frame velocity targets; training samples each from [-1, 1]."""
-
-    vx: float = 0.0
-    vy: float = 0.0
-    wz: float = 0.0
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.vx, self.vy, self.wz])
-
-
-@dataclass(frozen=True)
 class RewardWeights:
     """Per-term weights, applied as weight * dt on top of each raw term."""
 
@@ -60,26 +47,8 @@ class RewardWeights:
     foot_position: float = 0.3
 
 
-@dataclass(frozen=True)
-class RewardBreakdown:
-    """Weighted contribution of each term; total is their exact sum."""
-
-    lin_vel_tracking: float
-    ang_vel_tracking: float
-    lin_vel_penalty: float
-    ang_vel_penalty: float
-    orientation: float
-    trunk_height: float
-    joint_acceleration: float
-    action_rate: float
-    self_collision: float
-    foot_air_time: float
-    foot_position: float
-    total: float
-
-    @classmethod
-    def term_names(cls) -> tuple:
-        return tuple(f.name for f in fields(cls) if f.name != "total")
+# reward term names in summation order; also the metrics.csv and trace.csv columns
+REWARD_TERMS = tuple(f.name for f in fields(RewardWeights))
 
 
 def build_observation_arrays(
@@ -99,22 +68,6 @@ def build_observation_arrays(
         np.asarray(planner_signal, dtype=float),
     ]
     return np.concatenate(parts, axis=-1)
-
-
-def build_observation(state, cmd: Command, planner_signal, last_action, nominal_q) -> np.ndarray:
-    """Observation vector from a scalar RobotState."""
-    gravity_b = quat.gravity_body(state.trunk.orientation)
-    return build_observation_arrays(
-        cmd.as_array(),
-        state.trunk.ang_vel,
-        gravity_b,
-        state.q,
-        state.qdot,
-        state.contacts,
-        last_action,
-        planner_signal,
-        nominal_q,
-    )
 
 
 def compose_action(q_cpg, q_rlfc, residual_limit: float = 0.6) -> np.ndarray:
@@ -211,46 +164,3 @@ def reward_terms_arrays(
         "foot_position": w.foot_position * dt * foot_pos,
     }
 
-
-def compute_reward(
-    prev,
-    cur,
-    cmd: Command,
-    action,
-    prev_action,
-    desired_feet,
-    geometry: LegGeometry,
-    weights: RewardWeights | None = None,
-    h_star: float = 0.32,
-    dt: float = 0.02,
-) -> RewardBreakdown:
-    """Reward between two policy-rate RobotStates; returns the breakdown."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    weights = weights or RewardWeights()
-    feet_body = forward_kinematics_all(cur.q, geometry)
-    terms = reward_terms_arrays(
-        cmd.as_array(),
-        cur.trunk.orientation,
-        cur.trunk.lin_vel,
-        cur.trunk.ang_vel,
-        cur.trunk.position[2],
-        cur.q,
-        cur.qdot,
-        prev.qdot,
-        cur.contacts,
-        prev.contacts,
-        prev.air_time,
-        action,
-        prev_action,
-        feet_body,
-        desired_feet,
-        weights,
-        h_star,
-        dt,
-    )
-    scalars = {k: float(v) for k, v in terms.items()}
-    total = 0.0
-    for name in RewardBreakdown.term_names():
-        total += scalars[name]
-    return RewardBreakdown(total=total, **scalars)

@@ -21,16 +21,18 @@ from .gait_planner import (
     fit_motor_layer,
     fitted_planner,
     generate_demo_trot,
+    planner_arrays,
+    planner_from_arrays,
 )
 from .nn import Adam, RunningNorm
 from .ppo import GaussianPolicy, PpoConfig, RolloutBuffer, ppo_update
 from .randomization import CurriculumState, curriculum_update, initial_curriculum
-from .task import OBS_DIM, RewardBreakdown
+from .task import OBS_DIM, REWARD_TERMS
 
 ACTION_DIM = 12
 _POLICY_STREAM = 500
 _TRAIN_STREAM = 501
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def planner_from_config(cfg: RunConfig, demo=None):
@@ -59,7 +61,7 @@ def collect_rollouts(env: VecLocomotionEnv, policy: GaussianPolicy,
                      curriculum: CurriculumState | None = None):
     """Fill a fresh buffer with horizon policy steps from every env."""
     buf = RolloutBuffer.empty(horizon, env.n, OBS_DIM, ACTION_DIM)
-    term_totals = {name: 0.0 for name in RewardBreakdown.term_names()}
+    term_totals = {name: 0.0 for name in REWARD_TERMS}
     tracking_sum = 0.0
     buf.sample_log_std = policy.log_std.copy()
     for t in range(horizon):
@@ -90,7 +92,7 @@ def collect_rollouts(env: VecLocomotionEnv, policy: GaussianPolicy,
 
 METRICS_COLUMNS = (
     ["iteration", "env_steps", "wall_time_s", "mean_reward", "tracking_fraction"]
-    + list(RewardBreakdown.term_names())
+    + list(REWARD_TERMS)
     + ["episodes_finished", "mean_episode_len", "mean_episode_return",
        "policy_loss", "value_loss", "entropy", "approx_kl", "lr",
        "curriculum_interval", "curriculum_cap"]
@@ -103,11 +105,13 @@ def save_checkpoint(path, policy: GaussianPolicy, optimizer: Adam,
                     cfg: RunConfig, planner: GaitPlannerModel) -> None:
     env_state = env.state_dict()
     rng_states = env_state.pop("rng_states")
+    adam = optimizer.state_dict()
     meta = {
         "version": CHECKPOINT_VERSION,
         "iteration": iteration,
         "policy_lr": policy.lr,
-        "adam_t": optimizer.t,
+        "adam_t": adam["t"],
+        "adam_lr": adam["lr"],
         "hidden": list(cfg.train.hidden),
         "curriculum": {
             "impulse_interval": curriculum.impulse_interval,
@@ -121,79 +125,58 @@ def save_checkpoint(path, policy: GaussianPolicy, optimizer: Adam,
     }
     arrays = {f"env_{k}": v for k, v in env_state.items()}
     if policy.obs_norm is not None:
-        arrays["norm_mean"] = policy.obs_norm.mean
-        arrays["norm_var"] = policy.obs_norm.var
-        meta["norm_count"] = policy.obs_norm.count
+        norm = policy.obs_norm.state_dict()
+        arrays["norm_mean"] = norm["mean"]
+        arrays["norm_var"] = norm["var"]
+        meta["norm_count"] = norm["count"]
     np.savez(
         path,
         policy_flat=policy.get_flat(),
-        adam_m=optimizer.m,
-        adam_v=optimizer.v,
-        planner_phi=planner.params.phi,
-        planner_alpha=planner.params.alpha,
-        planner_tick_rate=planner.params.tick_rate,
-        planner_orbit=planner.orbit.samples,
-        planner_period=planner.orbit.period_ticks,
-        planner_centers=planner.rbf.centers,
-        planner_sigma=planner.rbf.sigma,
-        planner_weights=planner.motor.weights,
-        planner_bias=planner.motor.bias,
+        adam_m=adam["m"],
+        adam_v=adam["v"],
         meta=np.array(json.dumps(meta)),
+        **planner_arrays(planner, prefix="planner_"),
         **arrays,
     )
 
 
 def load_checkpoint(path) -> dict:
-    from .gait_planner import GaitPlannerModel, MotorLayer, RbfLayer
-    from .oscillator import OscillatorParams, PeriodicOrbit
-
     with np.load(path, allow_pickle=False) as data:
         meta = json.loads(str(data["meta"]))
         if meta["version"] != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {meta['version']}")
-        planner = GaitPlannerModel(
-            params=OscillatorParams(
-                phi=float(data["planner_phi"]), alpha=float(data["planner_alpha"]),
-                tick_rate=float(data["planner_tick_rate"]),
-            ),
-            orbit=PeriodicOrbit(samples=data["planner_orbit"],
-                                period_ticks=int(data["planner_period"])),
-            rbf=RbfLayer(centers=data["planner_centers"], sigma=float(data["planner_sigma"])),
-            motor=MotorLayer(weights=data["planner_weights"], bias=data["planner_bias"]),
-        )
         out = {
             "meta": meta,
-            "policy_flat": data["policy_flat"].copy(),
-            "adam_m": data["adam_m"].copy(),
-            "adam_v": data["adam_v"].copy(),
-            "planner": planner,
-            "env_arrays": {
-                k[4:]: data[k].copy()
-                for k in data.files
-                if k.startswith("env_") and not k.startswith("env_rng")
-            },
+            "policy_flat": data["policy_flat"],
+            "optimizer": {"m": data["adam_m"], "v": data["adam_v"],
+                          "t": meta["adam_t"], "lr": meta["adam_lr"]},
+            "planner": planner_from_arrays(data, prefix="planner_"),
+            "env_arrays": {k[4:]: data[k] for k in data.files if k.startswith("env_")},
+            "obs_norm": None,
         }
         if "norm_mean" in data.files:
-            out["norm_mean"] = data["norm_mean"].copy()
-            out["norm_var"] = data["norm_var"].copy()
+            out["obs_norm"] = {"count": meta["norm_count"], "mean": data["norm_mean"],
+                               "var": data["norm_var"]}
     out["config"] = config_from_dict(meta["config"])
     return out
 
 
-def policy_from_checkpoint(ck: dict) -> GaussianPolicy:
-    cfg = ck["config"]
-    policy = GaussianPolicy(
+def _new_policy(cfg: RunConfig, lr: float) -> GaussianPolicy:
+    """Fresh policy drawn from the seed's policy stream."""
+    return GaussianPolicy(
         OBS_DIM, ACTION_DIM, cfg.train.hidden,
         np.random.default_rng([cfg.seed, _POLICY_STREAM]),
-        log_std_init=cfg.train.log_std_init, lr=ck["meta"]["policy_lr"],
+        log_std_init=cfg.train.log_std_init, lr=lr,
         actor_out_scale=cfg.train.actor_out_scale,
     )
+
+
+def policy_from_checkpoint(ck: dict) -> GaussianPolicy:
+    policy = _new_policy(ck["config"], ck["meta"]["policy_lr"])
     policy.set_flat(ck["policy_flat"])
-    if "norm_mean" in ck:
+    if ck["obs_norm"] is not None:
         policy.obs_norm = RunningNorm(OBS_DIM)
-        policy.obs_norm.load_state_dict(
-            {"count": ck["meta"]["norm_count"], "mean": ck["norm_mean"], "var": ck["norm_var"]}
-        )
+        policy.obs_norm.load_state_dict(ck["obs_norm"])
     return policy
 
 
@@ -210,12 +193,7 @@ def train(cfg: RunConfig, planner: GaitPlannerModel, out_dir,
     save_config(cfg, out_dir / "config.yaml")
 
     env = VecLocomotionEnv(cfg, planner, train_mode=True)
-    policy = GaussianPolicy(
-        OBS_DIM, ACTION_DIM, cfg.train.hidden,
-        np.random.default_rng([cfg.seed, _POLICY_STREAM]),
-        log_std_init=cfg.train.log_std_init, lr=cfg.train.lr_init,
-        actor_out_scale=cfg.train.actor_out_scale,
-    )
+    policy = _new_policy(cfg, cfg.train.lr_init)
     if cfg.train.normalize_obs:
         policy.obs_norm = RunningNorm(OBS_DIM)
     optimizer = Adam(policy.n_params, lr=policy.lr)
@@ -227,20 +205,11 @@ def train(cfg: RunConfig, planner: GaitPlannerModel, out_dir,
         ck = load_checkpoint(resume_from)
         if ck["meta"]["config_hash"] != config_hash(cfg):
             raise ValueError("checkpoint was produced by a different config")
-        policy.set_flat(ck["policy_flat"])
-        policy.lr = ck["meta"]["policy_lr"]
-        if "norm_mean" in ck:
-            policy.obs_norm = RunningNorm(OBS_DIM)
-            policy.obs_norm.load_state_dict(
-                {"count": ck["meta"]["norm_count"], "mean": ck["norm_mean"], "var": ck["norm_var"]}
-            )
-        optimizer.m = ck["adam_m"]
-        optimizer.v = ck["adam_v"]
-        optimizer.t = ck["meta"]["adam_t"]
+        policy = policy_from_checkpoint(ck)
+        optimizer.load_state_dict(ck["optimizer"])
         train_rng.bit_generator.state = ck["meta"]["train_rng"]
         env.load_state_dict({**ck["env_arrays"], "rng_states": ck["meta"]["env_rngs"]})
-        c = ck["meta"]["curriculum"]
-        curriculum = CurriculumState(**c)
+        curriculum = CurriculumState(**ck["meta"]["curriculum"])
         start_iteration = ck["meta"]["iteration"]
 
     total_iterations = cfg.train.iterations if iterations is None else iterations
@@ -271,7 +240,7 @@ def train(cfg: RunConfig, planner: GaitPlannerModel, out_dir,
                 roll_stats["mean_reward"],
                 roll_stats["tracking_fraction"],
             ]
-            row += [roll_stats[name] for name in RewardBreakdown.term_names()]
+            row += [roll_stats[name] for name in REWARD_TERMS]
             row += [
                 len(lengths),
                 float(np.mean(lengths)) if lengths else 0.0,

@@ -14,6 +14,7 @@ from dataclasses import replace
 
 from cpgrl import quat
 from cpgrl.config import RunConfig
+from cpgrl.env import VecLocomotionEnv, substeps_per_policy_step
 from cpgrl.evaluate import constant_profile, contact_gait_stats, run_eval
 from cpgrl.gait_planner import (
     RbfLayer,
@@ -45,8 +46,8 @@ from cpgrl.randomization import (
     curriculum_update,
     initial_curriculum,
 )
-from cpgrl.simulator import EnvParams, contact_force, spawn_state, step_physics
-from cpgrl.task import Command, RewardBreakdown, compute_reward
+from cpgrl.simulator import EnvParams, _step_core, contact_force
+from cpgrl.task import REWARD_TERMS, RewardWeights, reward_terms_arrays
 from cpgrl.training import load_checkpoint, planner_from_config, policy_from_checkpoint, train
 
 GEOM = LegGeometry()
@@ -149,62 +150,47 @@ def test_criterion_4_behavior_cloning():
 
 # ------------------------------------------------------------- criterion 5
 
-def quiet_pair():
-    params = EnvParams()
-    prev = spawn_state(params, drop_height=0.0)
-    cur = spawn_state(params, drop_height=0.0)
-    for s in (prev, cur):
-        s.contacts = np.ones(4, dtype=bool)
-        s.trunk.position = np.array([0.0, 0.0, 0.32])
-    return prev, cur
-
-
-def test_criterion_5_reward_oracle():
+def test_criterion_5_reward_oracle(planner):
     dt = 0.02
     feet_nominal = forward_kinematics_all(NOMINAL_Q, GEOM)
+    # a robot standing still on all four feet at 0.32 m in the nominal pose
+    quiet = {
+        "cmd": np.zeros(3), "cur_quat": quat.IDENTITY, "cur_lin_vel_w": np.zeros(3),
+        "cur_ang_vel_b": np.zeros(3), "cur_height": 0.32, "cur_q": NOMINAL_Q,
+        "cur_qdot": np.zeros(12), "prev_qdot": np.zeros(12),
+        "cur_contacts": np.ones(4, dtype=bool), "prev_contacts": np.ones(4, dtype=bool),
+        "prev_air_time": np.zeros(4), "action": NOMINAL_Q, "prev_action": NOMINAL_Q,
+        "desired_feet": feet_nominal,
+    }
     results = {}
 
     def term(name, expected, **overrides):
-        prev, cur = quiet_pair()
-        cmd = overrides.pop("cmd", Command())
-        action = overrides.pop("action", NOMINAL_Q)
-        prev_action = overrides.pop("prev_action", NOMINAL_Q)
-        desired = overrides.pop("desired_feet", feet_nominal)
-        for key, value in overrides.items():
-            holder, attr = cur, key
-            if attr.startswith("prev_"):
-                holder, attr = prev, attr[len("prev_"):]
-            if attr.startswith("trunk."):
-                holder, attr = holder.trunk, attr.split(".", 1)[1]
-            setattr(holder, attr, value)
-        r = compute_reward(prev, cur, cmd, action, prev_action, desired, GEOM,
-                           h_star=0.32, dt=dt)
-        got = getattr(r, name)
-        results[name] = abs(got - expected)
-        return r
+        args = {**quiet, **overrides}
+        feet_body = forward_kinematics_all(args["cur_q"], GEOM)
+        r = reward_terms_arrays(**args, feet_body=feet_body, weights=RewardWeights(),
+                                h_star=0.32, dt=dt)
+        results[name] = abs(float(r[name]) - expected)
 
     # linear velocity tracking: err (0.1, -0.3), exp(-0.1/0.25) * 1 * dt
     term("lin_vel_tracking", np.exp(-0.1 / 0.25) * dt,
-         cmd=Command(vx=0.4, vy=-0.2), **{"trunk.lin_vel": np.array([0.3, 0.1, 0.0])})
+         cmd=np.array([0.4, -0.2, 0.0]), cur_lin_vel_w=np.array([0.3, 0.1, 0.0]))
     # angular velocity tracking: err 0.2 -> exp(-0.04/0.25) * 0.5 * dt
     term("ang_vel_tracking", np.exp(-0.04 / 0.25) * 0.5 * dt,
-         cmd=Command(wz=0.3), **{"trunk.ang_vel": np.array([0.0, 0.0, 0.5])})
+         cmd=np.array([0.0, 0.0, 0.3]), cur_ang_vel_b=np.array([0.0, 0.0, 0.5]))
     # vertical velocity: 0.2^2 * (-2 dt)
-    term("lin_vel_penalty", 0.2**2 * (-2 * dt),
-         **{"trunk.lin_vel": np.array([0.0, 0.0, 0.2])})
+    term("lin_vel_penalty", 0.2**2 * (-2 * dt), cur_lin_vel_w=np.array([0.0, 0.0, 0.2]))
     # roll/pitch rates: (0.1^2 + 0.2^2) * (-0.05 dt)
     term("ang_vel_penalty", (0.01 + 0.04) * (-0.05 * dt),
-         **{"trunk.ang_vel": np.array([0.1, 0.2, 0.0])})
+         cur_ang_vel_b=np.array([0.1, 0.2, 0.0]))
     # orientation: roll tilt phi -> gravity (0, sin phi, -cos phi)
     phi = 0.3
     term("orientation", np.sin(phi) ** 2 * (-5 * dt),
-         **{"trunk.orientation": np.array([np.cos(phi / 2), np.sin(phi / 2), 0.0, 0.0])})
+         cur_quat=np.array([np.cos(phi / 2), np.sin(phi / 2), 0.0, 0.0]))
     # height: error 0.03 -> (1 - exp(-9e-4/8.1e-4)) * (-dt)
-    term("trunk_height", (1.0 - np.exp(-0.0009 / 8.1e-4)) * (-dt),
-         **{"trunk.position": np.array([0.0, 0.0, 0.35])})
+    term("trunk_height", (1.0 - np.exp(-0.0009 / 8.1e-4)) * (-dt), cur_height=0.35)
     # joint acceleration: dqdot 0.1 over dt on 12 joints
     term("joint_acceleration", -1e-7 * dt * 12 * (0.1 / dt) ** 2,
-         qdot=np.full(12, 0.1))
+         cur_qdot=np.full(12, 0.1))
     # action rate: 12 * 0.05^2 * (-0.005 dt)
     term("action_rate", 12 * 0.05**2 * (-0.005 * dt),
          action=NOMINAL_Q + 0.05, prev_action=NOMINAL_Q)
@@ -217,7 +203,7 @@ def test_criterion_5_reward_oracle():
     y_local = -0.08 * np.cos(alpha) + 0.426 * np.sin(alpha)
     fr_y = -0.04675 + y_local
     assert abs(2 * fr_y) < 0.04  # hand-checked collision distance
-    term("self_collision", -0.001 * dt * 1.0, q=q_collide)
+    term("self_collision", -0.001 * dt * 1.0, cur_q=q_collide)
     # air time: two feet touch down with 0.3 s airborne
     term("foot_air_time", 1.5 * dt * 2 * (0.3 - 0.5),
          prev_contacts=np.array([False, False, True, True]),
@@ -228,17 +214,18 @@ def test_criterion_5_reward_oracle():
         [np.zeros(4), GEOM.side_signs * 0.08, np.full(4, -0.426)], axis=-1
     )
     term("foot_position", 0.3 * dt * 4 * np.exp(-0.01 / 0.02),
-         q=np.zeros(12), desired_feet=zero_feet + np.array([0.1, 0.0, 0.0]))
+         cur_q=np.zeros(12), desired_feet=zero_feet + np.array([0.1, 0.0, 0.0]))
 
-    # weighted total equals the exact field sum
-    prev, cur = quiet_pair()
+    # the env's reward equals the in-order sum of its weighted terms
+    env = VecLocomotionEnv(RunConfig(), planner, n_envs=4, train_mode=True)
     rng = np.random.default_rng(5)
-    prev.qdot = rng.normal(size=12)
-    cur.qdot = rng.normal(size=12)
-    cur.trunk.lin_vel = rng.normal(size=3) * 0.3
-    r = compute_reward(prev, cur, Command(vx=0.3), rng.normal(size=12),
-                       rng.normal(size=12), feet_nominal, GEOM, dt=dt)
-    total_exact = r.total == sum(getattr(r, n) for n in RewardBreakdown.term_names())
+    total_exact = True
+    for _ in range(5):
+        rewards, _, info = env.step(rng.normal(scale=0.1, size=(4, 12)))
+        total = np.zeros(4)
+        for name in REWARD_TERMS:
+            total = total + info["terms"][name]
+        total_exact = total_exact and np.array_equal(rewards, total)
 
     worst = max(results.values())
     ok = worst < 1e-12 and total_exact and len(results) == 11
@@ -331,33 +318,37 @@ def test_criterion_7_gradient_suite():
 
 def test_criterion_8_physics_sanity():
     params = EnvParams()
-    s = spawn_state(params, drop_height=1.0)
-    s2 = step_physics(s, s.q, params)
-    dv = s2.trunk.lin_vel[2] - s.trunk.lin_vel[2]
+
+    def spawn(drop):
+        """(pos, rot, linvel, angvel, q, qdot, air, ep_time) of one robot."""
+        return (np.array([0.0, 0.0, params.stand_height + drop]), quat.IDENTITY.copy(),
+                np.zeros(3), np.zeros(3), params.nominal_q.copy(), np.zeros(12),
+                np.zeros(4), 0.0)
+
+    def run(drop, substeps):
+        s = spawn(drop)
+        for _ in range(substeps):
+            out = _step_core(*s, params.nominal_q, params, params.dt)
+            s = out[:6] + out[7:]
+        return s
+
+    s = spawn(1.0)
+    s2 = run(1.0, 1)
+    dv = s2[2][2] - s[2][2]
     free_fall_exact = dv == -(params.gravity * params.dt)
 
-    s = spawn_state(params, drop_height=0.02)
-    for _ in range(600):
-        s = step_physics(s, params.nominal_q, params)
-    feet_b = forward_kinematics_all(s.q, params.geometry)
-    feet_w = s.trunk.position + quat.rotate(s.trunk.orientation, feet_b)
-    jac = leg_jacobian_all(s.q, params.geometry)
-    v_b = np.einsum("lij,lj->li", jac, s.qdot.reshape(4, 3))
-    v_w = s.trunk.lin_vel + quat.rotate(s.trunk.orientation,
-                                        np.cross(s.trunk.ang_vel, feet_b) + v_b)
+    pos, rot, linvel, angvel, q, qdot, _air, _t = run(0.02, 600)
+    feet_b = forward_kinematics_all(q, params.geometry)
+    feet_w = pos + quat.rotate(rot, feet_b)
+    jac = leg_jacobian_all(q, params.geometry)
+    v_b = np.einsum("lij,lj->li", jac, qdot.reshape(4, 3))
+    v_w = linvel + quat.rotate(rot, np.cross(angvel, feet_b) + v_b)
     fz = contact_force(feet_w, v_w, params)[:, 2].sum()
     weight = params.trunk_mass * params.gravity
     balance = abs(fz / weight - 1.0)
 
-    def short_run():
-        st = spawn_state(params, drop_height=0.05)
-        for _ in range(100):
-            st = step_physics(st, params.nominal_q, params)
-        return st
-
-    a, b = short_run(), short_run()
-    replay = (np.array_equal(a.trunk.position, b.trunk.position)
-              and np.array_equal(a.q, b.q) and np.array_equal(a.qdot, b.qdot))
+    a, b = run(0.05, 100), run(0.05, 100)
+    replay = all(np.array_equal(x, y) for x, y in zip(a, b))
     ok = free_fall_exact and balance <= 0.02 and replay
     report(8, "physics sanity",
            f"free-fall dv exact {free_fall_exact}, force balance err "
@@ -398,6 +389,7 @@ def desk_training(tmp_path_factory):
                                constant_profile(0.0), duration=10.0)
     return {
         "rows": rows,
+        "period_steps": ck["planner"].orbit.period_ticks // substeps_per_policy_step(cfg.sim.dt),
         "wall_minutes": wall_minutes,
         "summary": summary,
         "trace": trace,
@@ -438,7 +430,7 @@ def test_station_keeping_at_zero_command(desk_training):
 
 
 def test_criterion_10_gait_preservation(desk_training):
-    stats = contact_gait_stats(desk_training["trace"])
+    stats = contact_gait_stats(desk_training["trace"], desk_training["period_steps"])
     stance = float(stats["stance_fraction"].mean())
     # one lag = 1/30 of the cycle at the 50 Hz contact log: its resolution
     ok = stats["diag_lag_dist"] <= 1 and stance > 0.5

@@ -4,10 +4,9 @@ from dataclasses import replace
 
 from cpgrl.config import RunConfig
 from cpgrl.env import POLICY_DT, VecLocomotionEnv
-from cpgrl.gait_planner import MotorLayer, build_planner, fitted_planner
-from cpgrl.randomization import CurriculumState
-from cpgrl.simulator import RobotState, TrunkState, step_physics
-from cpgrl.task import OBS_DIM, PLANNER_SLICE
+from cpgrl.randomization import CurriculumState, schedule_impulse
+from cpgrl.simulator import NumericalDivergence, _step_core, low_pass
+from cpgrl.task import OBS_DIM, PLANNER_SLICE, compose_action
 
 
 def small_cfg(**kwargs):
@@ -18,15 +17,11 @@ def small_cfg(**kwargs):
     return cfg
 
 
-@pytest.fixture(scope="module")
-def planner():
-    cfg = RunConfig()
-    model = build_planner(cfg.cpg, h=cfg.planner.h, sigma=cfg.planner.sigma,
-                          nominal_q=cfg.env_params().nominal_q)
-    rng = np.random.default_rng(0)
-    motor = MotorLayer(weights=rng.normal(scale=0.02, size=(cfg.planner.h, 12)),
-                       bias=cfg.env_params().nominal_q)
-    return fitted_planner(model, motor)
+def assert_same_state(a, b):
+    for name in VecLocomotionEnv._ARRAY_FIELDS:
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name), err_msg=name)
+    for ra, rb in zip(a.rngs, b.rngs):
+        assert ra.bit_generator.state == rb.bit_generator.state
 
 
 def test_observation_shape_and_planner_slot(planner):
@@ -46,36 +41,49 @@ def test_step_advances_phase_and_time(planner):
 
 
 def test_vectorized_step_matches_scalar_bitwise(planner):
-    """The batched env and the scalar simulator share one numerical path."""
+    """Batched `_step_core` over all envs equals `_step_core` on each env's slice."""
     cfg = small_cfg()
-    cfg = replace(cfg, dr=replace(cfg.dr, randomize_dynamics=False, add_noise=False,
+    # randomized dynamics give each env its own mass and friction
+    cfg = replace(cfg, dr=replace(cfg.dr, randomize_dynamics=True, add_noise=False,
                                   apply_impulses=False))
     env = VecLocomotionEnv(cfg, planner, train_mode=True)
     params = env.base_params
-    actions = np.zeros((4, 12))
+    rng = np.random.default_rng(5)
+    names = ("pos", "rot", "linvel", "angvel", "q", "qdot", "contacts", "air", "ep_time")
+    for _ in range(3):
+        actions = rng.normal(scale=0.1, size=(4, 12))
+        target = compose_action(env.baseline[env.phase % env.period], actions,
+                                cfg.robot.residual_limit)
+        filtered = low_pass(target, env.filter_mem, cfg.robot.filter_alpha)
+        per_env = []
+        for i in range(env.n):
+            state = (env.pos[i], env.rot[i], env.linvel[i], env.angvel[i],
+                     env.q[i], env.qdot[i], env.air[i], env.ep_time[i])
+            for _ in range(env.substeps):
+                out = _step_core(*state, filtered[i], params, params.dt,
+                                 mass=env.mass[i], friction=env.friction[i])
+                state = out[:6] + out[7:]
+            per_env.append(out)
+        env.step(actions)
+        for i, out in enumerate(per_env):
+            for name, value in zip(names, out):
+                np.testing.assert_array_equal(getattr(env, name)[i], value, err_msg=name)
 
-    # replicate one policy step per env with the scalar API
-    scalar_states = []
-    for i in range(env.n):
-        scalar_states.append(RobotState(
-            trunk=TrunkState(position=env.pos[i].copy(), orientation=env.rot[i].copy(),
-                             lin_vel=env.linvel[i].copy(), ang_vel=env.angvel[i].copy()),
-            q=env.q[i].copy(), qdot=env.qdot[i].copy(), contacts=env.contacts[i].copy(),
-            filter_mem=env.filter_mem[i].copy(), air_time=env.air[i].copy(),
-            episode_time=float(env.ep_time[i]),
-        ))
-    baseline = planner.baseline_table()[env.phase % env.period]
-    target = baseline + np.clip(actions, -cfg.robot.residual_limit, cfg.robot.residual_limit)
-    filtered = cfg.robot.filter_alpha * target + (1 - cfg.robot.filter_alpha) * env.filter_mem
 
-    env.step(actions)
-    for i, s in enumerate(scalar_states):
-        for _ in range(env.substeps):
-            s = step_physics(s, filtered[i], params)
-        np.testing.assert_array_equal(env.pos[i], s.trunk.position)
-        np.testing.assert_array_equal(env.rot[i], s.trunk.orientation)
-        np.testing.assert_array_equal(env.q[i], s.q)
-        np.testing.assert_array_equal(env.qdot[i], s.qdot)
+def test_divergence_blames_the_diverged_env(planner):
+    env = VecLocomotionEnv(small_cfg(), planner, train_mode=False)
+    env.pos[0, 0] = 5.0e4       # large but finite and under the limit
+    env.linvel[2, 0] = 1.5e6    # over the limit
+    with pytest.raises(NumericalDivergence) as err:
+        env.step(np.zeros((4, 12)))
+    assert err.value.env_index == 2
+
+    env = VecLocomotionEnv(small_cfg(), planner, train_mode=False)
+    env.pos[0, 0] = 5.0e4
+    env.qdot[3, 4] = np.nan
+    with pytest.raises(NumericalDivergence) as err:
+        env.step(np.zeros((4, 12)))
+    assert err.value.env_index == 3
 
 
 def test_reset_on_done_restores_spawn(planner):
@@ -171,3 +179,37 @@ def test_impulse_applied_on_boundary(planner):
     # the velocity right after the kick also integrates contact forces, so
     # check the kick landed by magnitude of the horizontal change
     assert np.any(np.abs(env.linvel[:, :2] - v_before) > 0.05)
+
+
+def test_impulse_adds_drawn_velocity(planner):
+    """A kick adds the drawn (dvx, dvy) to the trunk velocity and nothing else."""
+    cfg = small_cfg()
+    cfg = replace(cfg, dr=replace(cfg.dr, apply_impulses=True, add_noise=False,
+                                  randomize_dynamics=False))
+    curriculum = CurriculumState(impulse_interval=15.0, impulse_mag_cap=1.0)
+    boundary = int(round(15.0 / POLICY_DT))
+    kicked = VecLocomotionEnv(cfg, planner, train_mode=True)
+    by_hand = VecLocomotionEnv(cfg, planner, train_mode=True)
+    for env in (kicked, by_hand):
+        env.ep_steps[:] = boundary - 1
+        env.ep_time[:] = 5.0
+    for i in range(by_hand.n):
+        dv = schedule_impulse(by_hand.rngs[i], boundary * POLICY_DT, curriculum, dt=POLICY_DT)
+        assert np.all(dv != 0.0) and np.all(np.abs(dv) <= 1.0)
+        by_hand.linvel[i, 0] += dv[0]
+        by_hand.linvel[i, 1] += dv[1]
+    kicked.step(np.zeros((4, 12)), curriculum)
+    by_hand.step(np.zeros((4, 12)))
+    assert_same_state(kicked, by_hand)
+
+
+def test_impulse_none_between_boundaries_is_identity(planner):
+    cfg = small_cfg()
+    cfg = replace(cfg, dr=replace(cfg.dr, apply_impulses=True, add_noise=False))
+    curriculum = CurriculumState(impulse_interval=15.0, impulse_mag_cap=1.8)
+    with_curriculum = VecLocomotionEnv(cfg, planner, train_mode=True)
+    without = VecLocomotionEnv(cfg, planner, train_mode=True)
+    for _ in range(5):
+        with_curriculum.step(np.zeros((4, 12)), curriculum)
+        without.step(np.zeros((4, 12)))
+    assert_same_state(with_curriculum, without)

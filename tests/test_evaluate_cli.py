@@ -6,6 +6,7 @@ from dataclasses import replace
 
 from cpgrl.cli import main
 from cpgrl.config import RunConfig, save_config
+from cpgrl.env import substeps_per_policy_step
 from cpgrl.evaluate import (
     TRACE_COLUMNS,
     constant_profile,
@@ -70,9 +71,25 @@ def test_eval_baseline_walks(fitted):
     assert summary.falls == 0
     assert summary.mean_vx_body > 0.2  # open-loop gait advances
 
-    stats = contact_gait_stats(data)
+    period_steps = planner.orbit.period_ticks // substeps_per_policy_step(cfg.sim.dt)
+    stats = contact_gait_stats(data, period_steps)
     assert stats["diag_lag_dist"] <= 1
     assert stats["stance_fraction"].mean() > 0.5
+
+
+def test_contact_gait_stats_uses_the_given_period():
+    # synthetic trot, 40 policy steps per period: FR/RL in phase, FL/RR half a period later
+    period, stance = 40, 24
+    k = np.arange(5 * period)
+    data = np.zeros((k.size, len(TRACE_COLUMNS)))
+    col = {name: i for i, name in enumerate(TRACE_COLUMNS)}
+    for name, offset in (("FR", 0), ("FL", period // 2), ("RR", period // 2), ("RL", 0)):
+        data[:, col[f"contact_{name}"]] = (k + offset) % period < stance
+    stats = contact_gait_stats(data, period)
+    assert stats["period_steps"] == period
+    assert stats["diag_lag_dist"] == 0
+    assert stats["adj_lag_dist"] == 0
+    np.testing.assert_allclose(stats["stance_fraction"], stance / period)
 
 
 # ----------------------------------------------------------------- export

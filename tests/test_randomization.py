@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from dataclasses import replace
 
+from cpgrl.config import RunConfig
+from cpgrl.env import POLICY_DT, VecLocomotionEnv
 from cpgrl.randomization import (
     CurriculumConfig,
     CurriculumState,
@@ -8,11 +11,9 @@ from cpgrl.randomization import (
     add_sensor_noise,
     curriculum_update,
     initial_curriculum,
-    sample_command,
-    sample_env_params,
+    sample_command_values,
     schedule_impulse,
 )
-from cpgrl.simulator import EnvParams
 from cpgrl.task import (
     ANG_SCALE,
     ANGVEL_SLICE,
@@ -29,52 +30,67 @@ from cpgrl.task import (
 
 DR = RandomizationConfig()
 CURR = CurriculumConfig()
-BASE = EnvParams()
+CFG = RunConfig()
+BASE_MASS = CFG.env_params().trunk_mass
+
+
+def one_env(planner, cfg=CFG):
+    return VecLocomotionEnv(cfg, planner, n_envs=1, train_mode=True)
 
 
 # ------------------------------------------------------------ env params
 
-def test_env_param_ranges_statistical():
-    rng = np.random.default_rng(0)
+def test_env_param_ranges_statistical(planner):
+    env = one_env(planner)
     masses, frictions = [], []
     for _ in range(10000):
-        p = sample_env_params(rng, DR, BASE)
-        masses.append(p.trunk_mass)
-        frictions.append(p.friction)
+        env._reset_env(0)
+        masses.append(env.mass[0])
+        frictions.append(env.friction[0])
     masses = np.array(masses)
     frictions = np.array(frictions)
-    assert masses.min() >= BASE.trunk_mass - 1.0 and masses.max() <= BASE.trunk_mass + 1.0
+    assert masses.min() >= BASE_MASS - 1.0 and masses.max() <= BASE_MASS + 1.0
     assert frictions.min() >= 0.5 and frictions.max() <= 1.25
     assert frictions.mean() == pytest.approx(0.875, abs=0.01)
 
 
-def test_env_param_zero_width_ranges():
-    dr = RandomizationConfig(mass_offset_range=(0.25, 0.25), friction_range=(0.9, 0.9))
-    rng = np.random.default_rng(1)
-    p = sample_env_params(rng, dr, BASE)
-    assert p.trunk_mass == BASE.trunk_mass + 0.25
-    assert p.friction == 0.9
+def test_env_param_zero_width_ranges(planner):
+    cfg = replace(CFG, dr=replace(CFG.dr, mass_offset_range=(0.25, 0.25),
+                                  friction_range=(0.9, 0.9)))
+    env = one_env(planner, cfg)
+    assert env.mass[0] == BASE_MASS + 0.25
+    assert env.friction[0] == 0.9
 
 
 # ------------------------------------------------------------ commands
 
-def test_command_resamples_on_boundary():
-    rng = np.random.default_rng(2)
-    current = np.array([0.1, 0.2, 0.3])
-    out = sample_command(rng, 10.0, current)
-    assert not np.array_equal(out, current)
-    assert np.all(np.abs(out) <= 1.0)
+def grid_step(planner, steps_after):
+    """Step one env whose episode has run `steps_after` policy steps, returning
+    its command before and after; the pinned command is (0.1, 0.2, 0.3)."""
+    env = one_env(planner)
+    env.set_commands([[0.1, 0.2, 0.3]])
+    env.ep_steps[0] = steps_after - 1
+    env.ep_time[0] = 5.0  # keep well away from the episode limit
+    before = env.cmd[0].copy()
+    env.step(np.zeros((1, 12)))
+    return before, env.cmd[0]
 
 
-def test_command_unchanged_between_boundaries():
-    rng = np.random.default_rng(3)
-    current = np.array([0.1, 0.2, 0.3])
-    np.testing.assert_array_equal(sample_command(rng, 7.3, current), current)
+def test_command_resamples_on_boundary(planner):
+    steps = int(round(CFG.commands.resample_interval / POLICY_DT))
+    before, after = grid_step(planner, steps)
+    assert not np.array_equal(after, before)
+    assert np.all(np.abs(after) <= 1.0)
+
+
+def test_command_unchanged_between_boundaries(planner):
+    before, after = grid_step(planner, int(round(7.3 / POLICY_DT)))
+    np.testing.assert_array_equal(after, before)
 
 
 def test_command_range_statistical():
     rng = np.random.default_rng(4)
-    draws = np.array([sample_command(rng, 0.0, np.zeros(3)) for _ in range(10000)])
+    draws = np.array([sample_command_values(rng) for _ in range(10000)])
     assert draws.min() >= -1.0 and draws.max() <= 1.0
     assert draws.min() <= -0.99 and draws.max() >= 0.99
 
@@ -82,7 +98,7 @@ def test_command_range_statistical():
 def test_command_custom_ranges():
     rng = np.random.default_rng(5)
     ranges = [(-0.5, 0.5), (0.0, 0.0), (0.0, 0.0)]
-    draws = np.array([sample_command(rng, 0.0, np.zeros(3), ranges=ranges) for _ in range(200)])
+    draws = np.array([sample_command_values(rng, ranges) for _ in range(200)])
     assert np.all(np.abs(draws[:, 0]) <= 0.5)
     assert np.all(draws[:, 1:] == 0.0)
 

@@ -3,29 +3,55 @@ import pytest
 from dataclasses import replace
 
 from cpgrl import quat
+from cpgrl.config import RunConfig
+from cpgrl.env import VecLocomotionEnv
 from cpgrl.kinematics import forward_kinematics_all, leg_jacobian_all
 from cpgrl.simulator import (
     EnvParams,
     NumericalDivergence,
-    Termination,
-    apply_impulse,
-    check_termination,
+    _step_core,
     contact_force,
     low_pass,
     pd_torque,
-    spawn_state,
-    step_physics,
     trunk_clearance,
 )
 
 PARAMS = EnvParams()
 
+STEP_IN = ("pos", "rot", "linvel", "angvel", "q", "qdot", "air", "ep_time")
+STEP_OUT = ("pos", "rot", "linvel", "angvel", "q", "qdot", "contacts", "air", "ep_time")
+
+
+def spawn(params, drop=0.05):
+    """One robot's state arrays in the default pose, drop above the stance."""
+    return {
+        "pos": np.array([0.0, 0.0, params.stand_height + drop]),
+        "rot": quat.IDENTITY.copy(),
+        "linvel": np.zeros(3),
+        "angvel": np.zeros(3),
+        "q": params.nominal_q.copy(),
+        "qdot": np.zeros(12),
+        "contacts": np.zeros(4, dtype=bool),
+        "air": np.zeros(4),
+        "ep_time": 0.0,
+    }
+
+
+def substep(s, targets, params):
+    """One `_step_core` substep of a single robot."""
+    out = _step_core(*(s[k] for k in STEP_IN), targets, params, params.dt)
+    return dict(zip(STEP_OUT, out))
+
 
 def settle(params, seconds, drop=0.02):
-    s = spawn_state(params, drop_height=drop)
+    s = spawn(params, drop)
     for _ in range(int(round(seconds / params.dt))):
-        s = step_physics(s, params.nominal_q, params)
+        s = substep(s, params.nominal_q, params)
     return s
+
+
+def one_env(planner):
+    return VecLocomotionEnv(RunConfig(), planner, n_envs=1, train_mode=False)
 
 
 # ---------------------------------------------------------------- low_pass
@@ -114,29 +140,27 @@ def test_contact_force_batched_matches_scalar():
 # ---------------------------------------------------------------- stepping
 
 def test_free_fall_velocity_increment_exact():
-    s = spawn_state(PARAMS, drop_height=1.0)
-    s2 = step_physics(s, s.q, PARAMS)
-    dv = s2.trunk.lin_vel[2] - s.trunk.lin_vel[2]
+    s = spawn(PARAMS, drop=1.0)
+    s2 = substep(s, s["q"], PARAMS)
+    dv = s2["linvel"][2] - s["linvel"][2]
     assert dv == -(PARAMS.gravity * PARAMS.dt)
 
 
 def test_standing_settles_near_nominal_height():
     s = settle(PARAMS, 1.0)
     # pinned regression: settled height 0.3061 m; spec example tolerance +-0.02
-    assert s.trunk.position[2] == pytest.approx(0.3061, abs=2e-3)
-    assert abs(s.trunk.position[2] - PARAMS.stand_height) < 0.02
-    assert np.linalg.norm(s.trunk.lin_vel) < 0.05
+    assert s["pos"][2] == pytest.approx(0.3061, abs=2e-3)
+    assert abs(s["pos"][2] - PARAMS.stand_height) < 0.02
+    assert np.linalg.norm(s["linvel"]) < 0.05
 
 
 def test_settled_contact_forces_balance_weight():
     s = settle(PARAMS, 3.0)
-    feet_b = forward_kinematics_all(s.q, PARAMS.geometry)
-    feet_w = s.trunk.position + quat.rotate(s.trunk.orientation, feet_b)
-    jac = leg_jacobian_all(s.q, PARAMS.geometry)
-    v_b = np.einsum("lij,lj->li", jac, s.qdot.reshape(4, 3))
-    v_w = s.trunk.lin_vel + quat.rotate(
-        s.trunk.orientation, np.cross(s.trunk.ang_vel, feet_b) + v_b
-    )
+    feet_b = forward_kinematics_all(s["q"], PARAMS.geometry)
+    feet_w = s["pos"] + quat.rotate(s["rot"], feet_b)
+    jac = leg_jacobian_all(s["q"], PARAMS.geometry)
+    v_b = np.einsum("lij,lj->li", jac, s["qdot"].reshape(4, 3))
+    v_w = s["linvel"] + quat.rotate(s["rot"], np.cross(s["angvel"], feet_b) + v_b)
     f = contact_force(feet_w, v_w, PARAMS)
     total = f[:, 2].sum()
     assert total == pytest.approx(PARAMS.trunk_mass * PARAMS.gravity, rel=0.02)
@@ -144,8 +168,8 @@ def test_settled_contact_forces_balance_weight():
 
 def test_passive_settle_dissipates_energy():
     s = settle(PARAMS, 3.0, drop=0.05)
-    ke = 0.5 * PARAMS.trunk_mass * np.sum(s.trunk.lin_vel**2) + 0.5 * np.sum(
-        PARAMS.trunk_inertia * s.trunk.ang_vel**2
+    ke = 0.5 * PARAMS.trunk_mass * np.sum(s["linvel"]**2) + 0.5 * np.sum(
+        PARAMS.trunk_inertia * s["angvel"]**2
     )
     assert ke < 1e-3
 
@@ -153,91 +177,82 @@ def test_passive_settle_dissipates_energy():
 def test_determinism_bit_identical():
     s1 = settle(PARAMS, 0.5)
     s2 = settle(PARAMS, 0.5)
-    np.testing.assert_array_equal(s1.trunk.position, s2.trunk.position)
-    np.testing.assert_array_equal(s1.trunk.orientation, s2.trunk.orientation)
-    np.testing.assert_array_equal(s1.q, s2.q)
-    np.testing.assert_array_equal(s1.qdot, s2.qdot)
+    for name in ("pos", "rot", "q", "qdot"):
+        np.testing.assert_array_equal(s1[name], s2[name])
 
 
 def test_quaternion_norm_preserved():
-    s = spawn_state(PARAMS)
-    s.trunk.ang_vel = np.array([0.4, -0.2, 0.9])
+    s = spawn(PARAMS)
+    s["angvel"] = np.array([0.4, -0.2, 0.9])
     for _ in range(200):
-        s = step_physics(s, PARAMS.nominal_q, PARAMS)
-        assert abs(np.linalg.norm(s.trunk.orientation) - 1.0) < 1e-9
+        s = substep(s, PARAMS.nominal_q, PARAMS)
+        assert abs(np.linalg.norm(s["rot"]) - 1.0) < 1e-9
 
 
 def test_no_contact_force_airborne():
-    s = spawn_state(PARAMS, drop_height=0.5)
-    s2 = step_physics(s, s.q, PARAMS)
-    assert not s2.contacts.any()
+    s = spawn(PARAMS, drop=0.5)
+    s2 = substep(s, s["q"], PARAMS)
+    assert not s2["contacts"].any()
     # velocity change is pure gravity
     np.testing.assert_allclose(
-        s2.trunk.lin_vel - s.trunk.lin_vel, [0, 0, -PARAMS.gravity * PARAMS.dt]
+        s2["linvel"] - s["linvel"], [0, 0, -PARAMS.gravity * PARAMS.dt]
     )
 
 
 def test_air_time_accumulates_then_clears():
-    s = spawn_state(PARAMS, drop_height=0.3)
+    s = spawn(PARAMS, drop=0.3)
     for _ in range(20):
-        s = step_physics(s, PARAMS.nominal_q, PARAMS)
-    np.testing.assert_allclose(s.air_time, 20 * PARAMS.dt, rtol=1e-12)
+        s = substep(s, PARAMS.nominal_q, PARAMS)
+    np.testing.assert_allclose(s["air"], 20 * PARAMS.dt, rtol=1e-12)
     s = settle(PARAMS, 1.0)
-    assert np.all(s.air_time[s.contacts] == 0.0)
+    assert np.all(s["air"][s["contacts"]] == 0.0)
 
 
-def test_divergence_detected():
-    s = spawn_state(PARAMS)
-    s.trunk.lin_vel = np.array([0.0, 0.0, 2.0e6])
-    with pytest.raises(NumericalDivergence):
-        step_physics(s, PARAMS.nominal_q, PARAMS)
-
-
-# ---------------------------------------------------------------- impulses
-
-def test_apply_impulse_zero_is_identity():
-    s = spawn_state(PARAMS)
-    s2 = apply_impulse(s, np.zeros(2))
-    np.testing.assert_array_equal(s2.trunk.lin_vel, s.trunk.lin_vel)
-
-
-def test_apply_impulse_adds_velocity():
-    s = spawn_state(PARAMS)
-    s2 = apply_impulse(s, np.array([1.8, 0.0]))
-    assert s2.trunk.lin_vel[0] - s.trunk.lin_vel[0] == 1.8
-    assert s2.trunk.lin_vel[2] == s.trunk.lin_vel[2]
-
-
-def test_apply_impulse_rejects_over_cap():
-    s = spawn_state(PARAMS)
-    with pytest.raises(ValueError):
-        apply_impulse(s, np.array([2.5, 0.0]), cap=1.8)
+def test_divergence_detected(planner):
+    env = one_env(planner)
+    env.linvel[0] = [0.0, 0.0, 2.0e6]
+    with pytest.raises(NumericalDivergence) as err:
+        env.step(np.zeros((1, 12)))
+    assert err.value.env_index == 0
 
 
 # ---------------------------------------------------------------- termination
 
-def test_timeout():
-    s = spawn_state(PARAMS)
-    s.episode_time = 20.0
-    assert check_termination(s, PARAMS) is Termination.TIMEOUT
+def test_timeout(planner):
+    env = one_env(planner)
+    p = env.base_params
+    # the step's substeps end exactly on the episode limit
+    env.ep_time[0] = p.episode_limit - env.substeps * p.dt
+    _, dones, info = env.step(np.zeros((1, 12)))
+    assert info["timeout"][0] and not info["collision"][0]
+    assert dones[0] == 1.0
 
 
-def test_trunk_collision_when_low():
-    s = spawn_state(PARAMS)
-    s.trunk.position = np.array([0.0, 0.0, 0.02])
-    assert check_termination(s, PARAMS) is Termination.TRUNK_COLLISION
+def test_trunk_collision_when_low(planner):
+    env = one_env(planner)
+    # upside down, so the legs point up and cannot push the trunk off the ground
+    env.rot[0] = [0.0, 1.0, 0.0, 0.0]
+    env.pos[0] = [0.0, 0.0, 0.02]
+    _, dones, info = env.step(np.zeros((1, 12)))
+    assert info["collision"][0] and not info["timeout"][0]
+    assert dones[0] == 1.0
 
 
-def test_running_when_nominal():
-    s = settle(PARAMS, 1.0)
-    s.episode_time = 5.0
-    assert check_termination(s, PARAMS) is Termination.RUNNING
+def test_running_when_nominal(planner):
+    env = one_env(planner)
+    for _ in range(50):
+        _, dones, _ = env.step(np.zeros((1, 12)))
+        assert dones[0] == 0.0
+    env.ep_time[0] = 5.0
+    _, dones, info = env.step(np.zeros((1, 12)))
+    assert not info["timeout"][0] and not info["collision"][0]
+    assert dones[0] == 0.0
 
 
 def test_trunk_clearance_flat():
-    s = spawn_state(PARAMS)
-    c = trunk_clearance(s.trunk.position, s.trunk.orientation, PARAMS)
-    expected = s.trunk.position[2] - PARAMS.trunk_half_extents[2]
+    s = spawn(PARAMS)
+    c = trunk_clearance(s["pos"], s["rot"], PARAMS)
+    expected = s["pos"][2] - PARAMS.trunk_half_extents[2]
     assert c == pytest.approx(expected)
 
 

@@ -1,4 +1,5 @@
 import csv
+import json
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from cpgrl.config import RunConfig, config_hash
 from cpgrl.env import VecLocomotionEnv
 from cpgrl.nn import Adam
 from cpgrl.ppo import GaussianPolicy
-from cpgrl.task import OBS_DIM, RewardBreakdown
+from cpgrl.randomization import CurriculumState
+from cpgrl.task import OBS_DIM, REWARD_TERMS
 from cpgrl.training import (
     ACTION_DIM,
     collect_rollouts,
@@ -52,7 +54,7 @@ def test_collect_rollouts_shapes(fitted):
     assert buf.observations.shape == (24, 8, OBS_DIM)
     assert buf.actions.shape == (24, 8, 12)
     assert 0.0 <= stats["tracking_fraction"] <= 1.0
-    for name in RewardBreakdown.term_names():
+    for name in REWARD_TERMS:
         assert name in stats
 
 
@@ -111,8 +113,6 @@ def test_checkpoint_round_trip(fitted, tmp_path):
     rng = np.random.default_rng(4)
     collect_rollouts(env, policy, rng, horizon=4)
 
-    from cpgrl.randomization import CurriculumState
-
     path = tmp_path / "ck.npz"
     save_checkpoint(path, policy, optimizer, env, rng,
                     CurriculumState(12.0, 1.2, 0.5), 7, cfg, planner)
@@ -124,6 +124,27 @@ def test_checkpoint_round_trip(fitted, tmp_path):
     obs = np.zeros(OBS_DIM)
     np.testing.assert_array_equal(restored.mean_action(obs), policy.mean_action(obs))
     np.testing.assert_array_equal(ck["planner"].baseline_table(), planner.baseline_table())
+    restored_adam = Adam(policy.n_params)
+    restored_adam.load_state_dict(ck["optimizer"])
+    for key, value in optimizer.state_dict().items():
+        np.testing.assert_array_equal(getattr(restored_adam, key), value)
+
+
+def test_checkpoint_version_1_rejected(fitted, tmp_path):
+    cfg, planner, _ = fitted
+    env = VecLocomotionEnv(cfg, planner, train_mode=True)
+    policy = GaussianPolicy(OBS_DIM, ACTION_DIM, cfg.train.hidden, np.random.default_rng(3))
+    path = tmp_path / "ck.npz"
+    save_checkpoint(path, policy, Adam(policy.n_params), env, np.random.default_rng(4),
+                    CurriculumState(), 1, cfg, planner)
+    with np.load(path) as data:
+        arrays = dict(data)
+    meta = json.loads(str(arrays["meta"]))
+    meta["version"] = 1
+    arrays["meta"] = np.array(json.dumps(meta))
+    np.savez(path, **arrays)
+    with pytest.raises(ValueError, match="version 1"):
+        load_checkpoint(path)
 
 
 def test_resume_rejects_config_mismatch(fitted, tmp_path):
