@@ -17,6 +17,7 @@ from .gait_planner import GaitPlannerModel
 from .kinematics import forward_kinematics_all
 from .randomization import (
     CurriculumState,
+    add_sensor_noise,
     sample_command_values,
     schedule_impulse,
 )
@@ -132,10 +133,8 @@ class VecLocomotionEnv:
         )
         use_noise = self.train_mode and self.cfg.dr.add_noise if noisy is None else noisy
         if use_noise:
-            from .randomization import add_sensor_noise
-
-            for i in range(self.n):
-                obs[i] = add_sensor_noise(obs[i], self.rngs[i], self.cfg.dr)
+            for i, rng in enumerate(self.rngs):
+                obs[i] = add_sensor_noise(obs[i], rng, self.cfg.dr)
         return obs
 
     # ------------------------------------------------------------- stepping
@@ -153,12 +152,11 @@ class VecLocomotionEnv:
         if self.train_mode and self.cfg.dr.apply_impulses and curriculum is not None:
             cap = min(curriculum.impulse_mag_cap, self.cfg.dr.impulse_mag_range[1])
             schedule = replace(curriculum, impulse_mag_cap=cap)
-            for i in range(self.n):
-                t_next = (self.ep_steps[i] + 1) * POLICY_DT
-                dv = schedule_impulse(self.rngs[i], t_next, schedule, dt=POLICY_DT)
+            t_next = ((self.ep_steps + 1) * POLICY_DT).tolist()
+            for i, (rng, t) in enumerate(zip(self.rngs, t_next)):
+                dv = schedule_impulse(rng, t, schedule, dt=POLICY_DT)
                 if dv is not None:
-                    self.linvel[i, 0] += dv[0]
-                    self.linvel[i, 1] += dv[1]
+                    self.linvel[i, :2] += dv
 
         target = compose_action(self.baseline[self.phase % self.period], actions,
                                 self.cfg.robot.residual_limit)
@@ -223,14 +221,10 @@ class VecLocomotionEnv:
             self._reset_env(int(i))
 
         # command resampling on the 10 s grid for surviving envs
-        interval = self.cfg.commands.resample_interval
-        for i in range(self.n):
-            if dones[i] or self.ep_steps[i] == 0:
-                continue
-            t = self.ep_steps[i] * POLICY_DT
-            steps = t / interval
-            if abs(steps - round(steps)) < 1e-9:
-                self.cmd[i] = sample_command_values(self.rngs[i], self.cfg.commands.ranges)
+        steps = self.ep_steps * POLICY_DT / self.cfg.commands.resample_interval
+        due = ~dones & (self.ep_steps != 0) & (np.abs(steps - np.round(steps)) < 1e-9)
+        for i in np.flatnonzero(due):
+            self.cmd[i] = sample_command_values(self.rngs[i], self.cfg.commands.ranges)
 
         return rewards, dones.astype(float), info
 

@@ -8,7 +8,9 @@ foot-space MSE through the analytic leg Jacobian.
 """
 
 import csv
+import os
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -569,8 +571,30 @@ def planner_from_arrays(data, prefix: str = "") -> GaitPlannerModel:
     return GaitPlannerModel(params=params, orbit=orbit, rbf=rbf, motor=motor)
 
 
+def savez_atomic(path, **arrays) -> None:
+    """np.savez to path, or to path + ".npz" as np.savez names it, atomically.
+
+    The archive is written to a temporary file in the same directory, synced,
+    and renamed over the final name, so a failed or interrupted write leaves
+    any earlier file intact and never a partial one.
+    """
+    path = Path(path)
+    if path.suffix != ".npz":
+        path = path.with_name(path.name + ".npz")
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            np.savez(fh, **arrays)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_planner_model(model: GaitPlannerModel, path) -> None:
-    np.savez(path, version=_MODEL_VERSION, **planner_arrays(model))
+    savez_atomic(path, version=_MODEL_VERSION, **planner_arrays(model))
 
 
 def load_planner_model(path) -> GaitPlannerModel:

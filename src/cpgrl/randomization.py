@@ -6,7 +6,9 @@ environment owns one stream per env instance, so runs are reproducible from
 a master seed and envs are mutually independent.
 """
 
+import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -44,8 +46,8 @@ class RandomizationConfig:
         if self.impulse_interval_init <= 0:
             raise ValueError("impulse interval must be positive")
         for name in ("noise_ang_vel", "noise_gravity", "noise_joint_pos", "noise_joint_vel"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -82,23 +84,47 @@ def sample_command_values(rng: np.random.Generator, ranges=None) -> np.ndarray:
     return rng.uniform(ranges[:, 0], ranges[:, 1])
 
 
+# The noised slots are contiguous, in draw order: angular velocity, gravity,
+# joint positions, joint velocities.
+_NOISE_SLOTS = (ANGVEL_SLICE, GRAVITY_SLICE, QPOS_SLICE, QVEL_SLICE)
+_NOISE_SLICE = slice(ANGVEL_SLICE.start, QVEL_SLICE.stop)
+_NOISE_SIZES = [s.stop - s.start for s in _NOISE_SLOTS]
+
+
+@lru_cache(maxsize=8)
+def _noise_bands(config: RandomizationConfig):
+    """Read-only (low, span, scale) vectors over the noised slots."""
+    widths = np.repeat(np.array([config.noise_ang_vel, config.noise_gravity,
+                                 config.noise_joint_pos, config.noise_joint_vel], dtype=float),
+                       _NOISE_SIZES)
+    low = -widths
+    span = widths - low
+    scale = np.repeat([ANG_SCALE, 1.0, 1.0, QVEL_SCALE], _NOISE_SIZES)
+    for a in (low, span, scale):
+        a.flags.writeable = False
+    return low, span, scale
+
+
 def add_sensor_noise(obs: np.ndarray, rng: np.random.Generator,
                      config: RandomizationConfig) -> np.ndarray:
-    """Additive uniform noise on the proprioceptive slots only.
+    """Additive uniform noise on the proprioceptive slots of an observation.
 
     Noise bands are physical units; slots holding scaled quantities receive
     the noise scaled identically, so the perturbation before scaling matches
     the configured band. Commands, contacts, the last action, and the planner
     signal are returned untouched.
+
+    One rng.random(30) draw covers, in order, the angular velocity, gravity,
+    joint position and joint velocity slots, each mapped as
+    (-w + (w - -w) * u) * scale. Generator.uniform(-w, w) computes the same
+    low + (high - low) * u from the same doubles, and the gravity scale is
+    1.0, so the result is bit-identical to four rng.uniform band draws in
+    that order. A batch of observations is noised row by row, 30 draws each.
     """
     obs = np.array(obs, dtype=float, copy=True)
-    def band(width, size):
-        return rng.uniform(-width, width, size=size)
-
-    obs[..., ANGVEL_SLICE] += band(config.noise_ang_vel, obs[..., ANGVEL_SLICE].shape) * ANG_SCALE
-    obs[..., GRAVITY_SLICE] += band(config.noise_gravity, obs[..., GRAVITY_SLICE].shape)
-    obs[..., QPOS_SLICE] += band(config.noise_joint_pos, obs[..., QPOS_SLICE].shape)
-    obs[..., QVEL_SLICE] += band(config.noise_joint_vel, obs[..., QVEL_SLICE].shape) * QVEL_SCALE
+    low, span, scale = _noise_bands(config)
+    u = rng.random(obs.shape[:-1] + low.shape)
+    obs[..., _NOISE_SLICE] += (low + span * u) * scale
     return obs
 
 
@@ -120,13 +146,17 @@ def curriculum_update(cur: CurriculumState, tracking_fraction: float,
 
 def schedule_impulse(rng: np.random.Generator, t: float, cur: CurriculumState,
                      dt: float = 0.02):
-    """Impulse delta-v when t crosses an interval boundary within the last dt."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    """Impulse delta-v when t crosses an interval boundary within the last dt.
+
+    The env passes t as a Python float, so the test runs on math.floor
+    rather than on numpy scalars; the boundaries are the same.
+    """
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"t must be finite and >= 0, got {t}")
     if t <= 0.0:
         return None
     interval = cur.impulse_interval
-    if np.floor(t / interval + 1e-12) > np.floor((t - dt) / interval + 1e-12):
+    if math.floor(t / interval + 1e-12) > math.floor((t - dt) / interval + 1e-12):
         cap = cur.impulse_mag_cap
         return rng.uniform(-cap, cap, size=2)
     return None

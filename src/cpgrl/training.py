@@ -23,6 +23,7 @@ from .gait_planner import (
     generate_demo_trot,
     planner_arrays,
     planner_from_arrays,
+    savez_atomic,
 )
 from .nn import Adam, RunningNorm
 from .ppo import GaussianPolicy, PpoConfig, RolloutBuffer, ppo_update
@@ -129,7 +130,7 @@ def save_checkpoint(path, policy: GaussianPolicy, optimizer: Adam,
         arrays["norm_mean"] = norm["mean"]
         arrays["norm_var"] = norm["var"]
         meta["norm_count"] = norm["count"]
-    np.savez(
+    savez_atomic(
         path,
         policy_flat=policy.get_flat(),
         adam_m=adam["m"],
@@ -159,6 +160,23 @@ def load_checkpoint(path) -> dict:
                                "var": data["norm_var"]}
     out["config"] = config_from_dict(meta["config"])
     return out
+
+
+def truncate_metrics(path, iteration: int) -> None:
+    """Cut metrics.csv after the row of the given iteration.
+
+    A run that stopped after its last checkpoint has already logged the rows
+    that a resume from that checkpoint writes again. Rows are cut from the
+    first one past the iteration, or from a line left unfinished; a file
+    without a whole header line is emptied.
+    """
+    with open(path, "r+b") as fh:
+        keep = fh.tell() if fh.readline().endswith(b"\n") else 0
+        for line in iter(fh.readline, b""):
+            if not line.endswith(b"\n") or int(line.split(b",", 1)[0]) > iteration:
+                break
+            keep = fh.tell()
+        fh.truncate(keep)
 
 
 def _new_policy(cfg: RunConfig, lr: float) -> GaussianPolicy:
@@ -214,7 +232,11 @@ def train(cfg: RunConfig, planner: GaitPlannerModel, out_dir,
 
     total_iterations = cfg.train.iterations if iterations is None else iterations
     metrics_path = out_dir / "metrics.csv"
-    mode = "a" if (resume_from is not None and metrics_path.exists()) else "w"
+    if resume_from is not None and metrics_path.exists():
+        truncate_metrics(metrics_path, start_iteration)
+        mode = "a" if metrics_path.stat().st_size else "w"
+    else:
+        mode = "w"
     ppo_cfg: PpoConfig = cfg.train.ppo
     horizon = cfg.train.horizon
     t_start = time.perf_counter()

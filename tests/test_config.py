@@ -57,6 +57,9 @@ def test_validation_catches_bad_values():
         config_from_dict({"commands": {"vx_range": [1.0, -1.0]}})
     with pytest.raises(ConfigError):
         config_from_dict({"cpg": {"tick_rate": 100.0}})  # != 1/sim.dt
+    for width in (-0.1, float("inf"), float("nan")):
+        with pytest.raises(ConfigError):
+            config_from_dict({"dr": {"noise_joint_vel": width}})
 
 
 def test_hash_ignores_run_length():

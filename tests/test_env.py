@@ -213,3 +213,46 @@ def test_impulse_none_between_boundaries_is_identity(planner):
         with_curriculum.step(np.zeros((4, 12)), curriculum)
         without.step(np.zeros((4, 12)))
     assert_same_state(with_curriculum, without)
+
+
+def test_resample_and_impulse_boundaries_match_per_env_reference(planner):
+    """Crossing the 10 s command grid and the 15 s impulse boundary, with
+    sensor noise, dynamics randomization and a timeout reset, equals a
+    per-env reference loop applied around a step that does neither."""
+    cfg = replace(small_cfg(), train=replace(small_cfg().train, n_envs=6))
+    interval = cfg.commands.resample_interval
+    no_resample = replace(cfg, commands=replace(cfg.commands, resample_interval=1000.0))
+    curriculum = CurriculumState(impulse_interval=15.0, impulse_mag_cap=1.2)
+    cap = min(curriculum.impulse_mag_cap, cfg.dr.impulse_mag_range[1])
+    fast = VecLocomotionEnv(cfg, planner, master_seed=11, train_mode=True)
+    ref = VecLocomotionEnv(no_resample, planner, master_seed=11, train_mode=True)
+    # 10 s grid at step 500, impulse at step 750, both at 1500; env 5 times out
+    start = np.array([498, 748, 1498, 0, 499, 499])
+    for env in (fast, ref):
+        env.ep_steps[:] = start
+        env.ep_time[:] = 5.0
+        env.ep_time[5] = cfg.sim.episode_limit - 2 * cfg.sim.dt
+    kicks = resamples = 0
+    rng = np.random.default_rng(3)
+    for _ in range(3):
+        actions = rng.normal(scale=0.05, size=(6, 12))
+        np.testing.assert_array_equal(fast.observe(), ref.observe())
+        for i in range(ref.n):
+            t = (ref.ep_steps[i] + 1) * POLICY_DT
+            if np.floor(t / 15.0 + 1e-12) > np.floor((t - POLICY_DT) / 15.0 + 1e-12):
+                dv = ref.rngs[i].uniform(-cap, cap, size=2)
+                ref.linvel[i, 0] += dv[0]
+                ref.linvel[i, 1] += dv[1]
+                kicks += 1
+        _, fast_dones, _ = fast.step(actions, curriculum)
+        _, dones, _ = ref.step(actions)
+        np.testing.assert_array_equal(fast_dones, dones)
+        for i in range(ref.n):
+            if dones[i] or ref.ep_steps[i] == 0:
+                continue
+            steps = ref.ep_steps[i] * POLICY_DT / interval
+            if abs(steps - round(steps)) < 1e-9:
+                ref.cmd[i] = ref.rngs[i].uniform(*np.asarray(cfg.commands.ranges, dtype=float).T)
+                resamples += 1
+        assert_same_state(fast, ref)
+    assert kicks == 2 and resamples == 3

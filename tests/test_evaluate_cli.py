@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
+from cpgrl import cli
 from cpgrl.cli import main
 from cpgrl.config import RunConfig, save_config
 from cpgrl.env import substeps_per_policy_step
@@ -15,7 +16,14 @@ from cpgrl.evaluate import (
     ramp_profile,
     run_eval,
 )
-from cpgrl.gait_planner import load_planner_model, save_demo_csv, generate_demo_trot
+from cpgrl.gait_planner import (
+    SingularFit,
+    generate_demo_trot,
+    load_planner_model,
+    save_demo_csv,
+    save_planner_model,
+)
+from cpgrl.ppo import NonFiniteLoss
 from cpgrl.training import planner_from_config
 
 
@@ -195,3 +203,31 @@ def test_cli_eval_config_hash_mismatch(tmp_path):
     rc = main(["eval", "--checkpoint", str(tmp_path / "train" / "checkpoint_000002.npz"),
                "--config", str(other_path), "--out", str(tmp_path / "eval")])
     assert rc == 2
+
+
+def test_cli_bc_fit_unreachable_demo_exit_code(tmp_path, capsys):
+    demo = generate_demo_trot(geometry=tiny_cfg().leg_geometry())
+    far = replace(demo, feet=demo.feet + np.array([0.0, 0.0, -1.0]))
+    demo_path = tmp_path / "far.csv"
+    save_demo_csv(far, demo_path)
+    rc = main(["bc-fit", "--demo", str(demo_path), "--out", str(tmp_path / "fit")])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, target, exc", [
+    ("bc-fit", "planner_from_config", SingularFit("design matrix rank 3 < 20")),
+    ("train", "train", NonFiniteLoss(2, 1)),
+])
+def test_cli_numerical_failure_exit_code(fitted, tmp_path, monkeypatch, capsys,
+                                         command, target, exc):
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, target, fail)
+    model = tmp_path / "planner.npz"
+    save_planner_model(fitted[1], model)
+    argv = {"bc-fit": ["bc-fit"], "train": ["train", "--model", str(model)]}[command]
+    rc = main(argv + ["--out", str(tmp_path / "out")])
+    assert rc == 3
+    assert "numerical failure" in capsys.readouterr().err

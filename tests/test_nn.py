@@ -1,13 +1,69 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from cpgrl.nn import Adam, DimensionMismatch, Mlp, elu
+from cpgrl.nn import Adam, DimensionMismatch, Mlp, elu, elu_grad
 
 
 def test_elu_values():
     assert elu(np.array(2.0)) == 2.0
     assert elu(np.array(-1.0)) == pytest.approx(np.exp(-1.0) - 1.0, abs=1e-12)
     assert elu(np.array(0.0)) == 0.0
+
+
+def where_elu(x):
+    return np.where(x > 0.0, x, np.expm1(x))
+
+
+def where_elu_grad(x):
+    return np.where(x > 0.0, 1.0, np.exp(x))
+
+
+def assert_same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    assert a.shape == b.shape
+    np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan,
+                    5e-324, -5e-324, 1e-310, -1e-310, 2.2250738585072014e-308,
+                    -2.2250738585072014e-308, 1e-17, -1e-17, 1e300, -1e300,
+                    709.0, 710.0, -745.0, -746.0, 1.0, -1.0])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_elu_kernels_bitwise_on_special_values():
+    """Every special value, in every SIMD lane position and as a 0-d array."""
+    for v in SPECIAL:
+        assert_same_bits(elu(np.array(v)), where_elu(np.array(v)))
+        assert_same_bits(elu_grad(np.array(v)), where_elu_grad(np.array(v)))
+    rng = np.random.default_rng(0)
+    for n in range(1, 70):
+        for shift in range(len(SPECIAL)):
+            x = rng.normal(scale=3.0, size=max(n, len(SPECIAL)))
+            x[(np.arange(len(SPECIAL)) + shift) % x.size] = SPECIAL
+            x = x[:n]
+            for arr in (x, x[::2], x.reshape(1, -1)):
+                assert_same_bits(elu(arr), where_elu(arr))
+                assert_same_bits(elu_grad(arr), where_elu_grad(arr))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@given(arrays(np.float64, st.tuples(st.integers(1, 40), st.integers(1, 40)),
+              elements=st.floats(allow_nan=True, allow_infinity=True)))
+def test_elu_kernels_bitwise_property(x):
+    assert_same_bits(elu(x), where_elu(x))
+    assert_same_bits(elu_grad(x), where_elu_grad(x))
+
+
+def test_elu_kernels_bitwise_on_network_sized_arrays():
+    rng = np.random.default_rng(1)
+    for shape in [(384, 128), (384, 64), (64, 32), (1, 128)]:
+        x = rng.normal(scale=2.0, size=shape)
+        assert_same_bits(elu(x), where_elu(x))
+        assert_same_bits(elu_grad(x), where_elu_grad(x))
 
 
 def test_zero_weights_output_bias():

@@ -130,6 +130,34 @@ def test_noise_respects_bands_and_untouched_slots():
     assert max_qpos > 0.5 * DR.noise_joint_pos  # the band is actually used
 
 
+def four_band_noise(obs, rng, config):
+    """Reference: one rng.uniform draw per band, in slot order."""
+    obs = np.array(obs, dtype=float, copy=True)
+    obs[ANGVEL_SLICE] += rng.uniform(-config.noise_ang_vel, config.noise_ang_vel, 3) * ANG_SCALE
+    obs[GRAVITY_SLICE] += rng.uniform(-config.noise_gravity, config.noise_gravity, 3)
+    obs[QPOS_SLICE] += rng.uniform(-config.noise_joint_pos, config.noise_joint_pos, 12)
+    obs[QVEL_SLICE] += rng.uniform(-config.noise_joint_vel, config.noise_joint_vel, 12) * QVEL_SCALE
+    return obs
+
+
+@pytest.mark.parametrize("config", [
+    DR,
+    RandomizationConfig(noise_ang_vel=0.0, noise_gravity=0.0, noise_joint_pos=0.0,
+                        noise_joint_vel=0.0),
+    RandomizationConfig(noise_ang_vel=0.3, noise_gravity=0.0, noise_joint_pos=0.02,
+                        noise_joint_vel=0.0),
+])
+def test_noise_bitwise_matches_four_uniform_draws(config):
+    for seed in range(60):
+        obs = np.random.default_rng(1000 + seed).normal(size=OBS_DIM)
+        obs[seed % OBS_DIM] = -0.0
+        fast, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            np.testing.assert_array_equal(add_sensor_noise(obs, fast, config).view(np.uint64),
+                                          four_band_noise(obs, ref, config).view(np.uint64))
+        assert fast.bit_generator.state == ref.bit_generator.state
+
+
 # ------------------------------------------------------------ curriculum
 
 def test_curriculum_triggers_above_threshold():

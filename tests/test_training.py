@@ -1,12 +1,15 @@
 import csv
 import json
+import os
 
 import numpy as np
 import pytest
 from dataclasses import replace
 
+from cpgrl import training
 from cpgrl.config import RunConfig, config_hash
 from cpgrl.env import VecLocomotionEnv
+from cpgrl.gait_planner import load_planner_model, save_planner_model
 from cpgrl.nn import Adam
 from cpgrl.ppo import GaussianPolicy
 from cpgrl.randomization import CurriculumState
@@ -155,3 +158,82 @@ def test_resume_rejects_config_mismatch(fitted, tmp_path):
     with pytest.raises(ValueError):
         train(other, planner, tmp_path / "b",
               resume_from=tmp_path / "a" / "checkpoint_000002.npz", log=None)
+
+
+def test_interrupted_writes_leave_earlier_file_intact(fitted, tmp_path, monkeypatch):
+    cfg, planner, _ = fitted
+    env = VecLocomotionEnv(cfg, planner, train_mode=True)
+    policy = GaussianPolicy(OBS_DIM, ACTION_DIM, cfg.train.hidden, np.random.default_rng(3))
+    writers = {
+        "ck.npz": lambda path: save_checkpoint(
+            path, policy, Adam(policy.n_params), env, np.random.default_rng(4),
+            CurriculumState(), 1, cfg, planner),
+        "planner.npz": lambda path: save_planner_model(planner, path),
+    }
+    real_savez = np.savez
+
+    def partial_savez(file, *args, **kwargs):
+        fh = open(file, "wb") if isinstance(file, (str, os.PathLike)) else file
+        fh.write(b"PK\x03\x04 partial archive")
+        fh.flush()
+        raise OSError("disk full")
+
+    for name, write in writers.items():
+        path = tmp_path / name
+        write(path)
+        before = path.read_bytes()
+        monkeypatch.setattr(np, "savez", partial_savez)
+        with pytest.raises(OSError, match="disk full"):
+            write(path)
+        with pytest.raises(OSError, match="disk full"):
+            write(tmp_path / f"new_{name}")
+        monkeypatch.setattr(np, "savez", real_savez)
+        assert path.read_bytes() == before
+        assert not (tmp_path / f"new_{name}").exists()
+    load_checkpoint(tmp_path / "ck.npz")
+    load_planner_model(tmp_path / "planner.npz")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ck.npz", "planner.npz"]
+
+
+def test_resume_after_crash_truncates_metrics(fitted, tmp_path, monkeypatch):
+    """A crash while saving checkpoint 4 leaves rows 3 and 4 past checkpoint 2;
+    resuming from checkpoint 2 gives the rows of an uninterrupted run."""
+    cfg, planner, _ = fitted
+    cfg5 = replace(cfg, train=replace(cfg.train, iterations=5, checkpoint_every=2))
+    full_rows = list(csv.DictReader(open(train(cfg5, planner, tmp_path / "full", log=None))))
+
+    real_save = training.save_checkpoint
+
+    def crash_at_4(path, *args):
+        if args[-3] == 4:
+            raise KeyboardInterrupt
+        real_save(path, *args)
+
+    monkeypatch.setattr(training, "save_checkpoint", crash_at_4)
+    with pytest.raises(KeyboardInterrupt):
+        train(cfg5, planner, tmp_path / "part", log=None)
+    monkeypatch.setattr(training, "save_checkpoint", real_save)
+    resumed = train(cfg5, planner, tmp_path / "part",
+                    resume_from=tmp_path / "part" / "checkpoint_000002.npz", log=None)
+    resumed_rows = list(csv.DictReader(open(resumed)))
+
+    assert [r["iteration"] for r in resumed_rows] == ["1", "2", "3", "4", "5"]
+    for row in full_rows + resumed_rows:
+        del row["wall_time_s"]
+    assert resumed_rows == full_rows
+
+
+ROWS = "iteration,x\r\n1,a\r\n2,b\r\n"
+
+
+@pytest.mark.parametrize("text, kept", [
+    (ROWS + "3,c\r\n4,d\r\n", ROWS),   # rows past the checkpoint
+    (ROWS + "1", ROWS),                  # a row cut off inside its iteration number, e.g. 12
+    (ROWS, ROWS),
+    ("iteration,x", ""),                 # no whole header line
+])
+def test_truncate_metrics(tmp_path, text, kept):
+    path = tmp_path / "metrics.csv"
+    path.write_bytes(text.encode())
+    training.truncate_metrics(path, 2)
+    assert path.read_bytes() == kept.encode()
