@@ -175,7 +175,7 @@ class VecLocomotionEnv:
                 pos, rot, linvel, angvel, q, qdot, air, ep_time,
                 filtered, p, p.dt, mass=self.mass, friction=self.friction,
             )
-        bad = _check_divergence(pos, linvel, q, qdot, p.divergence_limit)
+        bad = _check_divergence(pos, rot, linvel, angvel, q, qdot, p.divergence_limit)
         if bad.any():
             idx = int(np.argmax(bad))
             raise NumericalDivergence(

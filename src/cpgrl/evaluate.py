@@ -1,7 +1,7 @@
 """Deterministic policy evaluation: trace export and trunk-state summaries."""
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -82,6 +82,9 @@ def run_eval(cfg: RunConfig, planner: GaitPlannerModel, policy: GaussianPolicy |
     first settles for settle_time seconds under zero command; the trace and
     the summary cover only the commanded window.
     """
+    # the episode must outlast the eval, or a timeout reset lands inside the trace
+    episode_limit = max(cfg.sim.episode_limit, settle_time + duration + POLICY_DT)
+    cfg = replace(cfg, sim=replace(cfg.sim, episode_limit=episode_limit))
     env = VecLocomotionEnv(cfg, planner, n_envs=1, train_mode=False)
     zero_cmd = np.zeros((1, 3))
     rows = []

@@ -95,8 +95,12 @@ def forward_kinematics_all(q12, geom: LegGeometry) -> np.ndarray:
     x, z = _sagittal_chain(q_hip, q_knee, geom)
     y = geom.side_signs * geom.hip_offset
     ca, sa = np.cos(q_abd), np.sin(q_abd)
-    foot = np.stack([x, ca * y - sa * z, sa * y + ca * z], axis=-1)
-    return geom.hip_mounts + foot
+    foot = np.empty(x.shape + (3,))
+    foot[..., 0] = x
+    foot[..., 1] = ca * y - sa * z
+    foot[..., 2] = sa * y + ca * z
+    foot += geom.hip_mounts
+    return foot
 
 
 def leg_jacobian(q, geom: LegGeometry, leg: int) -> np.ndarray:
@@ -120,20 +124,29 @@ def leg_jacobian_all(q12, geom: LegGeometry) -> np.ndarray:
 def _jacobian_core(q_abd, q_hip, q_knee, geom: LegGeometry, y_off):
     t, c = geom.thigh_len, geom.calf_len
     hk = q_hip + q_knee
-    x, z = _sagittal_chain(q_hip, q_knee, geom)
-    dx_dhip = -t * np.cos(q_hip) - c * np.cos(hk)
-    dz_dhip = t * np.sin(q_hip) + c * np.sin(hk)
-    dx_dknee = -c * np.cos(hk)
+    # each trig value once, in the same products and sums as the written-out
+    # partials; z of the sagittal chain is the same expression as dx_dhip
+    cos_hk = np.cos(hk)
+    dx_dknee = -c * cos_hk
     dz_dknee = c * np.sin(hk)
+    dx_dhip = -t * np.cos(q_hip) - c * cos_hk
+    dz_dhip = t * np.sin(q_hip) + dz_dknee
+    z = dx_dhip
     ca, sa = np.cos(q_abd), np.sin(q_abd)
-    zero = np.zeros_like(x)
-    y_off = np.broadcast_to(y_off, x.shape)
+    neg_sa = -sa
 
     # columns: d(foot)/d(q_abd), d(foot)/d(q_hip), d(foot)/d(q_knee)
-    col_abd = np.stack([zero, -sa * y_off - ca * z, ca * y_off - sa * z], axis=-1)
-    col_hip = np.stack([dx_dhip, -sa * dz_dhip, ca * dz_dhip], axis=-1)
-    col_knee = np.stack([dx_dknee, -sa * dz_dknee, ca * dz_dknee], axis=-1)
-    return np.stack([col_abd, col_hip, col_knee], axis=-1)
+    jac = np.empty(dx_dhip.shape + (3, 3))
+    jac[..., 0, 0] = 0.0
+    jac[..., 1, 0] = neg_sa * y_off - ca * z
+    jac[..., 2, 0] = ca * y_off - sa * z
+    jac[..., 0, 1] = dx_dhip
+    jac[..., 1, 1] = neg_sa * dz_dhip
+    jac[..., 2, 1] = ca * dz_dhip
+    jac[..., 0, 2] = dx_dknee
+    jac[..., 1, 2] = neg_sa * dz_dknee
+    jac[..., 2, 2] = ca * dz_dknee
+    return jac
 
 
 def inverse_kinematics(p, geom: LegGeometry, leg: int) -> np.ndarray:

@@ -2,16 +2,27 @@
 
 All functions broadcast over leading axes and are written componentwise so a
 batched call produces bit-identical results to per-item calls.
+
+The kernels build their outputs by index gathers and by writes into
+`np.empty` arrays, not by `np.stack`/`np.concatenate`, whose call overhead
+outweighs the arithmetic at n = 1. Every output component is still the same
+products summed in the same order as the written-out formula, so each result
+equals the stack form bit for bit, sign of zero, inf and NaN included;
+`tests/test_quat.py` keeps the stack forms as the reference.
 """
 
 import numpy as np
 
 IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
 
+# component gathers for the cross product: (a x b)_i = a_{i+1} b_{i+2} - a_{i+2} b_{i+1}
+_YZX = np.array([1, 2, 0])
+_ZXY = np.array([2, 0, 1])
+
 
 def normalize(q):
     q = np.asarray(q, dtype=float)
-    n = np.sqrt(np.sum(q * q, axis=-1, keepdims=True))
+    n = np.sqrt((q * q).sum(axis=-1, keepdims=True))
     return q / n
 
 
@@ -20,41 +31,37 @@ def multiply(a, b):
     b = np.asarray(b, dtype=float)
     aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
     bw, bx, by, bz = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
-    return np.stack(
-        [
-            aw * bw - ax * bx - ay * by - az * bz,
-            aw * bx + ax * bw + ay * bz - az * by,
-            aw * by - ax * bz + ay * bw + az * bx,
-            aw * bz + ax * by - ay * bx + az * bw,
-        ],
-        axis=-1,
-    )
+    w = aw * bw - ax * bx - ay * by - az * bz
+    out = np.empty(w.shape + (4,))
+    out[..., 0] = w
+    out[..., 1] = aw * bx + ax * bw + ay * bz - az * by
+    out[..., 2] = aw * by - ax * bz + ay * bw + az * bx
+    out[..., 3] = aw * bz + ax * by - ay * bx + az * bw
+    return out
 
 
 def rotate(q, v):
     """Rotate vector(s) v from body to world frame by quaternion(s) q."""
     q = np.asarray(q, dtype=float)
-    v = np.asarray(v, dtype=float)
-    w = q[..., 0:1]
-    u = q[..., 1:4]
-    uv = _cross(u, v)
-    uuv = _cross(u, uv)
-    return v + 2.0 * (w * uv + uuv)
+    return _rotate(q[..., 0:1], q[..., 1:4], np.asarray(v, dtype=float))
 
 
 def rotate_inv(q, v):
     """Rotate vector(s) v from world to body frame."""
     q = np.asarray(q, dtype=float)
-    conj = np.concatenate([q[..., 0:1], -q[..., 1:4]], axis=-1)
-    return rotate(conj, v)
+    # the conjugate's vector part; negation is exact
+    return _rotate(q[..., 0:1], -q[..., 1:4], np.asarray(v, dtype=float))
+
+
+def _rotate(w, u, v):
+    """v + 2 (w (u x v) + u x (u x v)) for the quaternion with parts w, u."""
+    uv = _cross(u, v)
+    uuv = _cross(u, uv)
+    return v + 2.0 * (w * uv + uuv)
 
 
 def _cross(a, b):
-    ax, ay, az = a[..., 0], a[..., 1], a[..., 2]
-    bx, by, bz = b[..., 0], b[..., 1], b[..., 2]
-    return np.stack(
-        [ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx], axis=-1
-    )
+    return a[..., _YZX] * b[..., _ZXY] - a[..., _ZXY] * b[..., _YZX]
 
 
 cross = _cross
@@ -63,12 +70,15 @@ cross = _cross
 def from_rotvec(r):
     """Exponential map: rotation vector (rad) -> unit quaternion."""
     r = np.asarray(r, dtype=float)
-    angle = np.sqrt(np.sum(r * r, axis=-1, keepdims=True))
+    angle = np.sqrt((r * r).sum(axis=-1, keepdims=True))
     half = 0.5 * angle
     # sinc form is finite at angle = 0
     small = angle < 1e-12
     scale = np.where(small, 0.5, np.sin(half) / np.where(small, 1.0, angle))
-    return np.concatenate([np.cos(half), r * scale], axis=-1)
+    out = np.empty(r.shape[:-1] + (4,))
+    np.cos(half, out=out[..., 0:1])
+    np.multiply(r, scale, out=out[..., 1:4])
+    return out
 
 
 def gravity_body(q, g_world=(0.0, 0.0, -1.0)):

@@ -136,7 +136,7 @@ def _contact_force_core(foot_pos, foot_vel, params: EnvParams, friction):
     )
 
     v_t = foot_vel - v_n[..., None] * n
-    speed = np.sqrt(np.sum(v_t * v_t, axis=-1))
+    speed = np.sqrt((v_t * v_t).sum(axis=-1))
     friction = np.asarray(friction, dtype=float)
     cap = friction[..., None] * normal_mag if friction.ndim else friction * normal_mag
     tangential_mag = np.minimum(cap, params.tangential_gain * speed)
@@ -155,14 +155,12 @@ def _matvec3(m, v):
 
 def _matvec3_t(m, v):
     """(..., 3, 3)^T @ (..., 3)."""
-    return np.stack(
-        [
-            m[..., 0, 0] * v[..., 0] + m[..., 1, 0] * v[..., 1] + m[..., 2, 0] * v[..., 2],
-            m[..., 0, 1] * v[..., 0] + m[..., 1, 1] * v[..., 1] + m[..., 2, 1] * v[..., 2],
-            m[..., 0, 2] * v[..., 0] + m[..., 1, 2] * v[..., 1] + m[..., 2, 2] * v[..., 2],
-        ],
-        axis=-1,
-    )
+    x = m[..., 0, 0] * v[..., 0] + m[..., 1, 0] * v[..., 1] + m[..., 2, 0] * v[..., 2]
+    out = np.empty(x.shape + (3,))
+    out[..., 0] = x
+    out[..., 1] = m[..., 0, 1] * v[..., 0] + m[..., 1, 1] * v[..., 1] + m[..., 2, 1] * v[..., 2]
+    out[..., 2] = m[..., 0, 2] * v[..., 0] + m[..., 1, 2] * v[..., 1] + m[..., 2, 2] * v[..., 2]
+    return out
 
 
 def _step_core(pos, rot, linvel, angvel, q, qdot, air, ep_time,
@@ -201,13 +199,13 @@ def _step_core(pos, rot, linvel, angvel, q, qdot, air, ep_time,
     # trunk wrench: contact forces, their moments about the COM, gravity;
     # gravity enters as an acceleration so free fall integrates to dt*g exactly
     mass_arr = np.asarray(mass, dtype=float)
-    f_sum = np.sum(f_w, axis=-2)
+    f_sum = f_w.sum(axis=-2)
     accel = f_sum / mass_arr[..., None]
     accel[..., 2] = accel[..., 2] - params.gravity
     linvel_new = linvel + dt * accel
     pos_new = pos + dt * linvel_new
 
-    torque_w = np.sum(quat.cross(feet_w - pos[..., None, :], f_w), axis=-2)
+    torque_w = quat.cross(feet_w - pos[..., None, :], f_w).sum(axis=-2)
     torque_b = quat.rotate_inv(rot, torque_w)
     inertia = params.trunk_inertia
     ang_mom = inertia * angvel
@@ -222,13 +220,14 @@ def _step_core(pos, rot, linvel, angvel, q, qdot, air, ep_time,
     return pos_new, rot_new, linvel_new, angvel_new, q_new, qdot_new, contacts_new, air_new, ep_time_new
 
 
-def _check_divergence(pos, linvel, q, qdot, limit):
-    """Per-env flags: a checked field is non-finite or exceeds limit in magnitude."""
-    bad = np.zeros(pos.shape[:-1], dtype=bool)
-    for x in (pos, linvel, q, qdot):
-        # NaN fails the comparison, so it is flagged too
-        bad |= ~np.all(np.abs(x) <= limit, axis=-1)
-    return bad
+def _check_divergence(pos, rot, linvel, angvel, q, qdot, limit):
+    """Per-env flags: a state field is non-finite or exceeds limit in magnitude.
+
+    rot is renormalized every substep, so it is checked for being finite only.
+    """
+    fields = np.concatenate([pos, linvel, angvel, q, qdot], axis=-1)
+    # NaN fails the comparison, so it is flagged too
+    return ~((np.abs(fields) <= limit).all(axis=-1) & np.isfinite(rot).all(axis=-1))
 
 
 def trunk_clearance(pos, rot, params: EnvParams):

@@ -77,16 +77,15 @@ def compose_action(q_cpg, q_rlfc, residual_limit: float = 0.6) -> np.ndarray:
     return q_cpg + residual
 
 
+# the six foot pairs (i, j), i < j, in the order (0, 1), (0, 2), ..., (2, 3)
+_PAIR_I, _PAIR_J = np.triu_indices(4, k=1)
+
+
 def count_foot_pair_collisions(feet_body, threshold: float = 0.04) -> np.ndarray:
     """Number of foot pairs closer than threshold; feet_body (..., 4, 3)."""
     feet = np.asarray(feet_body, dtype=float)
-    count = np.zeros(feet.shape[:-2])
-    for i in range(4):
-        for j in range(i + 1, 4):
-            d = feet[..., i, :] - feet[..., j, :]
-            dist_sq = np.sum(d * d, axis=-1)
-            count = count + (dist_sq < threshold * threshold)
-    return count
+    d = feet[..., _PAIR_I, :] - feet[..., _PAIR_J, :]
+    return ((d * d).sum(axis=-1) < threshold * threshold).sum(axis=-1, dtype=float)
 
 
 def reward_terms_arrays(

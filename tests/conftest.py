@@ -4,6 +4,24 @@ import pytest
 from cpgrl.config import RunConfig
 from cpgrl.gait_planner import MotorLayer, build_planner, fitted_planner
 
+# values a rewritten kernel must carry through bit for bit: both zeros, both infinities, NaN
+SPECIAL_LANES = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+
+
+def assert_same_bits(a, b):
+    """Equal shape and identical float64 bit patterns (sign of zero, inf, NaN)."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    assert a.shape == b.shape
+    np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def with_special_lanes(rng, shape, share=0.2):
+    """Standard-normal array with about `share` of its entries set to SPECIAL_LANES."""
+    x = rng.normal(size=shape)
+    mask = rng.random(shape) < share
+    x[mask] = rng.choice(SPECIAL_LANES, size=int(mask.sum()))
+    return x
+
 
 @pytest.fixture(scope="session")
 def planner():

@@ -86,6 +86,22 @@ def test_divergence_blames_the_diverged_env(planner):
     assert err.value.env_index == 3
 
 
+def test_divergence_in_angvel_or_rot_is_detected(planner):
+    env = VecLocomotionEnv(small_cfg(), planner, train_mode=False)
+    env.pos[:, 2] = 2.0                  # airborne: no contact to damp the spin
+    env.angvel[1] = [1.0e7, 0.0, 0.0]    # over the limit; gyroscopic torque is zero
+    with pytest.raises(NumericalDivergence) as err:
+        env.step(np.zeros((4, 12)))
+    assert err.value.env_index == 1
+
+    env = VecLocomotionEnv(small_cfg(), planner, train_mode=False)
+    env.pos[:, 2] = 2.0
+    env.rot[3] = [np.nan, 0.0, 0.0, 0.0]
+    with pytest.raises(NumericalDivergence) as err:
+        env.step(np.zeros((4, 12)))
+    assert err.value.env_index == 3
+
+
 def test_reset_on_done_restores_spawn(planner):
     cfg = small_cfg()
     env = VecLocomotionEnv(cfg, planner, train_mode=False)

@@ -85,6 +85,20 @@ def test_eval_baseline_walks(fitted):
     assert stats["stance_fraction"].mean() > 0.5
 
 
+def test_eval_longer_than_an_episode_does_not_reset(fitted):
+    cfg, planner = fitted
+    settle, duration = 2.0, 20.0
+    assert settle + duration > cfg.sim.episode_limit
+    summary, data = run_eval(cfg, planner, None, constant_profile(0.5), duration,
+                             settle_time=settle)
+    col = {name: i for i, name in enumerate(TRACE_COLUMNS)}
+    pos = data[:, [col["pos_x"], col["pos_y"], col["pos_z"]]]
+    # a timeout reset would send the trunk back to the spawn point in one row
+    assert np.linalg.norm(np.diff(pos, axis=0), axis=1).max() < 0.05
+    assert summary.falls == 0
+    assert summary.distance > 1.0
+
+
 def test_contact_gait_stats_uses_the_given_period():
     # synthetic trot, 40 policy steps per period: FR/RL in phase, FL/RR half a period later
     period, stance = 40, 24

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
+from conftest import assert_same_bits, with_special_lanes
 from cpgrl.kinematics import (
     LEG_INDEX,
     LegGeometry,
@@ -190,3 +193,70 @@ def test_standing_pose_height():
 def test_geometry_validation():
     with pytest.raises(ValueError):
         LegGeometry(thigh_len=-0.1)
+
+
+# ---------------------------------------------------------------- bitwise oracles
+
+def stack_forward_kinematics_all(q12, geom):
+    q = q12.reshape(q12.shape[:-1] + (4, 3))
+    q_abd, q_hip, q_knee = q[..., 0], q[..., 1], q[..., 2]
+    t, c = geom.thigh_len, geom.calf_len
+    x = -t * np.sin(q_hip) - c * np.sin(q_hip + q_knee)
+    z = -t * np.cos(q_hip) - c * np.cos(q_hip + q_knee)
+    y = geom.side_signs * geom.hip_offset
+    ca, sa = np.cos(q_abd), np.sin(q_abd)
+    foot = np.stack([x, ca * y - sa * z, sa * y + ca * z], axis=-1)
+    return geom.hip_mounts + foot
+
+
+def stack_jacobian(q_abd, q_hip, q_knee, geom, y_off):
+    t, c = geom.thigh_len, geom.calf_len
+    hk = q_hip + q_knee
+    x = -t * np.sin(q_hip) - c * np.sin(q_hip + q_knee)
+    z = -t * np.cos(q_hip) - c * np.cos(q_hip + q_knee)
+    dx_dhip = -t * np.cos(q_hip) - c * np.cos(hk)
+    dz_dhip = t * np.sin(q_hip) + c * np.sin(hk)
+    dx_dknee = -c * np.cos(hk)
+    dz_dknee = c * np.sin(hk)
+    ca, sa = np.cos(q_abd), np.sin(q_abd)
+    zero = np.zeros_like(x)
+    y_off = np.broadcast_to(y_off, x.shape)
+    col_abd = np.stack([zero, -sa * y_off - ca * z, ca * y_off - sa * z], axis=-1)
+    col_hip = np.stack([dx_dhip, -sa * dz_dhip, ca * dz_dhip], axis=-1)
+    col_knee = np.stack([dx_dknee, -sa * dz_dknee, ca * dz_dknee], axis=-1)
+    return np.stack([col_abd, col_hip, col_knee], axis=-1)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("lead", [(), (1,), (64,), (1024,)])
+def test_fk_and_jacobian_bitwise_equal_to_stack_forms(lead):
+    rng = np.random.default_rng(sum(lead) + 1)
+    q12 = with_special_lanes(rng, lead + (12,))
+    assert_same_bits(forward_kinematics_all(q12, GO1), stack_forward_kinematics_all(q12, GO1))
+    q = q12.reshape(lead + (4, 3))
+    y_all = GO1.side_signs * GO1.hip_offset
+    assert_same_bits(leg_jacobian_all(q12, GO1),
+                     stack_jacobian(q[..., 0], q[..., 1], q[..., 2], GO1, y_all))
+    for leg in range(4):
+        y_off = GO1.side_signs[leg] * GO1.hip_offset
+        assert_same_bits(leg_jacobian(q[..., leg, :], GO1, leg),
+                         stack_jacobian(q[..., leg, 0], q[..., leg, 1], q[..., leg, 2], GO1, y_off))
+    # the abduction column's x entry is +0.0, as zeros_like gave
+    assert not np.signbit(leg_jacobian_all(q12, GO1)[..., 0, 0]).any()
+
+
+# ---------------------------------------------------------------- properties
+
+@given(
+    st.floats(-0.7, 0.7), st.floats(-0.6, 1.2), st.floats(-2.4, -0.3),
+    st.integers(0, 3),
+)
+def test_fk_ik_fk_round_trip_property(q_abd, q_hip, q_knee, leg):
+    t, c = GO1.thigh_len, GO1.calf_len
+    # IK picks the branch with the foot below the abduction axis
+    assume(-t * np.cos(q_hip) - c * np.cos(q_hip + q_knee) <= -0.02)
+    q = np.array([q_abd, q_hip, q_knee])
+    p = forward_kinematics(q, GO1, leg)
+    q_back = inverse_kinematics(p, GO1, leg)
+    assert np.max(np.abs(forward_kinematics(q_back, GO1, leg) - p)) <= 1e-9
+    np.testing.assert_allclose(q_back, q, atol=1e-7)

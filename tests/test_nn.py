@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import assert_same_bits
 from cpgrl.nn import Adam, DimensionMismatch, Mlp, elu, elu_grad
 
 
@@ -19,12 +20,6 @@ def where_elu(x):
 
 def where_elu_grad(x):
     return np.where(x > 0.0, 1.0, np.exp(x))
-
-
-def assert_same_bits(a, b):
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    assert a.shape == b.shape
-    np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan,

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 from dataclasses import replace
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from conftest import assert_same_bits, with_special_lanes
 from cpgrl import quat
 from cpgrl.config import RunConfig
 from cpgrl.env import VecLocomotionEnv
@@ -9,6 +13,7 @@ from cpgrl.kinematics import forward_kinematics_all, leg_jacobian_all
 from cpgrl.simulator import (
     EnvParams,
     NumericalDivergence,
+    _matvec3_t,
     _step_core,
     contact_force,
     low_pass,
@@ -214,6 +219,57 @@ def test_divergence_detected(planner):
     with pytest.raises(NumericalDivergence) as err:
         env.step(np.zeros((1, 12)))
     assert err.value.env_index == 0
+
+
+def stack_matvec3_t(m, v):
+    return np.stack(
+        [
+            m[..., 0, 0] * v[..., 0] + m[..., 1, 0] * v[..., 1] + m[..., 2, 0] * v[..., 2],
+            m[..., 0, 1] * v[..., 0] + m[..., 1, 1] * v[..., 1] + m[..., 2, 1] * v[..., 2],
+            m[..., 0, 2] * v[..., 0] + m[..., 1, 2] * v[..., 1] + m[..., 2, 2] * v[..., 2],
+        ],
+        axis=-1,
+    )
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("lead", [(), (1, 4), (64, 4), (1024, 4)])
+def test_matvec3_t_bitwise_equal_to_stack_form(lead):
+    rng = np.random.default_rng(sum(lead))
+    m = with_special_lanes(rng, lead + (3, 3))
+    v = with_special_lanes(rng, lead + (3,))
+    assert_same_bits(_matvec3_t(m, v), stack_matvec3_t(m, v))
+
+
+@st.composite
+def batched_states(draw):
+    """n robots near the ground, each with its own state, target, mass and friction."""
+    n = draw(st.integers(1, 6))
+
+    def field(shape, lo, hi):
+        return draw(arrays(np.float64, (n,) + shape, elements=st.floats(lo, hi)))
+
+    pos = field((3,), -0.1, 0.1) + np.array([0.0, 0.0, PARAMS.stand_height])
+    rot = quat.normalize(field((4,), -0.2, 0.2) + quat.IDENTITY)
+    q = field((12,), -0.3, 0.3) + PARAMS.nominal_q
+    state = (pos, rot, field((3,), -1.0, 1.0), field((3,), -2.0, 2.0), q,
+             field((12,), -5.0, 5.0), field((4,), 0.0, 0.5), field((), 0.0, 10.0))
+    targets = field((12,), -0.3, 0.3) + PARAMS.nominal_q
+    return state, targets, field((), 10.0, 14.0), field((), 0.4, 1.2)
+
+
+@settings(deadline=None, max_examples=50)
+@given(batched_states())
+def test_batched_step_core_equals_each_env_alone(sample):
+    """Stepping n envs in one call gives each env's slice stepped alone, bit for bit."""
+    state, targets, mass, friction = sample
+    batched = _step_core(*state, targets, PARAMS, PARAMS.dt, mass=mass, friction=friction)
+    for i in range(len(mass)):
+        alone = _step_core(*(x[i] for x in state), targets[i], PARAMS, PARAMS.dt,
+                           mass=mass[i], friction=friction[i])
+        for name, b, a in zip(STEP_OUT, batched, alone):
+            b, a = np.asarray(b[i]), np.asarray(a)
+            assert (b.dtype, b.shape, b.tobytes()) == (a.dtype, a.shape, a.tobytes()), name
 
 
 # ---------------------------------------------------------------- termination

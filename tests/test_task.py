@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import assert_same_bits
 from cpgrl import quat
 from cpgrl.config import RunConfig
 from cpgrl.env import VecLocomotionEnv
@@ -200,6 +201,23 @@ def test_self_collision_counts_pairs():
     assert count_foot_pair_collisions(feet) == 1
     feet[2] = [0.1, 0.01, -0.3]   # pairs (0,2), (1,2) also collide
     assert count_foot_pair_collisions(feet) == 3
+
+
+def loop_count_foot_pair_collisions(feet, threshold=0.04):
+    count = np.zeros(feet.shape[:-2])
+    for i in range(4):
+        for j in range(i + 1, 4):
+            d = feet[..., i, :] - feet[..., j, :]
+            count = count + (np.sum(d * d, axis=-1) < threshold * threshold)
+    return count
+
+
+@pytest.mark.parametrize("lead", [(), (1,), (64,), (1024,)])
+def test_self_collision_count_equals_pair_loop(lead):
+    rng = np.random.default_rng(sum(lead))
+    # feet scattered about the threshold distance apart, so many pairs collide
+    feet = rng.normal(scale=0.03, size=lead + (4, 3))
+    assert_same_bits(count_foot_pair_collisions(feet), loop_count_foot_pair_collisions(feet))
 
 
 def test_total_is_exact_sum(planner):
