@@ -11,7 +11,7 @@ from .config import RunConfig
 from .env import POLICY_DT, POLICY_RATE, VecLocomotionEnv
 from .gait_planner import GaitPlannerModel, cyclic_lag_distance
 from .kinematics import LEG_NAMES, forward_kinematics_all
-from .ppo import GaussianPolicy, policy_sample
+from .ppo import GaussianPolicy
 from .task import REWARD_TERMS
 
 
@@ -102,7 +102,7 @@ def run_eval(cfg: RunConfig, planner: GaitPlannerModel, policy: GaussianPolicy |
         if policy is None:
             action = np.zeros((1, 12))
         else:
-            action, _ = policy_sample(policy, policy.prepare_obs(obs), deterministic=True)
+            action = policy.mean_action(policy.prepare_obs(obs))
         rewards, dones, info = env.step(action)
         if not in_window:
             continue

@@ -19,9 +19,6 @@ import numpy as np
 
 LEG_NAMES = ("FR", "FL", "RR", "RL")
 LEG_INDEX = {name: i for i, name in enumerate(LEG_NAMES)}
-# diagonal trot pairs and the adjacent pairs used by gait checks
-DIAGONAL_PAIRS = ((0, 3), (1, 2))
-ADJACENT_PAIRS = ((0, 1), (2, 3), (0, 2), (1, 3))
 
 _DEFAULT_MOUNTS = (
     (0.1881, -0.04675, 0.0),   # FR
@@ -181,12 +178,6 @@ def inverse_kinematics(p, geom: LegGeometry, leg: int) -> np.ndarray:
         c * np.sin(q_knee), t + c * np.cos(q_knee)
     )
     return np.array([q_abd, q_hip, q_knee])
-
-
-def inverse_kinematics_all(feet, geom: LegGeometry) -> np.ndarray:
-    """IK for all four legs: feet (4, 3) -> joint vector (12,)."""
-    feet = np.asarray(feet, dtype=float)
-    return np.concatenate([inverse_kinematics(feet[leg], geom, leg) for leg in range(4)])
 
 
 def standing_pose(geom: LegGeometry, stand_height: float) -> np.ndarray:

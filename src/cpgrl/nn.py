@@ -32,26 +32,58 @@ def elu_grad(x):
     return np.minimum(out, 1.0, out=out)
 
 
-class Mlp:
-    """Affine layers with ELU on hidden layers and a linear output head."""
+def layer_views(flat: np.ndarray, sizes):
+    """([W...], [b...]) as views into flat: every weight, then every bias.
 
-    def __init__(self, sizes, rng: np.random.Generator, out_scale: float = 1.0):
+    The one statement of the layout, used for parameters and gradients alike.
+    """
+    weights = []
+    biases = []
+    offset = 0
+    for n_in, n_out in zip(sizes[:-1], sizes[1:]):
+        weights.append(flat[offset : offset + n_in * n_out].reshape(n_in, n_out))
+        offset += n_in * n_out
+    for n_out in sizes[1:]:
+        biases.append(flat[offset : offset + n_out])
+        offset += n_out
+    return weights, biases
+
+
+def mlp_n_params(sizes) -> int:
+    return sum((n_in + 1) * n_out for n_in, n_out in zip(sizes[:-1], sizes[1:]))
+
+
+class Mlp:
+    """Affine layers with ELU on hidden layers and a linear output head.
+
+    Weights and biases are views into the flat `params` buffer, their
+    gradients views into `grads`. A network inside a larger model is handed
+    zeroed slices of the model's buffers; a standalone one allocates its own.
+    """
+
+    def __init__(self, sizes, rng: np.random.Generator, out_scale: float = 1.0,
+                 params: np.ndarray | None = None, grads: np.ndarray | None = None):
         if len(sizes) < 2:
             raise ValueError("need at least input and output sizes")
         self.sizes = tuple(int(s) for s in sizes)
-        self.weights = []
-        self.biases = []
-        for i, (n_in, n_out) in enumerate(zip(sizes[:-1], sizes[1:])):
+        n = mlp_n_params(self.sizes)
+        self.params = np.zeros(n) if params is None else params
+        self.grads = np.zeros(n) if grads is None else grads
+        self.weights, self.biases = layer_views(self.params, self.sizes)
+        self.grad_ws, self.grad_bs = layer_views(self.grads, self.sizes)
+        for w in self.weights:
+            n_in, n_out = w.shape
             limit = np.sqrt(6.0 / (n_in + n_out))
-            w = rng.uniform(-limit, limit, size=(n_in, n_out))
-            if i == len(sizes) - 2:
-                w = w * out_scale
-            self.weights.append(w)
-            self.biases.append(np.zeros(n_out))
+            w[...] = rng.uniform(-limit, limit, size=(n_in, n_out))
+        self.weights[-1] *= out_scale
 
     @property
     def n_layers(self) -> int:
         return len(self.weights)
+
+    @property
+    def n_params(self) -> int:
+        return self.params.size
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -77,53 +109,24 @@ class Mlp:
                 inputs.append(elu(pre))
         return pres[-1], (inputs, pres)
 
-    def backward(self, cache, grad_out: np.ndarray):
+    def backward(self, cache, grad_out: np.ndarray) -> np.ndarray:
         """Parameter gradients for a batch; grad_out is dLoss/d(output).
 
-        Returns ([dW...], [db...]); batch items are summed, so the caller
-        bakes any 1/N into grad_out.
+        Overwrites every slot of the `grads` buffer and returns it; batch
+        items are summed, so the caller bakes any 1/N into grad_out.
         """
         inputs, pres = cache
-        grad_ws = [None] * self.n_layers
-        grad_bs = [None] * self.n_layers
         g = np.asarray(grad_out, dtype=float)
         for i in range(self.n_layers - 1, -1, -1):
             if i < self.n_layers - 1:
                 g = g * elu_grad(pres[i])
             x = inputs[i]
-            grad_ws[i] = x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-            grad_bs[i] = g.reshape(-1, g.shape[-1]).sum(axis=0)
+            g2 = g.reshape(-1, g.shape[-1])
+            np.matmul(x.reshape(-1, x.shape[-1]).T, g2, out=self.grad_ws[i])
+            g2.sum(axis=0, out=self.grad_bs[i])
             if i > 0:
                 g = g @ self.weights[i].T
-        return grad_ws, grad_bs
-
-    # ---- flat parameter plumbing (Adam, checkpoints)
-
-    @property
-    def n_params(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
-
-    def get_flat(self) -> np.ndarray:
-        return np.concatenate(
-            [w.ravel() for w in self.weights] + [b.ravel() for b in self.biases]
-        )
-
-    def set_flat(self, flat: np.ndarray) -> None:
-        flat = np.asarray(flat, dtype=float)
-        if flat.size != self.n_params:
-            raise DimensionMismatch(f"expected {self.n_params} params, got {flat.size}")
-        offset = 0
-        for i, w in enumerate(self.weights):
-            self.weights[i] = flat[offset : offset + w.size].reshape(w.shape).copy()
-            offset += w.size
-        for i, b in enumerate(self.biases):
-            self.biases[i] = flat[offset : offset + b.size].copy()
-            offset += b.size
-
-    def flat_grads(self, grad_ws, grad_bs) -> np.ndarray:
-        return np.concatenate(
-            [g.ravel() for g in grad_ws] + [g.ravel() for g in grad_bs]
-        )
+        return self.grads
 
 
 class RunningNorm:
@@ -186,19 +189,27 @@ class Adam:
         self.v = np.zeros(n_params)
         self.t = 0
 
-    def step(self, params: np.ndarray, grads: np.ndarray) -> np.ndarray:
+    def step(self, params: np.ndarray, grads: np.ndarray) -> None:
+        """One update of params, m and v, all in place."""
         self.t += 1
-        self.m = self.beta1 * self.m + (1.0 - self.beta1) * grads
-        self.v = self.beta2 * self.v + (1.0 - self.beta2) * grads * grads
+        self.m *= self.beta1
+        self.m += (1.0 - self.beta1) * grads
+        self.v *= self.beta2
+        self.v += (1.0 - self.beta2) * grads * grads
         m_hat = self.m / (1.0 - self.beta1**self.t)
         v_hat = self.v / (1.0 - self.beta2**self.t)
-        return params - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        params -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
     def state_dict(self) -> dict:
         return {"m": self.m.copy(), "v": self.v.copy(), "t": self.t, "lr": self.lr}
 
     def load_state_dict(self, state: dict) -> None:
-        self.m = np.asarray(state["m"], dtype=float).copy()
-        self.v = np.asarray(state["v"], dtype=float).copy()
+        m = np.asarray(state["m"], dtype=float)
+        v = np.asarray(state["v"], dtype=float)
+        if m.shape != self.m.shape or v.shape != self.v.shape:
+            raise DimensionMismatch(
+                f"expected {self.m.size} moments, got {m.size} and {v.size}")
+        self.m = m.copy()
+        self.v = v.copy()
         self.t = int(state["t"])
         self.lr = float(state["lr"])

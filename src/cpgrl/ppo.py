@@ -1,7 +1,9 @@
 """PPO with a diagonal-Gaussian policy over residual joint commands.
 
 The actor and critic are Mlp instances; the log standard deviation is a
-state-independent learned vector. Gradients of the clipped surrogate, the
+state-independent learned vector. All three are views into one flat
+parameter buffer, and their gradients views into one flat gradient buffer,
+which Adam updates in place. Gradients of the clipped surrogate, the
 value loss, and the entropy bonus are assembled analytically and checked
 against finite differences in the tests.
 """
@@ -10,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import Adam, Mlp, RunningNorm
+from .nn import Adam, Mlp, RunningNorm, mlp_n_params
 
 LOG_2PI = np.log(2.0 * np.pi)
 
@@ -49,15 +51,28 @@ class PpoConfig:
 
 
 class GaussianPolicy:
-    """Actor-critic pair plus learned log-std; everything the update touches."""
+    """Actor-critic pair plus learned log-std; everything the update touches.
+
+    `params` holds actor | critic | log_std and `grads` their gradients in the
+    same layout; the networks' weights and biases and `log_std` are views into
+    `params`, so they are only ever written in place.
+    """
 
     def __init__(self, obs_dim: int, action_dim: int, hidden,
                  rng: np.random.Generator, log_std_init: float = -1.0,
                  lr: float = 1e-3, actor_out_scale: float = 0.01):
-        sizes = [obs_dim, *hidden]
-        self.actor = Mlp([*sizes, action_dim], rng, out_scale=actor_out_scale)
-        self.critic = Mlp([*sizes, 1], rng)
-        self.log_std = np.full(action_dim, float(log_std_init))
+        actor_sizes = [obs_dim, *hidden, action_dim]
+        critic_sizes = [obs_dim, *hidden, 1]
+        a = mlp_n_params(actor_sizes)
+        c = a + mlp_n_params(critic_sizes)
+        self.params = np.zeros(c + action_dim)
+        self.grads = np.zeros(c + action_dim)
+        self.actor = Mlp(actor_sizes, rng, out_scale=actor_out_scale,
+                         params=self.params[:a], grads=self.grads[:a])
+        self.critic = Mlp(critic_sizes, rng, params=self.params[a:c], grads=self.grads[a:c])
+        self.log_std = self.params[c:]
+        self.log_std[...] = float(log_std_init)
+        self.grad_log_std = self.grads[c:]
         self.lr = lr
         self.obs_dim = obs_dim
         self.action_dim = action_dim
@@ -104,33 +119,13 @@ class GaussianPolicy:
     def value(self, obs: np.ndarray) -> np.ndarray:
         return self.critic.forward(obs)[..., 0]
 
-    # ---- flat parameters (actor | critic | log_std)
-
     @property
     def n_params(self) -> int:
-        return self.actor.n_params + self.critic.n_params + self.action_dim
+        return self.params.size
 
     def get_flat(self) -> np.ndarray:
-        return np.concatenate([self.actor.get_flat(), self.critic.get_flat(), self.log_std])
-
-    def set_flat(self, flat: np.ndarray) -> None:
-        a = self.actor.n_params
-        c = self.critic.n_params
-        self.actor.set_flat(flat[:a])
-        self.critic.set_flat(flat[a : a + c])
-        self.log_std = flat[a + c :].copy()
-
-
-def policy_sample(policy: GaussianPolicy, obs, rng: np.random.Generator | None = None,
-                  deterministic: bool = False):
-    """Action and log-prob for observation(s); deterministic returns the mean."""
-    obs = np.asarray(obs, dtype=float)
-    if deterministic:
-        mean = policy.mean_action(obs)
-        return mean, policy.log_prob(mean, mean)
-    if rng is None:
-        raise ValueError("sampling mode needs an rng")
-    return policy.sample(obs, rng)
+        """A copy of the parameters (actor | critic | log_std)."""
+        return self.params.copy()
 
 
 @dataclass
@@ -234,15 +229,17 @@ def gaussian_kl(old_mean, old_log_std, new_mean, new_log_std) -> float:
 
 
 def minibatch_grads(policy: GaussianPolicy, obs, actions, old_logp, advantages,
-                    returns, config: PpoConfig, old_means=None, old_log_std=None):
+                    returns, config: PpoConfig, old_means, old_log_std):
     """Flat gradient of the PPO loss on one minibatch, plus its statistics.
 
     Total loss = clipped surrogate + value_coef * value MSE
     - entropy_coef * entropy. Gradients flow to the actor through the
     Gaussian log density, to log_std through both the density and the
     entropy, and to the critic through the value error. The reported KL is
-    the analytic Gaussian KL when the sampling-time distribution is given,
-    otherwise the sampled estimate mean(old_logp - logp).
+    the analytic Gaussian KL from the sampling-time distribution (old_means,
+    old_log_std) to the current one.
+
+    The gradient returned is policy.grads itself, overwritten by the next call.
     """
     m = obs.shape[0]
     std = np.exp(policy.log_std)
@@ -272,22 +269,16 @@ def minibatch_grads(policy: GaussianPolicy, obs, actions, old_logp, advantages,
     active = (surr1 <= surr2).astype(float)
     dlogp = -(active * ratio * advantages) / m
     dmean = dlogp[:, None] * (z / std)
-    grad_actor = policy.actor.flat_grads(*policy.actor.backward(actor_cache, dmean))
+    policy.actor.backward(actor_cache, dmean)
 
     dvalue = (2.0 / m) * config.value_coef * value_err
-    grad_critic = policy.critic.flat_grads(
-        *policy.critic.backward(critic_cache, dvalue[:, None])
-    )
+    policy.critic.backward(critic_cache, dvalue[:, None])
 
     # log_std: density term (z^2 - 1) plus the entropy bonus (d entropy = 1)
-    dlog_std = np.sum(dlogp[:, None] * (z * z - 1.0), axis=0) - config.entropy_coef
+    policy.grad_log_std[...] = np.sum(dlogp[:, None] * (z * z - 1.0), axis=0) - config.entropy_coef
 
-    flat_grad = np.concatenate([grad_actor, grad_critic, dlog_std])
-    if old_means is not None and old_log_std is not None:
-        approx_kl = gaussian_kl(old_means, old_log_std, mean, policy.log_std)
-    else:
-        approx_kl = float(np.mean(old_logp - logp))
-    return flat_grad, policy_loss, value_loss, entropy, approx_kl
+    approx_kl = gaussian_kl(old_means, old_log_std, mean, policy.log_std)
+    return policy.grads, policy_loss, value_loss, entropy, approx_kl
 
 
 def ppo_update(policy: GaussianPolicy, optimizer: Adam, buffer: RolloutBuffer,
@@ -316,7 +307,7 @@ def ppo_update(policy: GaussianPolicy, optimizer: Adam, buffer: RolloutBuffer,
         epoch_kl = []
         for k, idx in enumerate(splits):
             try:
-                flat_grad, pl, vl, ent, kl = minibatch_grads(
+                grads, pl, vl, ent, kl = minibatch_grads(
                     policy, obs[idx], actions[idx], old_logp[idx],
                     advantages[idx], returns[idx], config,
                     old_means=old_means[idx], old_log_std=old_log_std,
@@ -324,11 +315,11 @@ def ppo_update(policy: GaussianPolicy, optimizer: Adam, buffer: RolloutBuffer,
             except FloatingPointError:
                 raise NonFiniteLoss(epoch, k) from None
             if config.max_grad_norm > 0.0:
-                norm = float(np.linalg.norm(flat_grad))
+                norm = float(np.linalg.norm(grads))
                 if norm > config.max_grad_norm:
-                    flat_grad = flat_grad * (config.max_grad_norm / norm)
+                    grads *= config.max_grad_norm / norm
             optimizer.lr = policy.lr
-            policy.set_flat(optimizer.step(policy.get_flat(), flat_grad))
+            optimizer.step(policy.params, grads)
             stats["policy_loss"].append(pl)
             stats["value_loss"].append(vl)
             stats["entropy"].append(ent)

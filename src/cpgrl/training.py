@@ -25,7 +25,7 @@ from .gait_planner import (
     planner_from_arrays,
     savez_atomic,
 )
-from .nn import Adam, RunningNorm
+from .nn import Adam, DimensionMismatch, RunningNorm
 from .ppo import GaussianPolicy, PpoConfig, RolloutBuffer, ppo_update
 from .randomization import CurriculumState, curriculum_update, initial_curriculum
 from .task import OBS_DIM, REWARD_TERMS
@@ -132,7 +132,7 @@ def save_checkpoint(path, policy: GaussianPolicy, optimizer: Adam,
         meta["norm_count"] = norm["count"]
     savez_atomic(
         path,
-        policy_flat=policy.get_flat(),
+        policy_flat=policy.params,
         adam_m=adam["m"],
         adam_v=adam["v"],
         meta=np.array(json.dumps(meta)),
@@ -191,7 +191,11 @@ def _new_policy(cfg: RunConfig, lr: float) -> GaussianPolicy:
 
 def policy_from_checkpoint(ck: dict) -> GaussianPolicy:
     policy = _new_policy(ck["config"], ck["meta"]["policy_lr"])
-    policy.set_flat(ck["policy_flat"])
+    flat = np.asarray(ck["policy_flat"], dtype=float)
+    if flat.shape != policy.params.shape:
+        raise DimensionMismatch(
+            f"checkpoint holds {flat.size} policy params, the config gives {policy.n_params}")
+    policy.params[...] = flat
     if ck["obs_norm"] is not None:
         policy.obs_norm = RunningNorm(OBS_DIM)
         policy.obs_norm.load_state_dict(ck["obs_norm"])

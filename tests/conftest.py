@@ -15,6 +15,21 @@ def assert_same_bits(a, b):
     np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
+def central_difference(params, idx, h, loss):
+    """(loss() at params[idx] + h  -  loss() at params[idx] - h) / 2h.
+
+    Perturbs the live parameter buffer in place and assigns the saved value
+    back, so the model is unchanged afterwards.
+    """
+    saved = params[idx]
+    params[idx] = saved + h
+    up = loss()
+    params[idx] = saved - h
+    down = loss()
+    params[idx] = saved
+    return (up - down) / (2 * h)
+
+
 def with_special_lanes(rng, shape, share=0.2):
     """Standard-normal array with about `share` of its entries set to SPECIAL_LANES."""
     x = rng.normal(size=shape)

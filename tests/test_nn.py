@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import assert_same_bits
+from conftest import assert_same_bits, central_difference
 from cpgrl.nn import Adam, DimensionMismatch, Mlp, elu, elu_grad
 
 
@@ -83,24 +83,12 @@ def test_gradient_matches_finite_differences_toy_net():
     net = Mlp([4, 8, 1], rng)
     x = rng.normal(size=(7, 4))
 
-    def loss_flat(flat):
-        saved = net.get_flat()
-        net.set_flat(flat)
-        out = float(np.sum(net.forward(x)))
-        net.set_flat(saved)
-        return out
-
     out, cache = net.forward_cached(x)
-    grad_ws, grad_bs = net.backward(cache, np.ones_like(out))
-    analytic = net.flat_grads(grad_ws, grad_bs)
+    analytic = net.backward(cache, np.ones_like(out)).copy()
 
-    flat = net.get_flat()
-    h = 1e-5
     rng_idx = np.random.default_rng(2)
-    for idx in rng_idx.choice(flat.size, size=30, replace=False):
-        e = np.zeros_like(flat)
-        e[idx] = h
-        fd = (loss_flat(flat + e) - loss_flat(flat - e)) / (2 * h)
+    for idx in rng_idx.choice(net.n_params, size=30, replace=False):
+        fd = central_difference(net.params, idx, 1e-5, lambda: float(np.sum(net.forward(x))))
         assert fd == pytest.approx(analytic[idx], rel=1e-4, abs=1e-8)
 
 
@@ -111,32 +99,37 @@ def test_gradient_with_batch_weighting():
     x = rng.normal(size=(5, 3))
     w = rng.normal(size=(5, 2))
 
-    def loss_flat(flat):
-        saved = net.get_flat()
-        net.set_flat(flat)
-        out = float(np.sum(net.forward(x) * w))
-        net.set_flat(saved)
-        return out
-
     out, cache = net.forward_cached(x)
-    grad_ws, grad_bs = net.backward(cache, w)
-    analytic = net.flat_grads(grad_ws, grad_bs)
-    flat = net.get_flat()
-    h = 1e-5
-    for idx in np.random.default_rng(4).choice(flat.size, size=20, replace=False):
-        e = np.zeros_like(flat)
-        e[idx] = h
-        fd = (loss_flat(flat + e) - loss_flat(flat - e)) / (2 * h)
+    analytic = net.backward(cache, w).copy()
+    for idx in np.random.default_rng(4).choice(net.n_params, size=20, replace=False):
+        fd = central_difference(net.params, idx, 1e-5, lambda: float(np.sum(net.forward(x) * w)))
         assert fd == pytest.approx(analytic[idx], rel=1e-4, abs=1e-8)
 
 
-def test_flat_round_trip():
-    rng = np.random.default_rng(5)
-    net = Mlp([4, 8, 3], rng)
-    flat = net.get_flat()
+def test_layers_are_views_into_params():
+    """Every weight, then every bias, in layer order, in the one flat buffer."""
+    net = Mlp([4, 8, 3], np.random.default_rng(5))
+    expected = np.concatenate([w.ravel() for w in net.weights] + [b.ravel() for b in net.biases])
+    np.testing.assert_array_equal(net.params, expected)
+    assert net.n_params == 4 * 8 + 8 * 3 + 8 + 3
+    for view in [*net.weights, *net.biases]:
+        assert np.shares_memory(view, net.params)
+    for view in [*net.grad_ws, *net.grad_bs]:
+        assert np.shares_memory(view, net.grads)
     out1 = net.forward(np.ones(4))
-    net.set_flat(flat)
-    np.testing.assert_array_equal(net.forward(np.ones(4)), out1)
+    net.params[-3:] += 1.0  # the output bias
+    np.testing.assert_array_equal(net.forward(np.ones(4)), out1 + 1.0)
+
+
+def test_backward_overwrites_every_gradient_slot():
+    rng = np.random.default_rng(6)
+    net = Mlp([3, 5, 2], rng)
+    out, cache = net.forward_cached(rng.normal(size=(4, 3)))
+    grad_out = rng.normal(size=out.shape)
+    fresh = net.backward(cache, grad_out).copy()
+    net.grads[:] = np.nan
+    assert net.backward(cache, grad_out) is net.grads
+    assert_same_bits(net.grads, fresh)
 
 
 def test_out_scale_shrinks_last_layer():
@@ -153,8 +146,7 @@ def test_adam_converges_on_quadratic():
     params = np.zeros(3)
     opt = Adam(3, lr=0.05)
     for _ in range(500):
-        grads = 2.0 * (params - target)
-        params = opt.step(params, grads)
+        opt.step(params, 2.0 * (params - target))
     np.testing.assert_allclose(params, target, atol=1e-3)
 
 
@@ -162,11 +154,48 @@ def test_adam_state_round_trip():
     opt = Adam(4, lr=1e-3)
     params = np.ones(4)
     for _ in range(10):
-        params = opt.step(params, params * 0.1)
+        opt.step(params, params * 0.1)
     state = opt.state_dict()
-    p_ref = opt.step(params.copy(), params * 0.1)
+    p_ref = params.copy()
+    opt.step(p_ref, params * 0.1)
 
     opt2 = Adam(4)
     opt2.load_state_dict(state)
-    p_new = opt2.step(params.copy(), params * 0.1)
+    p_new = params.copy()
+    opt2.step(p_new, params * 0.1)
     np.testing.assert_array_equal(p_ref, p_new)
+
+
+@pytest.mark.parametrize("size", [1, 3])
+def test_adam_state_of_wrong_size_rejected(size):
+    """A checkpoint's moments of the wrong size fail at load, not at the first update."""
+    state = Adam(size).state_dict()
+    with pytest.raises(DimensionMismatch):
+        Adam(4).load_state_dict(state)
+
+
+def out_of_place_adam(params, grads, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """The earlier Adam.step, which returned fresh params, m and v."""
+    m = beta1 * m + (1.0 - beta1) * grads
+    v = beta2 * v + (1.0 - beta2) * grads * grads
+    m_hat = m / (1.0 - beta1**t)
+    v_hat = v / (1.0 - beta2**t)
+    return params - lr * m_hat / (np.sqrt(v_hat) + eps), m, v
+
+
+def test_in_place_adam_matches_out_of_place_bitwise():
+    rng = np.random.default_rng(7)
+    n = 37
+    params = rng.normal(size=n)
+    opt = Adam(n, lr=3e-3)
+    ref_params, ref_m, ref_v = params.copy(), np.zeros(n), np.zeros(n)
+    for t in range(1, 201):
+        grads = rng.normal(scale=10.0 ** rng.uniform(-6, 1), size=n)
+        lanes = rng.random(n) < 0.2
+        grads[lanes] = rng.choice([0.0, -0.0], size=int(lanes.sum()))
+        ref_params, ref_m, ref_v = out_of_place_adam(
+            ref_params, grads, ref_m, ref_v, t, opt.lr)
+        opt.step(params, grads)
+        assert_same_bits(params, ref_params)
+        assert_same_bits(opt.m, ref_m)
+        assert_same_bits(opt.v, ref_v)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import central_difference
 from cpgrl.nn import Adam
 from cpgrl.ppo import (
     LOG_2PI,
@@ -12,7 +13,6 @@ from cpgrl.ppo import (
     adaptive_lr,
     gae,
     minibatch_grads,
-    policy_sample,
     ppo_update,
 )
 
@@ -26,10 +26,12 @@ def toy_buffer(policy, seed=1, horizon=10, n_envs=4):
     rng = np.random.default_rng(seed)
     buf = RolloutBuffer.empty(horizon, n_envs, policy.obs_dim, policy.action_dim)
     buf.observations[:] = rng.normal(size=buf.observations.shape)
+    buf.sample_log_std = policy.log_std.copy()
     for t in range(horizon):
-        a, lp = policy.sample(buf.observations[t], rng)
+        a, lp, mean = policy.sample(buf.observations[t], rng, return_mean=True)
         buf.actions[t] = a
         buf.log_probs[t] = lp
+        buf.action_means[t] = mean
         buf.values[t] = policy.value(buf.observations[t])
     buf.rewards[:] = rng.normal(size=buf.rewards.shape)
     buf.dones[:] = rng.random(buf.dones.shape) < 0.1
@@ -107,13 +109,6 @@ def test_gae_batched_matches_per_env():
 
 # ------------------------------------------------------------------- policy
 
-def test_deterministic_mode_returns_mean():
-    policy = toy_policy()
-    obs = np.random.default_rng(3).normal(size=(4, 6))
-    action, _ = policy_sample(policy, obs, deterministic=True)
-    np.testing.assert_array_equal(action, policy.mean_action(obs))
-
-
 def test_log_prob_at_mean():
     policy = toy_policy()
     obs = np.zeros(6)
@@ -138,13 +133,28 @@ def test_entropy_analytic():
     assert policy.entropy() == pytest.approx(expected, abs=1e-12)
 
 
-def test_policy_flat_round_trip():
+def test_policy_views_alias_params():
     policy = toy_policy()
-    obs = np.random.default_rng(5).normal(size=(3, 6))
-    ref = policy.mean_action(obs)
-    flat = policy.get_flat()
-    policy.set_flat(flat)
-    np.testing.assert_array_equal(policy.mean_action(obs), ref)
+    optimizer = Adam(policy.n_params, lr=policy.lr)
+    actor, critic = policy.actor, policy.critic
+    for stage in ("constructed", "updated"):
+        for view in [*actor.weights, *actor.biases, *critic.weights, *critic.biases,
+                     policy.log_std]:
+            assert np.shares_memory(view, policy.params), stage
+        for view in [*actor.grad_ws, *actor.grad_bs, *critic.grad_ws, *critic.grad_bs,
+                     policy.grad_log_std]:
+            assert np.shares_memory(view, policy.grads), stage
+        # the checkpoint layout: each net's weights then biases; actor | critic | log_std
+        expected = np.concatenate(
+            [w.ravel() for w in actor.weights] + [b.ravel() for b in actor.biases]
+            + [w.ravel() for w in critic.weights] + [b.ravel() for b in critic.biases]
+            + [policy.log_std])
+        flat = policy.get_flat()
+        np.testing.assert_array_equal(flat, expected)
+        assert not np.shares_memory(flat, policy.params)
+        ppo_update(policy, optimizer, toy_buffer(policy), PpoConfig(n_epochs=1),
+                   np.random.default_rng(6))
+    assert not np.array_equal(policy.params, flat)
 
 
 # ------------------------------------------------------------------- lr rule
@@ -189,7 +199,8 @@ def test_policy_loss_zero_at_ratio_one_with_normalized_advantages():
     adv = adv.reshape(n)
     adv = (adv - adv.mean()) / (adv.std() + 1e-8)
     _, pl, _, _, kl = minibatch_grads(policy, obs, actions, old_logp, adv,
-                                      ret.reshape(n), config)
+                                      ret.reshape(n), config,
+                                      buf.action_means.reshape(n, -1), buf.sample_log_std)
     # fresh policy: ratio = 1 everywhere, loss = -mean(adv) ~ 0, kl = 0
     assert pl == pytest.approx(0.0, abs=1e-10)
     assert kl == pytest.approx(0.0, abs=1e-12)
@@ -200,34 +211,29 @@ def test_minibatch_grads_match_finite_differences():
     rng = np.random.default_rng(8)
     m = 16
     obs = rng.normal(size=(m, 6))
-    actions, logp = policy.sample(obs, rng)
+    actions, logp, means = policy.sample(obs, rng, return_mean=True)
+    log_std = policy.log_std.copy()
     # perturb old_logp slightly so ratios differ from 1 but stay unclipped
     old_logp = logp + rng.uniform(-0.05, 0.05, size=m)
     adv = rng.normal(size=m)
     ret = rng.normal(size=m)
     config = PpoConfig()
 
-    flat_grad, pl, vl, ent, _ = minibatch_grads(policy, obs, actions, old_logp, adv, ret, config)
+    # the returned gradient is the live policy.grads buffer: copy it
+    grads = minibatch_grads(policy, obs, actions, old_logp, adv, ret, config,
+                            means, log_std)[0].copy()
 
     def total_loss():
-        _, pl_, vl_, ent_, _ = minibatch_grads(policy, obs, actions, old_logp, adv, ret, config)
-        return pl_ + config.value_coef * vl_ - config.entropy_coef * ent_
+        _, pl, vl, ent, _ = minibatch_grads(policy, obs, actions, old_logp, adv, ret, config,
+                                            means, log_std)
+        return pl + config.value_coef * vl - config.entropy_coef * ent
 
-    flat = policy.get_flat()
-    h = 1e-6
     idx_rng = np.random.default_rng(9)
     picks = list(idx_rng.choice(policy.n_params, size=40, replace=False))
     picks += list(range(policy.n_params - 3, policy.n_params))  # log_std entries
     for idx in picks:
-        e = np.zeros_like(flat)
-        e[idx] = h
-        policy.set_flat(flat + e)
-        up = total_loss()
-        policy.set_flat(flat - e)
-        down = total_loss()
-        policy.set_flat(flat)
-        fd = (up - down) / (2 * h)
-        assert fd == pytest.approx(flat_grad[idx], rel=1e-4, abs=1e-7)
+        fd = central_difference(policy.params, idx, 1e-6, total_loss)
+        assert fd == pytest.approx(grads[idx], rel=1e-4, abs=1e-7)
 
 
 def test_vanilla_policy_gradient_equivalence():
@@ -237,34 +243,26 @@ def test_vanilla_policy_gradient_equivalence():
     rng = np.random.default_rng(11)
     m = 12
     obs = rng.normal(size=(m, 6))
-    actions, logp = policy.sample(obs, rng)
+    actions, logp, means = policy.sample(obs, rng, return_mean=True)
     old_logp = logp + rng.uniform(-0.3, 0.3, size=m)
     adv = rng.normal(size=m)
     ret = np.zeros(m)
     config = PpoConfig(clip=1e9, entropy_coef=0.0, value_coef=0.0)
 
-    flat_grad, *_ = minibatch_grads(policy, obs, actions, old_logp, adv, ret, config)
+    grads = minibatch_grads(policy, obs, actions, old_logp, adv, ret, config,
+                            means, policy.log_std.copy())[0].copy()
 
     def vanilla_loss():
         mean = policy.mean_action(obs)
         lp = policy.log_prob(actions, mean)
         return -float(np.mean(np.exp(lp - old_logp) * adv))
 
-    flat = policy.get_flat()
-    h = 1e-6
     actor_n = policy.actor.n_params
     picks = list(np.random.default_rng(12).choice(actor_n, size=25, replace=False))
     picks += [actor_n + policy.critic.n_params + j for j in range(3)]
     for idx in picks:
-        e = np.zeros_like(flat)
-        e[idx] = h
-        policy.set_flat(flat + e)
-        up = vanilla_loss()
-        policy.set_flat(flat - e)
-        down = vanilla_loss()
-        policy.set_flat(flat)
-        fd = (up - down) / (2 * h)
-        assert fd == pytest.approx(flat_grad[idx], rel=1e-4, abs=1e-7)
+        fd = central_difference(policy.params, idx, 1e-6, vanilla_loss)
+        assert fd == pytest.approx(grads[idx], rel=1e-4, abs=1e-7)
 
 
 def test_update_decreases_surrogate_on_fixed_buffer():
@@ -280,9 +278,11 @@ def test_update_decreases_surrogate_on_fixed_buffer():
     advn = adv.reshape(n)
     advn = (advn - advn.mean()) / (advn.std() + 1e-8)
 
+    means = buf.action_means.reshape(n, -1)
+
     def total_loss():
         _, pl, vl, ent, _ = minibatch_grads(policy, obs, actions, old_logp, advn,
-                                            ret.reshape(n), config)
+                                            ret.reshape(n), config, means, buf.sample_log_std)
         return pl + config.value_coef * vl - config.entropy_coef * ent
 
     before = total_loss()

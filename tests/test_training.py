@@ -10,7 +10,7 @@ from cpgrl import training
 from cpgrl.config import RunConfig, config_hash
 from cpgrl.env import VecLocomotionEnv
 from cpgrl.gait_planner import load_planner_model, save_planner_model
-from cpgrl.nn import Adam
+from cpgrl.nn import Adam, DimensionMismatch
 from cpgrl.ppo import GaussianPolicy
 from cpgrl.randomization import CurriculumState
 from cpgrl.task import OBS_DIM, REWARD_TERMS
@@ -131,6 +131,20 @@ def test_checkpoint_round_trip(fitted, tmp_path):
     restored_adam.load_state_dict(ck["optimizer"])
     for key, value in optimizer.state_dict().items():
         np.testing.assert_array_equal(getattr(restored_adam, key), value)
+
+
+@pytest.mark.parametrize("size", [1, -1], ids=["length-1", "one-short"])
+def test_checkpoint_policy_size_mismatch_rejected(fitted, tmp_path, size):
+    cfg, planner, _ = fitted
+    env = VecLocomotionEnv(cfg, planner, train_mode=True)
+    policy = GaussianPolicy(OBS_DIM, ACTION_DIM, cfg.train.hidden, np.random.default_rng(3))
+    path = tmp_path / "ck.npz"
+    save_checkpoint(path, policy, Adam(policy.n_params), env, np.random.default_rng(4),
+                    CurriculumState(), 1, cfg, planner)
+    ck = load_checkpoint(path)
+    ck["policy_flat"] = ck["policy_flat"][:size]
+    with pytest.raises(DimensionMismatch):
+        policy_from_checkpoint(ck)
 
 
 def test_checkpoint_version_1_rejected(fitted, tmp_path):
