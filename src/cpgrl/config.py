@@ -162,7 +162,7 @@ class RunConfig:
         )
         params = EnvParams(
             trunk_mass=s.trunk_mass,
-            trunk_inertia=np.asarray(s.trunk_inertia, dtype=float),
+            trunk_inertia=s.trunk_inertia,
             friction=s.friction,
             contact_stiffness=s.contact_stiffness,
             contact_damping=s.contact_damping,
@@ -175,7 +175,7 @@ class RunConfig:
             joint_limits=limits,
             geometry=self.leg_geometry(),
             stand_height=r.stand_height,
-            trunk_half_extents=np.asarray(s.trunk_half_extents, dtype=float),
+            trunk_half_extents=s.trunk_half_extents,
             collision_margin=s.collision_margin,
             episode_limit=s.episode_limit,
             dt=s.dt,

@@ -25,7 +25,6 @@ from .simulator import (
     NumericalDivergence,
     _check_divergence,
     _step_core,
-    low_pass,
     trunk_clearance,
 )
 from .task import build_observation_arrays, compose_action, reward_terms_arrays
@@ -123,7 +122,7 @@ class VecLocomotionEnv:
 
     # ------------------------------------------------------------- observe
 
-    def observe(self, noisy: bool | None = None) -> np.ndarray:
+    def observe(self) -> np.ndarray:
         """(n, 61) observations; sensor noise only in training mode."""
         gravity_b = quat.gravity_body(self.rot)
         obs = build_observation_arrays(
@@ -131,8 +130,7 @@ class VecLocomotionEnv:
             self.contacts, self.prev_action, self.baseline[self.phase % self.period],
             self.nominal_q,
         )
-        use_noise = self.train_mode and self.cfg.dr.add_noise if noisy is None else noisy
-        if use_noise:
+        if self.train_mode and self.cfg.dr.add_noise:
             for i, rng in enumerate(self.rngs):
                 obs[i] = add_sensor_noise(obs[i], rng, self.cfg.dr)
         return obs
@@ -160,12 +158,13 @@ class VecLocomotionEnv:
 
         target = compose_action(self.baseline[self.phase % self.period], actions,
                                 self.cfg.robot.residual_limit)
-        filtered = low_pass(target, self.filter_mem, self.cfg.robot.filter_alpha)
+        # first-order low-pass filter; RunConfig.validate keeps alpha in (0, 1]
+        alpha = self.cfg.robot.filter_alpha
+        filtered = alpha * target + (1.0 - alpha) * self.filter_mem
         self.filter_mem = filtered
 
-        prev_qdot = self.qdot.copy()
-        prev_contacts = self.contacts.copy()
-        prev_air = self.air.copy()
+        # _step_core returns new arrays, so the pre-step ones stay untouched
+        prev_qdot, prev_contacts, prev_air = self.qdot, self.contacts, self.air
 
         pos, rot, linvel, angvel = self.pos, self.rot, self.linvel, self.angvel
         q, qdot, air, ep_time = self.q, self.qdot, self.air, self.ep_time
@@ -173,7 +172,7 @@ class VecLocomotionEnv:
         for _ in range(self.substeps):
             pos, rot, linvel, angvel, q, qdot, contacts, air, ep_time = _step_core(
                 pos, rot, linvel, angvel, q, qdot, air, ep_time,
-                filtered, p, p.dt, mass=self.mass, friction=self.friction,
+                filtered, p, p.dt, self.mass, self.friction,
             )
         bad = _check_divergence(pos, rot, linvel, angvel, q, qdot, p.divergence_limit)
         if bad.any():
@@ -209,11 +208,7 @@ class VecLocomotionEnv:
         self.ep_steps = self.ep_steps + 1
         self.episode_return = self.episode_return + rewards
 
-        info = {
-            "terms": terms,
-            "timeout": timeout.copy(),
-            "collision": collided.copy(),
-        }
+        info = {"terms": terms, "timeout": timeout, "collision": collided}
 
         for i in np.nonzero(dones)[0]:
             self.finished_lengths.append(int(self.ep_steps[i]))

@@ -9,7 +9,7 @@ import numpy as np
 from . import quat
 from .config import RunConfig
 from .env import POLICY_DT, POLICY_RATE, VecLocomotionEnv
-from .gait_planner import GaitPlannerModel, cyclic_lag_distance
+from .gait_planner import GaitPlannerModel, circular_xcorr_lag, cyclic_lag_distance
 from .kinematics import LEG_NAMES, forward_kinematics_all
 from .ppo import GaussianPolicy
 from .task import REWARD_TERMS
@@ -98,7 +98,7 @@ def run_eval(cfg: RunConfig, planner: GaitPlannerModel, policy: GaussianPolicy |
         t = (k - n_settle) * POLICY_DT if in_window else 0.0
         cmd = profile(t) if in_window else zero_cmd[0]
         env.set_commands(cmd[None, :])
-        obs = env.observe(noisy=False)
+        obs = env.observe()
         if policy is None:
             action = np.zeros((1, 12))
         else:
@@ -183,15 +183,8 @@ def contact_gait_stats(data: np.ndarray, period_steps: int):
         [data[:, col[f"contact_{name}"]] for name in LEG_NAMES], axis=1
     )
     stance_fraction = contacts.mean(axis=0)
-
-    def best_lag(a, b, max_lag):
-        a = a - a.mean()
-        b = b - b.mean()
-        scores = [(float(np.dot(a, np.roll(b, -lag))), lag) for lag in range(max_lag)]
-        return max(scores)[1]
-
-    diag = best_lag(contacts[:, 0], contacts[:, 3], period_steps)
-    adj = best_lag(contacts[:, 0], contacts[:, 1], period_steps)
+    diag = circular_xcorr_lag(contacts[:, 0], contacts[:, 3], period_steps)
+    adj = circular_xcorr_lag(contacts[:, 0], contacts[:, 1], period_steps)
     return {
         "stance_fraction": stance_fraction,
         "diag_lag_dist": cyclic_lag_distance(diag, 0, period_steps),

@@ -384,12 +384,6 @@ def prepare_demo_period(demo: DemoTrajectory, period_ticks: int, align_phase: bo
     return resampled
 
 
-def _foot_mse(q_flat: np.ndarray, target_feet: np.ndarray, geometry: LegGeometry) -> float:
-    feet = forward_kinematics_all(q_flat, geometry)  # (N, 4, 3)
-    err = feet - target_feet
-    return float(np.mean(np.sum(err * err, axis=-1)))
-
-
 def refine_loss_and_grads(
     weights: np.ndarray,
     bias: np.ndarray,
@@ -466,36 +460,34 @@ def fit_motor_layer(
     weights = np.linalg.solve(gram, phi_c.T @ (q_tr - q_mean))
     bias = q_mean - phi_mean @ weights
 
-    init_train_mse = _foot_mse(phi_tr @ weights + bias, target_feet[train_idx], geometry)
-
-    # gradient refinement of the true foot-space loss
-    w, b = weights.copy(), bias.copy()
-    lr = refine_lr
-    loss = init_train_mse
+    # gradient refinement of the true foot-space loss; each step evaluates
+    # the loss and gradients once, at the candidate, and keeps both on accept
     tf_train = target_feet[train_idx]
+    w, b = weights, bias
+    loss, grad_w, grad_b = refine_loss_and_grads(w, b, phi_tr, tf_train, geometry)
+    init_train_mse = loss
+    lr = refine_lr
     steps_used = 0
     for step in range(refine_steps):
-        _, grad_w, grad_b = refine_loss_and_grads(w, b, phi_tr, tf_train, geometry)
         w_new = w - lr * grad_w
         b_new = b - lr * grad_b
-        new_loss = _foot_mse(phi_tr @ w_new + b_new, tf_train, geometry)
+        new_loss, new_grad_w, new_grad_b = refine_loss_and_grads(
+            w_new, b_new, phi_tr, tf_train, geometry)
         if new_loss <= loss:
-            if loss - new_loss < 1e-18:
-                w, b, loss = w_new, b_new, new_loss
-                steps_used = step + 1
-                break
-            w, b, loss = w_new, b_new, new_loss
+            converged = loss - new_loss < 1e-18
+            w, b, loss, grad_w, grad_b = w_new, b_new, new_loss, new_grad_w, new_grad_b
             steps_used = step + 1
+            if converged:
+                break
         else:
             lr *= 0.5
             if lr < 1e-14:
                 break
 
     motor = MotorLayer(weights=w, bias=b)
-    train_mse = _foot_mse(phi_tr @ w + b, tf_train, geometry)
-    val_mse = _foot_mse(phi[val_idx] @ w + b, target_feet[val_idx], geometry)
+    val_mse = refine_loss_and_grads(w, b, phi[val_idx], target_feet[val_idx], geometry)[0]
     report = FitReport(
-        train_mse=train_mse,
+        train_mse=loss,
         val_mse=val_mse,
         init_train_mse=init_train_mse,
         n_train=n_train,
@@ -511,17 +503,18 @@ def fitted_planner(model: GaitPlannerModel, motor: MotorLayer) -> GaitPlannerMod
 
 # ------------------------------------------------------------------ analysis
 
-def circular_xcorr_lag(a: np.ndarray, b: np.ndarray) -> int:
-    """Lag in [0, len) maximizing the circular cross-correlation of a and b.
+def circular_xcorr_lag(a: np.ndarray, b: np.ndarray, max_lag: int | None = None) -> int:
+    """Lag in [0, max_lag) maximizing the circular cross-correlation of a and b.
 
     The returned lag is the cyclic shift of b that best aligns it with a:
-    b delayed by half a period relative to a reports len/2.
+    b delayed by half a period relative to a reports len/2. max_lag defaults
+    to len(a); among equally good lags the largest wins.
     """
     a = np.asarray(a, dtype=float) - np.mean(a)
     b = np.asarray(b, dtype=float) - np.mean(b)
-    n = len(a)
+    n = len(a) if max_lag is None else max_lag
     scores = np.array([np.dot(a, np.roll(b, -lag)) for lag in range(n)])
-    return int(np.argmax(scores))
+    return n - 1 - int(np.argmax(scores[::-1]))
 
 
 def cyclic_lag_distance(lag: int, target: int, n: int) -> int:

@@ -96,17 +96,14 @@ class GaussianPolicy:
     def mean_action(self, obs: np.ndarray) -> np.ndarray:
         return self.actor.forward(obs)
 
-    def sample(self, obs: np.ndarray, rng: np.random.Generator,
-               return_mean: bool = False):
-        """Draw actions and exact log densities; obs (..., obs_dim)."""
+    def sample(self, obs: np.ndarray, rng: np.random.Generator):
+        """Draw actions, their exact log densities and the means; obs (..., obs_dim)."""
         mean = self.actor.forward(obs)
         std = np.exp(self.log_std)
         noise = rng.standard_normal(mean.shape)
         action = mean + std * noise
         logp = self.log_prob(action, mean)
-        if return_mean:
-            return action, logp, mean
-        return action, logp
+        return action, logp, mean
 
     def log_prob(self, action: np.ndarray, mean: np.ndarray) -> np.ndarray:
         z = (action - mean) / np.exp(self.log_std)

@@ -27,44 +27,34 @@ class NumericalDivergence(RuntimeError):
         super().__init__(message)
 
 
-_DEFAULT_JOINT_LIMITS = (
-    (-0.86, 0.86),   # abduction
-    (-0.69, 3.0),    # hip
-    (-2.72, -0.05),  # knee
-)
-
-
-def default_joint_limits() -> np.ndarray:
-    """(2, 12) lower/upper joint limits, legs FR, FL, RR, RL."""
-    per_leg = np.array(_DEFAULT_JOINT_LIMITS)
-    lo = np.tile(per_leg[:, 0], 4)
-    hi = np.tile(per_leg[:, 1], 4)
-    return np.stack([lo, hi])
-
-
 @dataclass(frozen=True)
 class EnvParams:
-    """Physical constants plus the actuation plumbing _step_core needs."""
+    """Physical constants plus the actuation plumbing _step_core needs.
 
-    trunk_mass: float = 12.0
-    trunk_inertia: np.ndarray = field(default_factory=lambda: np.array([0.1, 0.25, 0.3]))
-    friction: float = 0.8
-    contact_stiffness: float = 1.5e4   # N/m
-    contact_damping: float = 150.0     # N*s/m
-    tangential_gain: float = 100.0     # N*s/m, viscous regularization of Coulomb
-    gravity: float = 9.81
+    `RunConfig.env_params()` fills every field from the run config; only the
+    terrain normal (flat) and the divergence limit, which no config sets,
+    have defaults. Construction is the one place these values are checked.
+    """
+
+    trunk_mass: float
+    trunk_inertia: np.ndarray
+    friction: float
+    contact_stiffness: float           # N/m
+    contact_damping: float             # N*s/m
+    tangential_gain: float             # N*s/m, viscous regularization of Coulomb
+    gravity: float
+    kp: float
+    kd: float
+    tau_limit: float
+    reflected_inertia: float           # kg*m^2 per joint
+    joint_limits: np.ndarray           # (2, 12) lower/upper, legs FR, FL, RR, RL
+    geometry: LegGeometry
+    stand_height: float
+    trunk_half_extents: np.ndarray
+    collision_margin: float
+    episode_limit: float
+    dt: float
     terrain_normal: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, 1.0]))
-    kp: float = 75.0
-    kd: float = 1.5
-    tau_limit: float = 23.7
-    reflected_inertia: float = 0.1     # kg*m^2 per joint
-    joint_limits: np.ndarray = field(default_factory=default_joint_limits)  # (2, 12)
-    geometry: LegGeometry = field(default_factory=LegGeometry)
-    stand_height: float = 0.32
-    trunk_half_extents: np.ndarray = field(default_factory=lambda: np.array([0.1881, 0.047, 0.057]))
-    collision_margin: float = 0.05
-    episode_limit: float = 20.0
-    dt: float = 1.0 / 200.0
     divergence_limit: float = 1.0e6
 
     def __post_init__(self):
@@ -76,6 +66,8 @@ class EnvParams:
             raise ValueError("friction must be >= 0")
         if self.contact_stiffness <= 0 or self.contact_damping <= 0:
             raise ValueError("contact stiffness and damping must be positive")
+        if self.kp < 0 or self.kd < 0:
+            raise ValueError("gains must be >= 0")
 
     @property
     def nominal_q(self) -> np.ndarray:
@@ -86,41 +78,19 @@ class EnvParams:
         return replace(self, terrain_normal=normal)
 
 
-def low_pass(q_t, s_prev, alpha: float) -> np.ndarray:
-    """First-order filter s_t = alpha*q_t + (1-alpha)*s_prev, elementwise."""
-    if not (0.0 < alpha <= 1.0):
-        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-    q_t = np.asarray(q_t, dtype=float)
-    s_prev = np.asarray(s_prev, dtype=float)
-    return alpha * q_t + (1.0 - alpha) * s_prev
-
-
 def pd_torque(q_star, q, qdot, kp: float, kd: float, tau_limit: float) -> np.ndarray:
     """Joint torque clamp(kp*(q*-q) - kd*qdot, +-tau_limit)."""
-    if kp < 0 or kd < 0:
-        raise ValueError("gains must be >= 0")
-    q_star = np.asarray(q_star, dtype=float)
-    raw = kp * (q_star - np.asarray(q, dtype=float)) - kd * np.asarray(qdot, dtype=float)
-    return np.clip(raw, -tau_limit, tau_limit)
+    return np.clip(kp * (q_star - q) - kd * qdot, -tau_limit, tau_limit)
 
 
-def contact_force(foot_pos, foot_vel, params: EnvParams, friction=None) -> np.ndarray:
-    """Ground reaction force on foot point(s); zero above the surface.
+def contact_force(foot_pos, foot_vel, params: EnvParams, friction):
+    """Ground reaction force on foot point(s) and their penetration depth.
 
     The terrain is the plane through the origin with params.terrain_normal.
     Normal: max(0, k*penetration - d*v_n) with v_n the outward (separation)
     velocity. Tangential: -min(mu*N, k_t*|v_t|) along the slip direction.
+    friction broadcasts against the points' leading axes.
     """
-    f, _pen = _contact_force_core(
-        np.asarray(foot_pos, dtype=float),
-        np.asarray(foot_vel, dtype=float),
-        params,
-        params.friction if friction is None else friction,
-    )
-    return f
-
-
-def _contact_force_core(foot_pos, foot_vel, params: EnvParams, friction):
     n = params.terrain_normal
     height = (
         foot_pos[..., 0] * n[0] + foot_pos[..., 1] * n[1] + foot_pos[..., 2] * n[2]
@@ -137,8 +107,7 @@ def _contact_force_core(foot_pos, foot_vel, params: EnvParams, friction):
 
     v_t = foot_vel - v_n[..., None] * n
     speed = np.sqrt((v_t * v_t).sum(axis=-1))
-    friction = np.asarray(friction, dtype=float)
-    cap = friction[..., None] * normal_mag if friction.ndim else friction * normal_mag
+    cap = friction * normal_mag
     tangential_mag = np.minimum(cap, params.tangential_gain * speed)
     safe_speed = np.where(speed > 0.0, speed, 1.0)
     f_t = -(tangential_mag / safe_speed)[..., None] * v_t
@@ -164,10 +133,12 @@ def _matvec3_t(m, v):
 
 
 def _step_core(pos, rot, linvel, angvel, q, qdot, air, ep_time,
-               targets, params: EnvParams, dt: float, mass=None, friction=None):
-    """One 200 Hz substep on plain arrays; leading axes broadcast."""
-    mass = params.trunk_mass if mass is None else mass
-    friction = params.friction if friction is None else friction
+               targets, params: EnvParams, dt: float, mass, friction):
+    """One 200 Hz substep on plain arrays; leading axes broadcast.
+
+    mass and friction are per env (scalars for one robot). Every output is a
+    new array; the inputs are never written.
+    """
     geom = params.geometry
 
     tau = pd_torque(targets, q, qdot, params.kp, params.kd, params.tau_limit)
@@ -183,7 +154,8 @@ def _step_core(pos, rot, linvel, angvel, q, qdot, air, ep_time,
         rot4, quat.cross(angvel[..., None, :], feet_b) + v_feet_b
     )
 
-    f_w, pen = _contact_force_core(feet_w, v_feet_w, params, friction)
+    f_w, pen = contact_force(feet_w, v_feet_w, params,
+                             np.asarray(friction, dtype=float)[..., None])
 
     # contact reaction projected onto the joints; ground force flexes the leg
     f_b = quat.rotate_inv(rot4, f_w)
@@ -230,13 +202,15 @@ def _check_divergence(pos, rot, linvel, angvel, q, qdot, limit):
     return ~((np.abs(fields) <= limit).all(axis=-1) & np.isfinite(rot).all(axis=-1))
 
 
+# the trunk box's 8 corners as signs of its half extents
+_CORNER_SIGNS = np.array(
+    [[sx, sy, sz] for sx in (-1.0, 1.0) for sy in (-1.0, 1.0) for sz in (-1.0, 1.0)]
+)
+
+
 def trunk_clearance(pos, rot, params: EnvParams):
     """Height of the lowest trunk-box corner above the terrain surface."""
-    hx, hy, hz = params.trunk_half_extents
-    corners_body = np.array(
-        [[sx * hx, sy * hy, sz * hz]
-         for sx in (-1.0, 1.0) for sy in (-1.0, 1.0) for sz in (-1.0, 1.0)]
-    )
+    corners_body = _CORNER_SIGNS * params.trunk_half_extents
     corners_w = pos[..., None, :] + quat.rotate(rot[..., None, :], corners_body)
     n = params.terrain_normal
     heights = (

@@ -67,7 +67,7 @@ def collect_rollouts(env: VecLocomotionEnv, policy: GaussianPolicy,
     buf.sample_log_std = policy.log_std.copy()
     for t in range(horizon):
         obs = policy.prepare_obs(env.observe(), update=True)
-        actions, logp, means = policy.sample(obs, rng, return_mean=True)
+        actions, logp, means = policy.sample(obs, rng)
         values = policy.value(obs)
         rewards, dones, info = env.step(actions, curriculum)
         buf.observations[t] = obs

@@ -47,7 +47,7 @@ from cpgrl.randomization import (
     curriculum_update,
     initial_curriculum,
 )
-from cpgrl.simulator import EnvParams, _step_core, contact_force
+from cpgrl.simulator import _step_core, contact_force
 from cpgrl.task import REWARD_TERMS, RewardWeights, reward_terms_arrays
 from cpgrl.training import load_checkpoint, planner_from_config, policy_from_checkpoint, train
 
@@ -309,7 +309,7 @@ def test_criterion_7_gradient_suite():
 # ------------------------------------------------------------- criterion 8
 
 def test_criterion_8_physics_sanity():
-    params = EnvParams()
+    params = RunConfig().env_params()
 
     def spawn(drop):
         """(pos, rot, linvel, angvel, q, qdot, air, ep_time) of one robot."""
@@ -320,7 +320,8 @@ def test_criterion_8_physics_sanity():
     def run(drop, substeps):
         s = spawn(drop)
         for _ in range(substeps):
-            out = _step_core(*s, params.nominal_q, params, params.dt)
+            out = _step_core(*s, params.nominal_q, params, params.dt,
+                             params.trunk_mass, params.friction)
             s = out[:6] + out[7:]
         return s
 
@@ -335,7 +336,7 @@ def test_criterion_8_physics_sanity():
     jac = leg_jacobian_all(q, params.geometry)
     v_b = np.einsum("lij,lj->li", jac, qdot.reshape(4, 3))
     v_w = linvel + quat.rotate(rot, np.cross(angvel, feet_b) + v_b)
-    fz = contact_force(feet_w, v_w, params)[:, 2].sum()
+    fz = contact_force(feet_w, v_w, params, params.friction)[0][:, 2].sum()
     weight = params.trunk_mass * params.gravity
     balance = abs(fz / weight - 1.0)
 

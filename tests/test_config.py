@@ -60,6 +60,10 @@ def test_validation_catches_bad_values():
     for width in (-0.1, float("inf"), float("nan")):
         with pytest.raises(ConfigError):
             config_from_dict({"dr": {"noise_joint_vel": width}})
+    # the env filters with this alpha unchecked, so the config must hold it in (0, 1]
+    for alpha in (0.0, -0.1, 1.5, float("nan")):
+        with pytest.raises(ConfigError, match="filter_alpha"):
+            config_from_dict({"robot": {"filter_alpha": alpha}})
 
 
 def test_hash_ignores_run_length():

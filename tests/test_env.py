@@ -5,7 +5,7 @@ from dataclasses import replace
 from cpgrl.config import RunConfig
 from cpgrl.env import POLICY_DT, VecLocomotionEnv
 from cpgrl.randomization import CurriculumState, schedule_impulse
-from cpgrl.simulator import NumericalDivergence, _step_core, low_pass
+from cpgrl.simulator import NumericalDivergence, _step_core
 from cpgrl.task import OBS_DIM, PLANNER_SLICE, compose_action
 
 
@@ -54,20 +54,30 @@ def test_vectorized_step_matches_scalar_bitwise(planner):
         actions = rng.normal(scale=0.1, size=(4, 12))
         target = compose_action(env.baseline[env.phase % env.period], actions,
                                 cfg.robot.residual_limit)
-        filtered = low_pass(target, env.filter_mem, cfg.robot.filter_alpha)
+        alpha = cfg.robot.filter_alpha
+        filtered = alpha * target + (1.0 - alpha) * env.filter_mem
         per_env = []
         for i in range(env.n):
             state = (env.pos[i], env.rot[i], env.linvel[i], env.angvel[i],
                      env.q[i], env.qdot[i], env.air[i], env.ep_time[i])
             for _ in range(env.substeps):
                 out = _step_core(*state, filtered[i], params, params.dt,
-                                 mass=env.mass[i], friction=env.friction[i])
+                                 env.mass[i], env.friction[i])
                 state = out[:6] + out[7:]
             per_env.append(out)
         env.step(actions)
         for i, out in enumerate(per_env):
             for name, value in zip(names, out):
                 np.testing.assert_array_equal(getattr(env, name)[i], value, err_msg=name)
+
+
+def test_filter_alpha_one_passes_the_target_through(planner):
+    cfg = small_cfg()
+    cfg = replace(cfg, robot=replace(cfg.robot, filter_alpha=1.0))
+    env = VecLocomotionEnv(cfg, planner, train_mode=False)
+    actions = np.random.default_rng(2).normal(scale=0.1, size=(4, 12))
+    env.step(actions)
+    np.testing.assert_array_equal(env.filter_mem, env.prev_target)
 
 
 def test_divergence_blames_the_diverged_env(planner):

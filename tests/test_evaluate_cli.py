@@ -200,6 +200,18 @@ def test_cli_bad_config(tmp_path):
     assert rc == 2
 
 
+def test_cli_train_negative_gain_exit_code(fitted, tmp_path, capsys):
+    cfg, planner = fitted
+    cfg_path = tmp_path / "bad_gain.yaml"
+    save_config(replace(cfg, robot=replace(cfg.robot, kp=-1.0)), cfg_path)
+    model = tmp_path / "planner.npz"
+    save_planner_model(planner, model)
+    rc = main(["train", "--config", str(cfg_path), "--model", str(model),
+               "--out", str(tmp_path / "train")])
+    assert rc == 2
+    assert "gains must be >= 0" in capsys.readouterr().err
+
+
 def test_cli_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["bc-fit", "--bogus-flag"])

@@ -3,6 +3,7 @@ import pytest
 
 from cpgrl.gait_planner import (
     DemoTrajectory,
+    FitReport,
     IkUnreachable,
     InvalidParams,
     MotorLayer,
@@ -22,6 +23,7 @@ from cpgrl.gait_planner import (
     load_demo_csv,
     load_planner_model,
     planner_forward,
+    prepare_demo_period,
     rbf_activations,
     refine_loss_and_grads,
     sample_rbf_centers,
@@ -286,6 +288,70 @@ def test_refine_gradients_match_finite_differences(planner):
         db[j] = h
         fd = (loss_at(w, b + db) - loss_at(w, b - db)) / (2 * h)
         assert fd == pytest.approx(grad_b[j], rel=1e-4, abs=1e-10)
+
+
+def _foot_mse(q_flat, target_feet):
+    err = forward_kinematics_all(q_flat, GEOM) - target_feet
+    return float(np.mean(np.sum(err * err, axis=-1)))
+
+
+def two_evaluation_refine(demo, planner, split_seed, refine_steps, refine_lr):
+    """The refinement as first written: gradients at w, then a second loss at the candidate."""
+    warm, _ = fit_motor_layer(demo, planner, GEOM, split_seed=split_seed, refine_steps=0)
+    t = planner.orbit.period_ticks
+    target_feet = prepare_demo_period(demo, t)
+    phi = rbf_activations(planner.orbit.samples, planner.rbf)
+    perm = np.random.default_rng(split_seed).permutation(t)
+    n_train = int(round(0.7 * t))
+    train_idx, val_idx = perm[:n_train], perm[n_train:]
+    phi_tr, tf_train = phi[train_idx], target_feet[train_idx]
+
+    w, b = warm.weights.copy(), warm.bias.copy()
+    init_train_mse = loss = _foot_mse(phi_tr @ w + b, tf_train)
+    lr, steps_used = refine_lr, 0
+    for step in range(refine_steps):
+        _, grad_w, grad_b = refine_loss_and_grads(w, b, phi_tr, tf_train, GEOM)
+        w_new, b_new = w - lr * grad_w, b - lr * grad_b
+        new_loss = _foot_mse(phi_tr @ w_new + b_new, tf_train)
+        if new_loss <= loss:
+            converged = loss - new_loss < 1e-18
+            w, b, loss = w_new, b_new, new_loss
+            steps_used = step + 1
+            if converged:
+                break
+        else:
+            lr *= 0.5
+            if lr < 1e-14:
+                break
+    report = FitReport(
+        train_mse=_foot_mse(phi_tr @ w + b, tf_train),
+        val_mse=_foot_mse(phi[val_idx] @ w + b, target_feet[val_idx]),
+        init_train_mse=init_train_mse, n_train=n_train, n_val=t - n_train,
+        refine_steps_used=steps_used,
+    )
+    return MotorLayer(weights=w, bias=b), report
+
+
+@pytest.mark.parametrize("refine_steps, refine_lr", [(300, 1e-2), (60, 50.0)])
+def test_fit_matches_two_evaluation_refine_bitwise(planner, refine_steps, refine_lr):
+    """One evaluation per step gives the motor map and report of two, bit for bit.
+
+    The large learning rate makes steps overshoot, so the halving branch runs too.
+    """
+    demo = generate_demo_trot(geometry=GEOM)
+    ref_motor, ref_report = two_evaluation_refine(demo, planner, 3, refine_steps, refine_lr)
+    motor, report = fit_motor_layer(demo, planner, GEOM, split_seed=3,
+                                    refine_steps=refine_steps, refine_lr=refine_lr)
+    np.testing.assert_array_equal(motor.weights, ref_motor.weights)
+    np.testing.assert_array_equal(motor.bias, ref_motor.bias)
+    assert report == ref_report
+
+
+def test_xcorr_lag_tie_goes_to_the_largest_lag():
+    a = np.array([1.0, 0.0, 1.0, 0.0])
+    assert circular_xcorr_lag(a, a) == 2          # lags 0 and 2 align equally well
+    assert circular_xcorr_lag(a, a, max_lag=2) == 0
+    assert circular_xcorr_lag(a, np.roll(a, 1), max_lag=3) == 1
 
 
 def test_liftoff_detection():

@@ -28,7 +28,7 @@ def toy_buffer(policy, seed=1, horizon=10, n_envs=4):
     buf.observations[:] = rng.normal(size=buf.observations.shape)
     buf.sample_log_std = policy.log_std.copy()
     for t in range(horizon):
-        a, lp, mean = policy.sample(buf.observations[t], rng, return_mean=True)
+        a, lp, mean = policy.sample(buf.observations[t], rng)
         buf.actions[t] = a
         buf.log_probs[t] = lp
         buf.action_means[t] = mean
@@ -122,7 +122,7 @@ def test_sample_std_statistical():
     policy = toy_policy(log_std_init=-1.0)
     rng = np.random.default_rng(4)
     obs = np.tile(np.ones(6), (100000, 1))
-    actions, _ = policy.sample(obs, rng)
+    actions, _, _ = policy.sample(obs, rng)
     emp_std = actions.std(axis=0)
     np.testing.assert_allclose(emp_std, np.exp(-1.0), rtol=0.02)
 
@@ -211,7 +211,7 @@ def test_minibatch_grads_match_finite_differences():
     rng = np.random.default_rng(8)
     m = 16
     obs = rng.normal(size=(m, 6))
-    actions, logp, means = policy.sample(obs, rng, return_mean=True)
+    actions, logp, means = policy.sample(obs, rng)
     log_std = policy.log_std.copy()
     # perturb old_logp slightly so ratios differ from 1 but stay unclipped
     old_logp = logp + rng.uniform(-0.05, 0.05, size=m)
@@ -243,7 +243,7 @@ def test_vanilla_policy_gradient_equivalence():
     rng = np.random.default_rng(11)
     m = 12
     obs = rng.normal(size=(m, 6))
-    actions, logp, means = policy.sample(obs, rng, return_mean=True)
+    actions, logp, means = policy.sample(obs, rng)
     old_logp = logp + rng.uniform(-0.3, 0.3, size=m)
     adv = rng.normal(size=m)
     ret = np.zeros(m)

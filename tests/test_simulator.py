@@ -11,17 +11,15 @@ from cpgrl.config import RunConfig
 from cpgrl.env import VecLocomotionEnv
 from cpgrl.kinematics import forward_kinematics_all, leg_jacobian_all
 from cpgrl.simulator import (
-    EnvParams,
     NumericalDivergence,
     _matvec3_t,
     _step_core,
     contact_force,
-    low_pass,
     pd_torque,
     trunk_clearance,
 )
 
-PARAMS = EnvParams()
+PARAMS = RunConfig().env_params()
 
 STEP_IN = ("pos", "rot", "linvel", "angvel", "q", "qdot", "air", "ep_time")
 STEP_OUT = ("pos", "rot", "linvel", "angvel", "q", "qdot", "contacts", "air", "ep_time")
@@ -44,8 +42,14 @@ def spawn(params, drop=0.05):
 
 def substep(s, targets, params):
     """One `_step_core` substep of a single robot."""
-    out = _step_core(*(s[k] for k in STEP_IN), targets, params, params.dt)
+    out = _step_core(*(s[k] for k in STEP_IN), targets, params, params.dt,
+                     params.trunk_mass, params.friction)
     return dict(zip(STEP_OUT, out))
+
+
+def force(foot_pos, foot_vel, params=PARAMS):
+    """Contact force on foot point(s) at the params' own friction."""
+    return contact_force(foot_pos, foot_vel, params, params.friction)[0]
 
 
 def settle(params, seconds, drop=0.02):
@@ -57,32 +61,6 @@ def settle(params, seconds, drop=0.02):
 
 def one_env(planner):
     return VecLocomotionEnv(RunConfig(), planner, n_envs=1, train_mode=False)
-
-
-# ---------------------------------------------------------------- low_pass
-
-def test_low_pass_single_step():
-    out = low_pass(np.ones(12), np.zeros(12), 0.7)
-    np.testing.assert_allclose(out, 0.7)
-
-
-def test_low_pass_geometric_convergence():
-    s = np.zeros(12)
-    c = np.full(12, 1.3)
-    for _ in range(50):
-        s = low_pass(c, s, 0.7)
-    # exact bound 0.3**50 is below machine epsilon; converged means ulp-level
-    assert np.all(np.abs(s - c) < 1e-15)
-
-
-def test_low_pass_alpha_one_bypasses():
-    q = np.arange(12.0)
-    np.testing.assert_array_equal(low_pass(q, np.zeros(12), 1.0), q)
-
-
-def test_low_pass_rejects_bad_alpha():
-    with pytest.raises(ValueError):
-        low_pass(np.zeros(12), np.zeros(12), 0.0)
 
 
 # ---------------------------------------------------------------- pd_torque
@@ -105,13 +83,13 @@ def test_pd_torque_clamps():
 # ---------------------------------------------------------------- contact
 
 def test_no_force_above_surface():
-    f = contact_force(np.array([0.0, 0.0, 0.01]), np.zeros(3), PARAMS)
+    f = force(np.array([0.0, 0.0, 0.01]), np.zeros(3), PARAMS)
     np.testing.assert_array_equal(f, np.zeros(3))
 
 
 def test_normal_spring_force():
     p = replace(PARAMS, contact_stiffness=3.0e4)
-    f = contact_force(np.array([0.0, 0.0, -0.001]), np.zeros(3), p)
+    f = force(np.array([0.0, 0.0, -0.001]), np.zeros(3), p)
     np.testing.assert_allclose(f, [0.0, 0.0, 30.0])
 
 
@@ -119,7 +97,7 @@ def test_coulomb_saturation():
     # large tangential speed: force = mu * N opposing motion
     p = replace(PARAMS, friction=0.8)
     pen = 30.0 / p.contact_stiffness
-    f = contact_force(np.array([0.0, 0.0, -pen]), np.array([5.0, 0.0, 0.0]), p)
+    f = force(np.array([0.0, 0.0, -pen]), np.array([5.0, 0.0, 0.0]), p)
     assert f[2] == pytest.approx(30.0)
     assert f[0] == pytest.approx(-24.0)
     assert f[1] == 0.0
@@ -129,7 +107,7 @@ def test_viscous_regime_below_cone():
     p = replace(PARAMS, friction=0.8)
     pen = 30.0 / p.contact_stiffness
     v = 0.01
-    f = contact_force(np.array([0.0, 0.0, -pen]), np.array([v, 0.0, 0.0]), p)
+    f = force(np.array([0.0, 0.0, -pen]), np.array([v, 0.0, 0.0]), p)
     assert f[0] == pytest.approx(-p.tangential_gain * v)
 
 
@@ -137,9 +115,9 @@ def test_contact_force_batched_matches_scalar():
     rng = np.random.default_rng(11)
     pts = rng.uniform(-0.01, 0.01, size=(16, 3))
     vels = rng.uniform(-1, 1, size=(16, 3))
-    batched = contact_force(pts, vels, PARAMS)
+    batched = force(pts, vels, PARAMS)
     for i in range(16):
-        np.testing.assert_array_equal(batched[i], contact_force(pts[i], vels[i], PARAMS))
+        np.testing.assert_array_equal(batched[i], force(pts[i], vels[i], PARAMS))
 
 
 # ---------------------------------------------------------------- stepping
@@ -166,7 +144,7 @@ def test_settled_contact_forces_balance_weight():
     jac = leg_jacobian_all(s["q"], PARAMS.geometry)
     v_b = np.einsum("lij,lj->li", jac, s["qdot"].reshape(4, 3))
     v_w = s["linvel"] + quat.rotate(s["rot"], np.cross(s["angvel"], feet_b) + v_b)
-    f = contact_force(feet_w, v_w, PARAMS)
+    f = force(feet_w, v_w, PARAMS)
     total = f[:, 2].sum()
     assert total == pytest.approx(PARAMS.trunk_mass * PARAMS.gravity, rel=0.02)
 
@@ -263,13 +241,31 @@ def batched_states(draw):
 def test_batched_step_core_equals_each_env_alone(sample):
     """Stepping n envs in one call gives each env's slice stepped alone, bit for bit."""
     state, targets, mass, friction = sample
-    batched = _step_core(*state, targets, PARAMS, PARAMS.dt, mass=mass, friction=friction)
+    batched = _step_core(*state, targets, PARAMS, PARAMS.dt, mass, friction)
     for i in range(len(mass)):
         alone = _step_core(*(x[i] for x in state), targets[i], PARAMS, PARAMS.dt,
-                           mass=mass[i], friction=friction[i])
+                           mass[i], friction[i])
         for name, b, a in zip(STEP_OUT, batched, alone):
             b, a = np.asarray(b[i]), np.asarray(a)
             assert (b.dtype, b.shape, b.tobytes()) == (a.dtype, a.shape, a.tobytes()), name
+
+
+@pytest.mark.parametrize("n", [None, 3])
+def test_step_core_never_writes_its_inputs(n):
+    """Read-only inputs step without error, so the env may keep the pre-step arrays."""
+    s = spawn(PARAMS, drop=-0.005)   # feet in contact
+    s["angvel"] = np.array([0.4, -0.2, 0.9])
+    inputs = [np.array(s[k], dtype=float) for k in STEP_IN]
+    inputs += [PARAMS.nominal_q + 0.1, np.array(PARAMS.trunk_mass), np.array(PARAMS.friction)]
+    if n is not None:
+        inputs = [np.repeat(x[None], n, axis=0) for x in inputs]
+    before = [x.copy() for x in inputs]
+    for x in inputs:
+        x.flags.writeable = False
+    *state, targets, mass, friction = inputs
+    _step_core(*state, targets, PARAMS, PARAMS.dt, mass, friction)
+    for x, x0 in zip(inputs, before):
+        assert_same_bits(x, x0)
 
 
 # ---------------------------------------------------------------- termination
@@ -318,7 +314,7 @@ def test_slope_terrain_normal():
     p = PARAMS.with_slope(np.radians(10.0))
     assert p.terrain_normal[2] == pytest.approx(np.cos(np.radians(10.0)))
     # a foot below the inclined plane feels a force along the normal
-    f = contact_force(np.array([0.1, 0.0, 0.1 * np.tan(np.radians(10.0)) - 0.002]),
+    f = force(np.array([0.1, 0.0, 0.1 * np.tan(np.radians(10.0)) - 0.002]),
                       np.zeros(3), p)
     n = p.terrain_normal
     assert f @ n > 0
@@ -328,6 +324,10 @@ def test_slope_terrain_normal():
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        EnvParams(trunk_mass=-1.0)
+        replace(PARAMS, trunk_mass=-1.0)
     with pytest.raises(ValueError):
-        EnvParams(friction=-0.1)
+        replace(PARAMS, friction=-0.1)
+    # pd_torque clips unchecked; the gains are checked here, once
+    for gain in ("kp", "kd"):
+        with pytest.raises(ValueError, match="gains"):
+            replace(PARAMS, **{gain: -1.0})

@@ -6,7 +6,6 @@ from cpgrl import quat
 from cpgrl.config import RunConfig
 from cpgrl.env import VecLocomotionEnv
 from cpgrl.kinematics import forward_kinematics_all
-from cpgrl.simulator import EnvParams
 from cpgrl.task import (
     ANGVEL_SLICE,
     CONTACT_SLICE,
@@ -24,7 +23,7 @@ from cpgrl.task import (
     reward_terms_arrays,
 )
 
-PARAMS = EnvParams()
+PARAMS = RunConfig().env_params()
 GEOM = PARAMS.geometry
 NOMINAL_Q = PARAMS.nominal_q
 DT = 0.02
