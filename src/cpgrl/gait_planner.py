@@ -457,13 +457,12 @@ def fit_motor_layer(
     q_mean = q_tr.mean(axis=0)
     phi_c = phi_tr - phi_mean
     gram = phi_c.T @ phi_c + ridge_lambda * np.eye(h)
-    weights = np.linalg.solve(gram, phi_c.T @ (q_tr - q_mean))
-    bias = q_mean - phi_mean @ weights
+    w = np.linalg.solve(gram, phi_c.T @ (q_tr - q_mean))
+    b = q_mean - phi_mean @ w
 
     # gradient refinement of the true foot-space loss; each step evaluates
     # the loss and gradients once, at the candidate, and keeps both on accept
     tf_train = target_feet[train_idx]
-    w, b = weights, bias
     loss, grad_w, grad_b = refine_loss_and_grads(w, b, phi_tr, tf_train, geometry)
     init_train_mse = loss
     lr = refine_lr
