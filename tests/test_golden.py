@@ -5,27 +5,45 @@ changes the training hash; any change to the eval path (observation, env step,
 trace rows) changes the eval hash. A refactor that must be bit-identical keeps the literal; a
 change that alters the numerics on purpose updates it and says so.
 
-The literal was taken with numpy 2.4 on x86-64 (OpenBLAS); another BLAS or
+The literals were taken with numpy 2.4 on x86-64 (OpenBLAS); another BLAS or
 libm may round differently and give another hash with no change to the code.
+The training run's GEMMs round differently with another BLAS thread count, so
+it runs in a subprocess with BLAS pinned to one thread, as `bench/run.py` pins it.
 """
 
 import csv
 import hashlib
 import json
-from dataclasses import replace
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 
 from cpgrl.config import load_config
 from cpgrl.evaluate import constant_profile, run_eval
-from cpgrl.training import _new_policy, planner_from_config, train
+from cpgrl.training import _new_policy, planner_from_config
 
-DESK_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "desk_acceptance.yaml"
+ROOT = Path(__file__).resolve().parents[1]
+DESK_CONFIG = ROOT / "configs" / "desk_acceptance.yaml"
 
-GOLDEN_STATE = "2cf746edae6b71bbcd0657e7d6d538c7d55fb6e68fecf7efb020be6e61af8fd5"
-GOLDEN_METRICS = "a47e469b23a50872abb4a969c2772da369f6760ac12accfaf4edaea7b262000e"
+GOLDEN_STATE = "d9fac9749c4bcfb43dfc911575f38b67867e05dd89fe62effe40b28adf6037e8"
+GOLDEN_METRICS = "81662f833634191ec180e461ceefe9efb94be83f5389ef2048c6dc84f9017cd0"
+
+# two desk iterations with 8 envs; argv: config path, output directory
+TRAIN_SCRIPT = """
+import sys
+from dataclasses import replace
+from cpgrl.config import load_config
+from cpgrl.training import planner_from_config, train
+cfg = load_config(sys.argv[1])
+cfg = replace(cfg, train=replace(cfg.train, n_envs=8, iterations=2, checkpoint_every=2))
+planner, _report = planner_from_config(cfg)
+train(cfg, planner, sys.argv[2], log=None)
+"""
 GOLDEN_EVAL = "74226072b4106e6ecb242efbed36e74e435dba0d0aa8c9d713a21f89ad5a7fa6"
+GOLDEN_TRACE_CSV = "e057edd6ab4cc54cfe83bff4d4f15249f356348d3dfce07afcab10d6cc4291cd"
 
 
 def _state_hash(checkpoint) -> str:
@@ -53,20 +71,25 @@ def _metrics_hash(metrics_path) -> str:
 
 
 def test_desk_training_golden_hash(tmp_path):
-    cfg = load_config(DESK_CONFIG)
-    cfg = replace(cfg, train=replace(cfg.train, n_envs=8, iterations=2, checkpoint_every=2))
-    planner, _report = planner_from_config(cfg)
-    metrics = train(cfg, planner, tmp_path, log=None)
+    env = dict(os.environ)
+    # BLAS reads its thread count when numpy loads, so it is set before the child starts
+    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-c", TRAIN_SCRIPT, str(DESK_CONFIG), str(tmp_path)],
+                   env=env, check=True)
     assert _state_hash(tmp_path / "checkpoint_000002.npz") == GOLDEN_STATE
-    assert _metrics_hash(metrics) == GOLDEN_METRICS
+    assert _metrics_hash(tmp_path / "metrics.csv") == GOLDEN_METRICS
 
 
-def test_eval_golden_hash():
-    """A 2 s, n=1 eval of the fresh desk policy at 0.5 m/s, hashed over its trace."""
+def test_eval_golden_hash(tmp_path):
+    """A 2 s, n=1 eval of the fresh desk policy at 0.5 m/s, hashed over its
+    trace array and over the bytes of its trace.csv."""
     cfg = load_config(DESK_CONFIG)
     planner, _report = planner_from_config(cfg)
     policy = _new_policy(cfg, cfg.train.lr_init)
-    _summary, data = run_eval(cfg, planner, policy, constant_profile(0.5), 2.0)
+    trace = tmp_path / "trace.csv"
+    _summary, data = run_eval(cfg, planner, policy, constant_profile(0.5), 2.0, trace_path=trace)
     h = hashlib.sha256(str(data.shape).encode())
     h.update(np.ascontiguousarray(data, dtype=float).tobytes())
     assert h.hexdigest() == GOLDEN_EVAL
+    assert hashlib.sha256(trace.read_bytes()).hexdigest() == GOLDEN_TRACE_CSV
