@@ -87,11 +87,15 @@ def run_eval(cfg: RunConfig, planner: GaitPlannerModel, policy: GaussianPolicy |
     cfg = replace(cfg, sim=replace(cfg.sim, episode_limit=episode_limit))
     env = VecLocomotionEnv(cfg, planner, n_envs=1, train_mode=False)
     zero_cmd = np.zeros((1, 3))
-    rows = []
     falls = 0
     n_settle = int(round(settle_time * POLICY_RATE))
     n_steps = int(round(duration * POLICY_RATE))
     start_x = None
+    # the window's per-row state; the derived columns are computed after the loop
+    log = {name: np.empty((n_steps, width)) for name, width in (
+        ("t", 1), ("cmd", 3), ("pos", 3), ("rot", 4), ("linvel", 3), ("angvel", 3),
+        ("q", 12), ("qdot", 12), ("contacts", 4), ("terms", len(REWARD_TERMS)),
+        ("reward", 1))}
 
     for k in range(n_settle + n_steps):
         in_window = k >= n_settle
@@ -110,18 +114,29 @@ def run_eval(cfg: RunConfig, planner: GaitPlannerModel, policy: GaussianPolicy |
             start_x = float(env.pos[0, 0])
         if info["collision"][0]:
             falls += 1
-        rpy = quat.to_euler_zyx(env.rot[0])
-        vx_body = float(quat.rotate_inv(env.rot[0], env.linvel[0])[0])
-        feet_b = forward_kinematics_all(env.q[0], env.geometry)
-        feet_w = env.pos[0] + quat.rotate(env.rot[0], feet_b)
-        term_values = [float(info["terms"][name][0]) for name in REWARD_TERMS]
-        rows.append(
-            [t, *cmd, *env.pos[0], *rpy, *env.linvel[0], vx_body, *env.angvel[0],
-             *env.q[0], *env.qdot[0], *env.contacts[0].astype(int),
-             *feet_w.ravel(), *feet_b.ravel(), *term_values, float(rewards[0])]
-        )
+        i = k - n_settle
+        log["t"][i] = t
+        log["cmd"][i] = cmd
+        log["pos"][i] = env.pos[0]
+        log["rot"][i] = env.rot[0]
+        log["linvel"][i] = env.linvel[0]
+        log["angvel"][i] = env.angvel[0]
+        log["q"][i] = env.q[0]
+        log["qdot"][i] = env.qdot[0]
+        log["contacts"][i] = env.contacts[0]
+        log["terms"][i] = [info["terms"][name][0] for name in REWARD_TERMS]
+        log["reward"][i] = rewards[0]
 
-    data = np.array([[float(v) for v in row] for row in rows])
+    rot = log["rot"]
+    feet_b = forward_kinematics_all(log["q"], env.geometry)
+    feet_w = log["pos"][:, None, :] + quat.rotate(rot[:, None, :], feet_b)
+    data = np.concatenate(
+        [log["t"], log["cmd"], log["pos"], quat.to_euler_zyx(rot), log["linvel"],
+         quat.rotate_inv(rot, log["linvel"])[:, :1], log["angvel"], log["q"], log["qdot"],
+         log["contacts"], feet_w.reshape(n_steps, 12), feet_b.reshape(n_steps, 12),
+         log["terms"], log["reward"]],
+        axis=1,
+    )
     col = {name: i for i, name in enumerate(TRACE_COLUMNS)}
     summary = EvalSummary(
         duration=duration,
@@ -142,7 +157,11 @@ def run_eval(cfg: RunConfig, planner: GaitPlannerModel, policy: GaussianPolicy |
         with open(trace_path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(TRACE_COLUMNS)
-            writer.writerows(rows)
+            contact_cols = [col[f"contact_{name}"] for name in LEG_NAMES]
+            for row in data.tolist():
+                for j in contact_cols:
+                    row[j] = int(row[j])
+                writer.writerow(row)
     return summary, data
 
 

@@ -178,6 +178,7 @@ _LEG_PHASE = np.array([0.0, 0.5, 0.5, 0.0])
 
 
 def generate_demo_trot(
+    geometry: LegGeometry,
     freq: float = 1.5,
     clearance_front: float = 0.07,
     clearance_rear: float = 0.04,
@@ -186,7 +187,6 @@ def generate_demo_trot(
     sample_rate: float = 180.0,
     stand_height: float = 0.32,
     stance_x_offset: float = -0.06,
-    geometry: LegGeometry | None = None,
 ) -> DemoTrajectory:
     """Parametric trot: linear backward sweep in stance at constant height,
     half-sine vertical lift in swing peaking at the per-leg clearance.
@@ -204,7 +204,6 @@ def generate_demo_trot(
     if freq <= 0 or sample_rate <= 0:
         raise InvalidParams("freq and sample_rate must be positive")
 
-    geometry = geometry or LegGeometry()
     n = int(round(sample_rate / freq))
     if n < 8:
         raise InvalidParams("sample_rate too low to resolve one gait cycle")

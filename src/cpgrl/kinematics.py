@@ -20,12 +20,6 @@ import numpy as np
 LEG_NAMES = ("FR", "FL", "RR", "RL")
 LEG_INDEX = {name: i for i, name in enumerate(LEG_NAMES)}
 
-_DEFAULT_MOUNTS = (
-    (0.1881, -0.04675, 0.0),   # FR
-    (0.1881, 0.04675, 0.0),    # FL
-    (-0.1881, -0.04675, 0.0),  # RR
-    (-0.1881, 0.04675, 0.0),   # RL
-)
 _DEFAULT_SIDES = (-1.0, 1.0, -1.0, 1.0)
 
 
@@ -39,14 +33,16 @@ class Unreachable(ValueError):
 
 @dataclass(frozen=True)
 class LegGeometry:
-    """Link lengths and hip mount points shared by the four legs."""
+    """Link lengths and hip mount points shared by the four legs.
 
-    hip_offset: float = 0.08   # lateral offset from abduction axis, m
-    thigh_len: float = 0.213   # m
-    calf_len: float = 0.213    # m
-    hip_mounts: np.ndarray = field(
-        default_factory=lambda: np.array(_DEFAULT_MOUNTS)
-    )  # (4, 3) body frame
+    `RunConfig.leg_geometry()` fills the lengths and mounts from the robot
+    config; only the FR, FL, RR, RL side convention has a default.
+    """
+
+    hip_offset: float          # lateral offset from abduction axis, m
+    thigh_len: float           # m
+    calf_len: float            # m
+    hip_mounts: np.ndarray     # (4, 3) body frame
     side_signs: np.ndarray = field(
         default_factory=lambda: np.array(_DEFAULT_SIDES)
     )  # +1 left, -1 right

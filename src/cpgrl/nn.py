@@ -188,17 +188,32 @@ class Adam:
         self.m = np.zeros(n_params)
         self.v = np.zeros(n_params)
         self.t = 0
+        # scratch for the step's intermediates, so a step allocates nothing
+        self._a = np.empty(n_params)
+        self._b = np.empty(n_params)
 
     def step(self, params: np.ndarray, grads: np.ndarray) -> None:
-        """One update of params, m and v, all in place."""
+        """One update of params, m and v, all in place.
+
+        params -= lr * m_hat / (sqrt(v_hat) + eps), with every product and
+        quotient in the order of that formula.
+        """
+        a, b = self._a, self._b
         self.t += 1
         self.m *= self.beta1
-        self.m += (1.0 - self.beta1) * grads
+        np.multiply(1.0 - self.beta1, grads, out=a)
+        self.m += a
         self.v *= self.beta2
-        self.v += (1.0 - self.beta2) * grads * grads
-        m_hat = self.m / (1.0 - self.beta1**self.t)
-        v_hat = self.v / (1.0 - self.beta2**self.t)
-        params -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        np.multiply(1.0 - self.beta2, grads, out=a)
+        a *= grads
+        self.v += a
+        np.divide(self.m, 1.0 - self.beta1**self.t, out=a)           # m_hat
+        np.divide(self.v, 1.0 - self.beta2**self.t, out=b)           # v_hat
+        np.sqrt(b, out=b)
+        b += self.eps
+        np.multiply(self.lr, a, out=a)
+        a /= b
+        params -= a
 
     def state_dict(self) -> dict:
         return {"m": self.m.copy(), "v": self.v.copy(), "t": self.t, "lr": self.lr}

@@ -54,9 +54,13 @@ def rotate_inv(q, v):
 
 
 def _rotate(w, u, v):
-    """v + 2 (w (u x v) + u x (u x v)) for the quaternion with parts w, u."""
-    uv = _cross(u, v)
-    uuv = _cross(u, uv)
+    """v + 2 (w (u x v) + u x (u x v)) for the quaternion with parts w, u.
+
+    Both cross products are _cross's, sharing one gather of u's components.
+    """
+    u_yzx, u_zxy = u[..., _YZX], u[..., _ZXY]
+    uv = u_yzx * v[..., _ZXY] - u_zxy * v[..., _YZX]
+    uuv = u_yzx * uv[..., _ZXY] - u_zxy * uv[..., _YZX]
     return v + 2.0 * (w * uv + uuv)
 
 

@@ -79,8 +79,21 @@ class EnvParams:
 
 
 def pd_torque(q_star, q, qdot, kp: float, kd: float, tau_limit: float) -> np.ndarray:
-    """Joint torque clamp(kp*(q*-q) - kd*qdot, +-tau_limit)."""
-    return np.clip(kp * (q_star - q) - kd * qdot, -tau_limit, tau_limit)
+    """Joint torque clamp(kp*(q*-q) - kd*qdot, +-tau_limit).
+
+    A maximum/minimum pair costs a quarter of np.clip at n = 1. On a tie both
+    return their second operand, so with scalar bounds the bound goes first:
+    that gives np.clip's result, sign of zero included.
+    """
+    return np.minimum(tau_limit, np.maximum(-tau_limit, kp * (q_star - q) - kd * qdot))
+
+
+def clamp_joints(q, joint_limits) -> np.ndarray:
+    """np.clip(q, joint_limits[0], joint_limits[1]) for (2, 12) limits.
+
+    With array bounds np.clip ties like the input-first order (see pd_torque).
+    """
+    return np.minimum(np.maximum(q, joint_limits[0]), joint_limits[1])
 
 
 def contact_force(foot_pos, foot_vel, params: EnvParams, friction):
@@ -123,13 +136,10 @@ def _matvec3(m, v):
 
 
 def _matvec3_t(m, v):
-    """(..., 3, 3)^T @ (..., 3)."""
-    x = m[..., 0, 0] * v[..., 0] + m[..., 1, 0] * v[..., 1] + m[..., 2, 0] * v[..., 2]
-    out = np.empty(x.shape + (3,))
-    out[..., 0] = x
-    out[..., 1] = m[..., 0, 1] * v[..., 0] + m[..., 1, 1] * v[..., 1] + m[..., 2, 1] * v[..., 2]
-    out[..., 2] = m[..., 0, 2] * v[..., 0] + m[..., 1, 2] * v[..., 1] + m[..., 2, 2] * v[..., 2]
-    return out
+    """(..., 3, 3)^T @ (..., 3) as a sum of m's rows, in the same order as _matvec3."""
+    return (
+        m[..., 0, :] * v[..., 0:1] + m[..., 1, :] * v[..., 1:2] + m[..., 2, :] * v[..., 2:3]
+    )
 
 
 def _step_core(pos, rot, linvel, angvel, q, qdot, air, ep_time,
@@ -146,26 +156,30 @@ def _step_core(pos, rot, linvel, angvel, q, qdot, air, ep_time,
     feet_b = forward_kinematics_all(q, geom)                      # (..., 4, 3)
     jac_b = leg_jacobian_all(q, geom)                             # (..., 4, 3, 3)
     rot4 = rot[..., None, :]
-    feet_w = pos[..., None, :] + quat.rotate(rot4, feet_b)
-
     qdot_legs = np.reshape(qdot, qdot.shape[:-1] + (4, 3))
     v_feet_b = _matvec3(jac_b, qdot_legs)
-    v_feet_w = linvel[..., None, :] + quat.rotate(
-        rot4, quat.cross(angvel[..., None, :], feet_b) + v_feet_b
-    )
+    # rotation is per vector, so the feet and their velocities rotate in one call
+    feet_v_w = quat.rotate(rot4, np.concatenate(
+        [feet_b, quat.cross(angvel[..., None, :], feet_b) + v_feet_b], axis=-2))
+    feet_w = pos[..., None, :] + feet_v_w[..., :4, :]
+    v_feet_w = linvel[..., None, :] + feet_v_w[..., 4:, :]
 
     f_w, pen = contact_force(feet_w, v_feet_w, params,
                              np.asarray(friction, dtype=float)[..., None])
+    torque_w = quat.cross(feet_w - pos[..., None, :], f_w).sum(axis=-2)
+    # the foot forces and the trunk torque go to the body frame in one call
+    wrench_b = quat.rotate_inv(rot4, np.concatenate([f_w, torque_w[..., None, :]], axis=-2))
+    f_b = wrench_b[..., :4, :]
+    torque_b = wrench_b[..., 4, :]
 
     # contact reaction projected onto the joints; ground force flexes the leg
-    f_b = quat.rotate_inv(rot4, f_w)
     joint_reaction = _matvec3_t(jac_b, f_b)                       # (..., 4, 3)
     joint_reaction = np.reshape(joint_reaction, qdot.shape)
 
     qddot = (tau + joint_reaction) / params.reflected_inertia
     qdot_new = qdot + dt * qddot
     q_unclamped = q + dt * qdot_new
-    q_new = np.clip(q_unclamped, params.joint_limits[0], params.joint_limits[1])
+    q_new = clamp_joints(q_unclamped, params.joint_limits)
     qdot_new = np.where(q_new != q_unclamped, 0.0, qdot_new)
 
     # trunk wrench: contact forces, their moments about the COM, gravity;
@@ -177,8 +191,6 @@ def _step_core(pos, rot, linvel, angvel, q, qdot, air, ep_time,
     linvel_new = linvel + dt * accel
     pos_new = pos + dt * linvel_new
 
-    torque_w = quat.cross(feet_w - pos[..., None, :], f_w).sum(axis=-2)
-    torque_b = quat.rotate_inv(rot, torque_w)
     inertia = params.trunk_inertia
     ang_mom = inertia * angvel
     gyro = quat.cross(angvel, ang_mom)

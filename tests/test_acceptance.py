@@ -30,7 +30,6 @@ from cpgrl.gait_planner import (
     refine_loss_and_grads,
 )
 from cpgrl.kinematics import (
-    LegGeometry,
     forward_kinematics,
     forward_kinematics_all,
     inverse_kinematics,
@@ -51,7 +50,7 @@ from cpgrl.simulator import _step_core, contact_force
 from cpgrl.task import REWARD_TERMS, RewardWeights, reward_terms_arrays
 from cpgrl.training import load_checkpoint, planner_from_config, policy_from_checkpoint, train
 
-GEOM = LegGeometry()
+GEOM = RunConfig().leg_geometry()
 NOMINAL_Q = standing_pose(GEOM, 0.32)
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cpgrl.config import RunConfig
 from cpgrl.gait_planner import (
     DemoTrajectory,
     FitReport,
@@ -30,10 +31,10 @@ from cpgrl.gait_planner import (
     save_demo_csv,
     save_planner_model,
 )
-from cpgrl.kinematics import LegGeometry, forward_kinematics_all, standing_pose
+from cpgrl.kinematics import forward_kinematics_all, standing_pose
 from cpgrl.oscillator import OscillatorParams
 
-GEOM = LegGeometry()
+GEOM = RunConfig().leg_geometry()
 NOMINAL_Q = standing_pose(GEOM, 0.32)
 
 
@@ -137,11 +138,11 @@ def test_demo_trot_stance_fraction():
 
 def test_demo_trot_rejects_bad_params():
     with pytest.raises(InvalidParams):
-        generate_demo_trot(stance_fraction=0.3)
+        generate_demo_trot(GEOM, stance_fraction=0.3)
     with pytest.raises(InvalidParams):
-        generate_demo_trot(clearance_front=-0.01)
+        generate_demo_trot(GEOM, clearance_front=-0.01)
     with pytest.raises(InvalidParams):
-        generate_demo_trot(freq=0.0)
+        generate_demo_trot(GEOM, freq=0.0)
 
 
 # ---------------------------------------------------------------- csv io

@@ -1,12 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from conftest import assert_same_bits, with_special_lanes
+from cpgrl.config import RunConfig
 from cpgrl.kinematics import (
     LEG_INDEX,
-    LegGeometry,
     Unreachable,
     forward_kinematics,
     forward_kinematics_all,
@@ -16,8 +18,8 @@ from cpgrl.kinematics import (
     standing_pose,
 )
 
-GEOM = LegGeometry(hip_mounts=np.zeros((4, 3)))  # mounts at origin for hand checks
-GO1 = LegGeometry()
+GO1 = RunConfig().leg_geometry()
+GEOM = replace(GO1, hip_mounts=np.zeros((4, 3)))  # mounts at origin for hand checks
 FR = LEG_INDEX["FR"]
 FL = LEG_INDEX["FL"]
 
@@ -192,7 +194,7 @@ def test_standing_pose_height():
 
 def test_geometry_validation():
     with pytest.raises(ValueError):
-        LegGeometry(thigh_len=-0.1)
+        replace(GO1, thigh_len=-0.1)
 
 
 # ---------------------------------------------------------------- bitwise oracles

@@ -100,6 +100,29 @@ def test_from_rotvec_zero_and_tiny_angles_bitwise():
     assert_same_bits(quat.from_rotvec(r[0]), concat_from_rotvec(r[0]))
 
 
+@st.composite
+def rotations_of_two_blocks(draw):
+    """(lead, 1, 4) quaternions and two (lead, k, 3) vector blocks, any float64."""
+    lead = draw(st.sampled_from([(), (1,), (64,)]))
+    k = draw(st.integers(1, 4))
+    floats = st.floats(width=64, allow_nan=True, allow_infinity=True)
+    q = draw(arrays(np.float64, lead + (1, 4), elements=floats))
+    a = draw(arrays(np.float64, lead + (4, 3), elements=floats))
+    b = draw(arrays(np.float64, lead + (k, 3), elements=floats))
+    return q, a, b
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@given(rotations_of_two_blocks())
+def test_rotating_a_concatenation_equals_concatenated_rotations(sample):
+    """`_step_core` rotates feet with their velocities, and forces with the
+    torque, in one call each."""
+    q, a, b = sample
+    for rotate in (quat.rotate, quat.rotate_inv):
+        joined = rotate(q, np.concatenate([a, b], axis=-2))
+        assert_same_bits(joined, np.concatenate([rotate(q, a), rotate(q, b)], axis=-2))
+
+
 # ------------------------------------------------- properties
 
 quats = arrays(np.float64, 4, elements=st.floats(-1.0, 1.0)).filter(

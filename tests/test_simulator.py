@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import assert_same_bits, with_special_lanes
+from conftest import SPECIAL_LANES, assert_same_bits, with_special_lanes
 from cpgrl import quat
 from cpgrl.config import RunConfig
 from cpgrl.env import VecLocomotionEnv
@@ -14,6 +14,7 @@ from cpgrl.simulator import (
     NumericalDivergence,
     _matvec3_t,
     _step_core,
+    clamp_joints,
     contact_force,
     pd_torque,
     trunk_clearance,
@@ -78,6 +79,38 @@ def test_pd_torque_derivative():
 def test_pd_torque_clamps():
     tau = pd_torque(np.full(12, 1.0), np.zeros(12), np.zeros(12), 75.0, 1.5, 23.7)
     np.testing.assert_allclose(tau, 23.7)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("tau_limit", [23.7, 0.0])
+def test_pd_torque_bitwise_equal_to_np_clip(tau_limit):
+    """Every pre-clamp value in SPECIAL_LANES and on either bound, and random
+    inputs with special lanes, clamp as np.clip does, sign of zero included."""
+    lanes = np.concatenate([SPECIAL_LANES, [tau_limit, -tau_limit, 5.0, -5.0, 40.0, -40.0]])
+    x = np.repeat(lanes[:, None], 12, axis=1)
+    zeros = np.zeros(12)
+    assert_same_bits(pd_torque(x, zeros, zeros, 1.0, 0.0, tau_limit),
+                     np.clip(x, -tau_limit, tau_limit))
+    rng = np.random.default_rng(3)
+    q_star, q, qdot = (with_special_lanes(rng, (64, 12)) for _ in range(3))
+    assert_same_bits(pd_torque(q_star, q, qdot, 75.0, 1.5, tau_limit),
+                     np.clip(75.0 * (q_star - q) - 1.5 * qdot, -tau_limit, tau_limit))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_clamp_joints_bitwise_equal_to_np_clip():
+    """(12,) bounds with 0.0 and -0.0 on either side, against every input lane."""
+    limits = np.array([
+        [-0.0, 0.0, -0.0, 0.0, -0.5, -0.5, -0.0, 0.0, -1.0, 0.0, -np.inf, -0.0],
+        [0.0, -0.0, -0.0, 0.0, -0.0, 0.0, 0.5, 0.5, 1.0, 1.0, 0.0, np.inf],
+    ])
+    lanes = np.concatenate([SPECIAL_LANES, [0.5, -0.5, 1.0, -1.0, 2.0, -2.0]])
+    x = np.repeat(lanes[:, None], 12, axis=1)
+    assert_same_bits(clamp_joints(x, limits), np.clip(x, limits[0], limits[1]))
+    q = with_special_lanes(np.random.default_rng(4), (64, 12))
+    assert_same_bits(clamp_joints(q, limits), np.clip(q, limits[0], limits[1]))
+    assert_same_bits(clamp_joints(q, PARAMS.joint_limits),
+                     np.clip(q, PARAMS.joint_limits[0], PARAMS.joint_limits[1]))
 
 
 # ---------------------------------------------------------------- contact
