@@ -30,6 +30,8 @@ DESK_CONFIG = ROOT / "configs" / "desk_acceptance.yaml"
 
 GOLDEN_STATE = "d9fac9749c4bcfb43dfc911575f38b67867e05dd89fe62effe40b28adf6037e8"
 GOLDEN_METRICS = "81662f833634191ec180e461ceefe9efb94be83f5389ef2048c6dc84f9017cd0"
+GOLDEN_EVAL = "74226072b4106e6ecb242efbed36e74e435dba0d0aa8c9d713a21f89ad5a7fa6"
+GOLDEN_TRACE_CSV = "e057edd6ab4cc54cfe83bff4d4f15249f356348d3dfce07afcab10d6cc4291cd"
 
 # two desk iterations with 8 envs; argv: config path, output directory
 TRAIN_SCRIPT = """
@@ -42,8 +44,6 @@ cfg = replace(cfg, train=replace(cfg.train, n_envs=8, iterations=2, checkpoint_e
 planner, _report = planner_from_config(cfg)
 train(cfg, planner, sys.argv[2], log=None)
 """
-GOLDEN_EVAL = "74226072b4106e6ecb242efbed36e74e435dba0d0aa8c9d713a21f89ad5a7fa6"
-GOLDEN_TRACE_CSV = "e057edd6ab4cc54cfe83bff4d4f15249f356348d3dfce07afcab10d6cc4291cd"
 
 
 def _state_hash(checkpoint) -> str:
@@ -76,7 +76,7 @@ def test_desk_training_golden_hash(tmp_path):
     env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     subprocess.run([sys.executable, "-c", TRAIN_SCRIPT, str(DESK_CONFIG), str(tmp_path)],
-                   env=env, check=True)
+                   env=env, check=True, timeout=600)
     assert _state_hash(tmp_path / "checkpoint_000002.npz") == GOLDEN_STATE
     assert _metrics_hash(tmp_path / "metrics.csv") == GOLDEN_METRICS
 
