@@ -197,6 +197,11 @@ class RunConfig:
             raise ConfigError("train.n_envs must be >= 1")
         if self.train.horizon < 1:
             raise ConfigError("train.horizon must be >= 1")
+        if self.train.horizon * self.train.n_envs < self.train.ppo.n_minibatches:
+            raise ConfigError(
+                f"train.horizon * train.n_envs ({self.train.horizon * self.train.n_envs}) "
+                f"must be >= train.ppo.n_minibatches ({self.train.ppo.n_minibatches}); "
+                "a minibatch would be empty")
         if self.train.iterations < 0:
             raise ConfigError("train.iterations must be >= 0")
         if self.planner.h < 1:

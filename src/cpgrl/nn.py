@@ -5,6 +5,8 @@ across runs and resume, and every gradient is checked against central finite
 differences in the test suite.
 """
 
+import math
+
 import numpy as np
 
 
@@ -12,24 +14,50 @@ class DimensionMismatch(ValueError):
     pass
 
 
-def elu(x):
+def elu(x, out=None, scratch=None):
     """max(0, x) + min(0, expm1(x)) of a float array, without a masked select.
 
     Bit-identical to np.where(x > 0, x, np.expm1(x)) for every input,
     including -0.0 (the 0.0 operands come first, so np.maximum and np.minimum
-    return the -0.0), +-inf, NaN and subnormals. Two output buffers and no
-    temporaries: fresh allocations dominate at the (1024, 128) rollout size.
+    return the -0.0), +-inf, NaN and subnormals. Two buffers of x's shape and
+    no temporaries: `out` receives the result and `scratch` the expm1 term,
+    each freshly allocated when not given. Neither may alias x.
     """
-    out = np.maximum(0.0, x, out=np.empty_like(x))
-    neg = np.expm1(x, out=np.empty_like(x))
+    out = np.maximum(0.0, x, out=np.empty_like(x) if out is None else out)
+    neg = np.expm1(x, out=np.empty_like(x) if scratch is None else scratch)
     out += np.minimum(0.0, neg, out=neg)
     return out
 
 
-def elu_grad(x):
-    """Derivative of elu; bit-identical to np.where(x > 0, 1.0, np.exp(x))."""
-    out = np.exp(x, out=np.empty_like(x))
+def elu_grad(x, out=None):
+    """Derivative of elu; bit-identical to np.where(x > 0, 1.0, np.exp(x)).
+
+    Written into `out` when given, which may not alias x if x is still needed.
+    """
+    out = np.exp(x, out=np.empty_like(x) if out is None else out)
     return np.minimum(out, 1.0, out=out)
+
+
+class Workspace:
+    """Named scratch arrays that are reused from call to call.
+
+    take(name, shape) returns a C-contiguous view of that shape into the
+    name's flat buffer: its first prod(shape) elements, so the rows of a
+    smaller batch are the leading rows of a larger one. The buffer is
+    reallocated only when a request needs more elements than it holds, so
+    batches of one size allocate nothing after the first. The next take of
+    the same name hands out the same memory again.
+    """
+
+    def __init__(self):
+        self._flat = {}
+
+    def take(self, name, shape) -> np.ndarray:
+        size = math.prod(shape)
+        flat = self._flat.get(name)
+        if flat is None or flat.size < size:
+            flat = self._flat[name] = np.empty(size)
+        return flat[:size].reshape(shape)
 
 
 def layer_views(flat: np.ndarray, sizes):
@@ -59,10 +87,16 @@ class Mlp:
     Weights and biases are views into the flat `params` buffer, their
     gradients views into `grads`. A network inside a larger model is handed
     zeroed slices of the model's buffers; a standalone one allocates its own.
+
+    forward_cached and backward write every batch-sized array into
+    workspaces: the cache into the net's own, and the ELU scratch and the
+    backward's running gradient into `scratch`, which nets whose calls never
+    overlap (the actor and the critic of one policy) may share.
     """
 
     def __init__(self, sizes, rng: np.random.Generator, out_scale: float = 1.0,
-                 params: np.ndarray | None = None, grads: np.ndarray | None = None):
+                 params: np.ndarray | None = None, grads: np.ndarray | None = None,
+                 scratch: Workspace | None = None):
         if len(sizes) < 2:
             raise ValueError("need at least input and output sizes")
         self.sizes = tuple(int(s) for s in sizes)
@@ -76,6 +110,8 @@ class Mlp:
             limit = np.sqrt(6.0 / (n_in + n_out))
             w[...] = rng.uniform(-limit, limit, size=(n_in, n_out))
         self.weights[-1] *= out_scale
+        self._cache = Workspace()
+        self._scratch = Workspace() if scratch is None else scratch
 
     @property
     def n_layers(self) -> int:
@@ -96,36 +132,50 @@ class Mlp:
         return x
 
     def forward_cached(self, x: np.ndarray):
-        """Forward pass keeping pre-activations for backward()."""
+        """Forward pass keeping inputs and pre-activations for backward().
+
+        The output and the cache are views into this net's workspace: the
+        next forward_cached on the same net overwrites them. backward() only
+        reads the cache, so it may run on it any number of times.
+        """
         x = np.asarray(x, dtype=float)
         if x.shape[-1] != self.sizes[0]:
             raise DimensionMismatch(f"input width {x.shape[-1]} != {self.sizes[0]}")
+        lead = x.shape[:-1]
         inputs = [x]
         pres = []
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            pre = inputs[-1] @ w + b
+            shape = lead + (w.shape[1],)
+            pre = np.matmul(inputs[-1], w, out=self._cache.take(("pre", i), shape))
+            pre += b
             pres.append(pre)
             if i < self.n_layers - 1:
-                inputs.append(elu(pre))
+                inputs.append(elu(pre, out=self._cache.take(("act", i), shape),
+                                  scratch=self._scratch.take("elu", shape)))
         return pres[-1], (inputs, pres)
 
     def backward(self, cache, grad_out: np.ndarray) -> np.ndarray:
         """Parameter gradients for a batch; grad_out is dLoss/d(output).
 
         Overwrites every slot of the `grads` buffer and returns it; batch
-        items are summed, so the caller bakes any 1/N into grad_out.
+        items are summed, so the caller bakes any 1/N into grad_out. The
+        running gradient lives in two scratch buffers: "elu" holds
+        g * elu_grad(pre) of the layer at hand, "g" its product with the
+        layer's weights, the next layer's g.
         """
         inputs, pres = cache
         g = np.asarray(grad_out, dtype=float)
         for i in range(self.n_layers - 1, -1, -1):
             if i < self.n_layers - 1:
-                g = g * elu_grad(pres[i])
+                d = elu_grad(pres[i], out=self._scratch.take("elu", pres[i].shape))
+                g = np.multiply(g, d, out=d)
             x = inputs[i]
             g2 = g.reshape(-1, g.shape[-1])
             np.matmul(x.reshape(-1, x.shape[-1]).T, g2, out=self.grad_ws[i])
             g2.sum(axis=0, out=self.grad_bs[i])
             if i > 0:
-                g = g @ self.weights[i].T
+                g = np.matmul(g, self.weights[i].T,
+                              out=self._scratch.take("g", g.shape[:-1] + (self.sizes[i],)))
         return self.grads
 
 
@@ -171,9 +221,14 @@ class RunningNorm:
         return {"count": self.count, "mean": self.mean.copy(), "var": self.var.copy()}
 
     def load_state_dict(self, state: dict) -> None:
+        mean = np.asarray(state["mean"], dtype=float)
+        var = np.asarray(state["var"], dtype=float)
+        if mean.shape != (self.dim,) or var.shape != (self.dim,):
+            raise DimensionMismatch(
+                f"expected {self.dim} normalizer slots, got {mean.size} and {var.size}")
         self.count = float(state["count"])
-        self.mean = np.asarray(state["mean"], dtype=float).copy()
-        self.var = np.asarray(state["var"], dtype=float).copy()
+        self.mean = mean.copy()
+        self.var = var.copy()
 
 
 class Adam:

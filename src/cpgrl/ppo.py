@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import Adam, Mlp, RunningNorm, mlp_n_params
+from .nn import Adam, Mlp, RunningNorm, Workspace, mlp_n_params
 
 LOG_2PI = np.log(2.0 * np.pi)
 
@@ -55,7 +55,9 @@ class GaussianPolicy:
 
     `params` holds actor | critic | log_std and `grads` their gradients in the
     same layout; the networks' weights and biases and `log_std` are views into
-    `params`, so they are only ever written in place.
+    `params`, so they are only ever written in place. `workspace` holds the
+    update's minibatch gathers and the scratch that the actor and the critic
+    share.
     """
 
     def __init__(self, obs_dim: int, action_dim: int, hidden,
@@ -67,9 +69,11 @@ class GaussianPolicy:
         c = a + mlp_n_params(critic_sizes)
         self.params = np.zeros(c + action_dim)
         self.grads = np.zeros(c + action_dim)
+        self.workspace = Workspace()
         self.actor = Mlp(actor_sizes, rng, out_scale=actor_out_scale,
-                         params=self.params[:a], grads=self.grads[:a])
-        self.critic = Mlp(critic_sizes, rng, params=self.params[a:c], grads=self.grads[a:c])
+                         params=self.params[:a], grads=self.grads[:a], scratch=self.workspace)
+        self.critic = Mlp(critic_sizes, rng, params=self.params[a:c], grads=self.grads[a:c],
+                          scratch=self.workspace)
         self.log_std = self.params[c:]
         self.log_std[...] = float(log_std_init)
         self.grad_log_std = self.grads[c:]
@@ -280,9 +284,16 @@ def minibatch_grads(policy: GaussianPolicy, obs, actions, old_logp, advantages,
 
 def ppo_update(policy: GaussianPolicy, optimizer: Adam, buffer: RolloutBuffer,
                config: PpoConfig, rng: np.random.Generator) -> UpdateStats:
-    """Epochs of shuffled minibatch steps; lr adapts per epoch on mean KL."""
+    """Epochs of shuffled minibatch steps; lr adapts per epoch on mean KL.
+
+    Each minibatch is gathered into the policy's workspace, so the arrays
+    minibatch_grads receives are overwritten by the next minibatch.
+    """
     config.validate()
     n = buffer.size
+    if n < config.n_minibatches:
+        raise ValueError(
+            f"{n} transitions cannot fill {config.n_minibatches} minibatches")
     obs = buffer.observations.reshape(n, -1)
     actions = buffer.actions.reshape(n, -1)
     old_logp = buffer.log_probs.reshape(n)
@@ -297,6 +308,12 @@ def ppo_update(policy: GaussianPolicy, optimizer: Adam, buffer: RolloutBuffer,
     returns = returns.reshape(n)
     advantages = (advantages - advantages.mean()) / (advantages.std() + 1e-8)
 
+    def gather(name, source, idx):
+        # idx is a slice of a permutation of range(n), so no index can clip;
+        # mode="raise" would copy through a fresh temporary
+        out = policy.workspace.take(name, (idx.size,) + source.shape[1:])
+        return np.take(source, idx, axis=0, out=out, mode="clip")
+
     stats = {"policy_loss": [], "value_loss": [], "entropy": [], "kl": []}
     for epoch in range(config.n_epochs):
         perm = rng.permutation(n)
@@ -305,9 +322,10 @@ def ppo_update(policy: GaussianPolicy, optimizer: Adam, buffer: RolloutBuffer,
         for k, idx in enumerate(splits):
             try:
                 grads, pl, vl, ent, kl = minibatch_grads(
-                    policy, obs[idx], actions[idx], old_logp[idx],
-                    advantages[idx], returns[idx], config,
-                    old_means=old_means[idx], old_log_std=old_log_std,
+                    policy, gather("obs", obs, idx), gather("actions", actions, idx),
+                    gather("old_logp", old_logp, idx), gather("advantages", advantages, idx),
+                    gather("returns", returns, idx), config,
+                    old_means=gather("old_means", old_means, idx), old_log_std=old_log_std,
                 )
             except FloatingPointError:
                 raise NonFiniteLoss(epoch, k) from None

@@ -3,6 +3,7 @@ import pytest
 
 from cpgrl.config import RunConfig
 from cpgrl.gait_planner import MotorLayer, build_planner, fitted_planner
+from cpgrl.nn import elu, elu_grad
 
 # values a rewritten kernel must carry through bit for bit: both zeros, both infinities, NaN
 SPECIAL_LANES = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
@@ -36,6 +37,35 @@ def with_special_lanes(rng, shape, share=0.2):
     mask = rng.random(shape) < share
     x[mask] = rng.choice(SPECIAL_LANES, size=int(mask.sum()))
     return x
+
+
+def allocating_forward_cached(net, x):
+    """The earlier Mlp.forward_cached, which allocated every array it cached."""
+    x = np.asarray(x, dtype=float)
+    inputs = [x]
+    pres = []
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        pre = inputs[-1] @ w + b
+        pres.append(pre)
+        if i < net.n_layers - 1:
+            inputs.append(elu(pre))
+    return pres[-1], (inputs, pres)
+
+
+def allocating_backward(net, cache, grad_out):
+    """The earlier Mlp.backward, which allocated the running gradient per layer."""
+    inputs, pres = cache
+    g = np.asarray(grad_out, dtype=float)
+    for i in range(net.n_layers - 1, -1, -1):
+        if i < net.n_layers - 1:
+            g = g * elu_grad(pres[i])
+        x = inputs[i]
+        g2 = g.reshape(-1, g.shape[-1])
+        np.matmul(x.reshape(-1, x.shape[-1]).T, g2, out=net.grad_ws[i])
+        g2.sum(axis=0, out=net.grad_bs[i])
+        if i > 0:
+            g = g @ net.weights[i].T
+    return net.grads
 
 
 @pytest.fixture(scope="session")

@@ -57,6 +57,8 @@ def test_validation_catches_bad_values():
         config_from_dict({"commands": {"vx_range": [1.0, -1.0]}})
     with pytest.raises(ConfigError):
         config_from_dict({"cpg": {"tick_rate": 100.0}})  # != 1/sim.dt
+    with pytest.raises(ConfigError, match="minibatch"):
+        config_from_dict({"train": {"n_envs": 1, "horizon": 2, "ppo": {"n_minibatches": 4}}})
     for width in (-0.1, float("inf"), float("nan")):
         with pytest.raises(ConfigError):
             config_from_dict({"dr": {"noise_joint_vel": width}})

@@ -212,6 +212,21 @@ def test_cli_train_negative_gain_exit_code(fitted, tmp_path, capsys):
     assert "gains must be >= 0" in capsys.readouterr().err
 
 
+def test_cli_train_empty_minibatch_exit_code(fitted, tmp_path, capsys):
+    """1 env x 2 steps cannot fill 4 minibatches: a config error (2), not the
+    non-finite loss of an empty minibatch (3)."""
+    cfg, planner = fitted
+    train = replace(cfg.train, n_envs=1, horizon=2, ppo=replace(cfg.train.ppo, n_minibatches=4))
+    cfg_path = tmp_path / "tiny_batch.yaml"
+    save_config(replace(cfg, train=train), cfg_path)
+    model = tmp_path / "planner.npz"
+    save_planner_model(planner, model)
+    rc = main(["train", "--config", str(cfg_path), "--model", str(model),
+               "--out", str(tmp_path / "train")])
+    assert rc == 2
+    assert "minibatch" in capsys.readouterr().err
+
+
 def test_cli_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["bc-fit", "--bogus-flag"])

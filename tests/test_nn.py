@@ -4,8 +4,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import assert_same_bits, central_difference
-from cpgrl.nn import Adam, DimensionMismatch, Mlp, elu, elu_grad
+from conftest import (
+    SPECIAL_LANES,
+    allocating_backward,
+    allocating_forward_cached,
+    assert_same_bits,
+    central_difference,
+)
+from cpgrl.nn import Adam, DimensionMismatch, Mlp, RunningNorm, Workspace, elu, elu_grad
 
 
 def test_elu_values():
@@ -132,6 +138,44 @@ def test_backward_overwrites_every_gradient_slot():
     assert_same_bits(net.grads, fresh)
 
 
+def signed_zero_lanes(rng, shape, special_row=False):
+    """Standard normals with a fifth of the entries +-0, and optionally the
+    last row's leading entries set to SPECIAL_LANES. An inf or NaN reaches
+    every unit of its row and every weight gradient, so at most one row has
+    them and the other calls stay finite."""
+    x = rng.normal(size=shape)
+    zeros = rng.random(shape) < 0.2
+    x[zeros] = rng.choice([0.0, -0.0], size=int(zeros.sum()))
+    if special_row:
+        x[-1, :SPECIAL_LANES.size] = SPECIAL_LANES
+    return x
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_workspace_path_bitwise_equal_to_allocating_formulas():
+    """Two nets sharing one scratch workspace, called in minibatch_grads' order
+    (forward, forward, backward, backward), over a grow-shrink-grow row
+    sequence; each backward runs twice on its cache."""
+    sizes = [61, 128, 64, 32, 12]
+    scratch = Workspace()
+    nets = [Mlp(sizes, np.random.default_rng(s), scratch=scratch) for s in (7, 8)]
+    twins = [Mlp(sizes, np.random.default_rng(s)) for s in (7, 8)]
+    rng = np.random.default_rng(9)
+    for rows in (1, 3, 384, 3, 1, 384, 3):
+        x = signed_zero_lanes(rng, (rows, sizes[0]), special_row=rows == 3)
+        runs = [net.forward_cached(x) for net in nets]
+        refs = [allocating_forward_cached(twin, x) for twin in twins]
+        for (out, (inputs, pres)), (ref_out, (ref_inputs, ref_pres)) in zip(runs, refs):
+            assert_same_bits(out, ref_out)
+            for a, b in zip(inputs + pres, ref_inputs + ref_pres, strict=True):
+                assert_same_bits(a, b)
+        for net, twin, (_, cache), (_, ref_cache) in zip(nets, twins, runs, refs):
+            grad_out = signed_zero_lanes(rng, (rows, sizes[-1]))
+            expected = allocating_backward(twin, ref_cache, grad_out)
+            assert_same_bits(net.backward(cache, grad_out), expected)
+            assert_same_bits(net.backward(cache, grad_out), expected)
+
+
 def test_out_scale_shrinks_last_layer():
     rng1 = np.random.default_rng(6)
     rng2 = np.random.default_rng(6)
@@ -139,6 +183,19 @@ def test_out_scale_shrinks_last_layer():
     b = Mlp([4, 8, 3], rng2, out_scale=0.01)
     np.testing.assert_array_equal(a.weights[0], b.weights[0])
     np.testing.assert_allclose(b.weights[-1], a.weights[-1] * 0.01)
+
+
+@pytest.mark.parametrize("size", [1, 60], ids=["length-1", "one-short"])
+@pytest.mark.parametrize("field", ["mean", "var"])
+def test_running_norm_state_of_wrong_size_rejected(field, size):
+    """A checkpoint's normalizer of the wrong size fails at load; a length-1
+    state would otherwise broadcast over all 61 slots."""
+    norm = RunningNorm(61)
+    state = {"count": 5.0, "mean": np.zeros(61), "var": np.ones(61), field: np.ones(size)}
+    with pytest.raises(DimensionMismatch):
+        norm.load_state_dict(state)
+    norm.load_state_dict({**state, field: np.ones(61)})
+    assert norm.normalize(np.ones(61)).shape == (61,)
 
 
 def test_adam_converges_on_quadratic():

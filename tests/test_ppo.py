@@ -1,8 +1,20 @@
+import ast
+import os
+import subprocess
+import sys
+from dataclasses import astuple
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from conftest import central_difference
-from cpgrl.nn import Adam
+from conftest import (
+    allocating_backward,
+    allocating_forward_cached,
+    assert_same_bits,
+    central_difference,
+)
+from cpgrl.nn import Adam, Mlp
 from cpgrl.ppo import (
     LOG_2PI,
     GaussianPolicy,
@@ -315,6 +327,106 @@ def test_non_finite_loss_aborts():
     optimizer = Adam(policy.n_params, lr=policy.lr)
     with pytest.raises(NonFiniteLoss):
         ppo_update(policy, optimizer, buf, PpoConfig(), np.random.default_rng(21))
+
+
+def allocating_ppo_update(policy, optimizer, buffer, config, rng):
+    """The earlier ppo_update, which gathered every minibatch by fancy indexing."""
+    n = buffer.size
+    obs = buffer.observations.reshape(n, -1)
+    actions = buffer.actions.reshape(n, -1)
+    old_logp = buffer.log_probs.reshape(n)
+    old_means = buffer.action_means.reshape(n, -1)
+    advantages, returns = gae(buffer.rewards, buffer.values, buffer.dones,
+                              buffer.bootstrap_values, config.gamma, config.gae_lambda)
+    advantages = advantages.reshape(n)
+    returns = returns.reshape(n)
+    advantages = (advantages - advantages.mean()) / (advantages.std() + 1e-8)
+    stats = {"policy_loss": [], "value_loss": [], "entropy": [], "kl": []}
+    for _ in range(config.n_epochs):
+        epoch_kl = []
+        for idx in np.array_split(rng.permutation(n), config.n_minibatches):
+            grads, pl, vl, ent, kl = minibatch_grads(
+                policy, obs[idx], actions[idx], old_logp[idx], advantages[idx],
+                returns[idx], config, old_means[idx], buffer.sample_log_std)
+            optimizer.lr = policy.lr
+            optimizer.step(policy.params, grads)
+            for key, value in zip(stats, (pl, vl, ent, kl)):
+                stats[key].append(value)
+            epoch_kl.append(kl)
+        policy.lr = adaptive_lr(policy.lr, float(np.mean(epoch_kl)), config.desired_kl,
+                                config.lr_min, config.lr_max)
+    return UpdateStats(*(float(np.mean(v)) for v in stats.values()), new_lr=policy.lr)
+
+
+def test_update_bitwise_equal_to_allocating_update(monkeypatch):
+    """15 transitions in 4 minibatches of 4/4/4/3 rows, so every epoch shrinks
+    and regrows the workspace's views; +-0 lanes in the observations."""
+    def run(update):
+        policy = toy_policy(seed=24)
+        buf = toy_buffer(policy, seed=25, horizon=5, n_envs=3)
+        buf.observations[0, 0, :3] = [0.0, -0.0, 0.0]
+        buf.observations[2, 1, 2:4] = -0.0
+        optimizer = Adam(policy.n_params, lr=policy.lr)
+        stats = update(policy, optimizer, buf, PpoConfig(), np.random.default_rng(26))
+        return policy, optimizer, stats
+
+    policy, optimizer, stats = run(ppo_update)
+    with monkeypatch.context() as m:
+        m.setattr(Mlp, "forward_cached", allocating_forward_cached)
+        m.setattr(Mlp, "backward", allocating_backward)
+        ref_policy, ref_optimizer, ref_stats = run(allocating_ppo_update)
+    assert_same_bits(policy.params, ref_policy.params)
+    assert_same_bits(optimizer.m, ref_optimizer.m)
+    assert_same_bits(optimizer.v, ref_optimizer.v)
+    assert_same_bits(astuple(stats), astuple(ref_stats))
+
+
+def test_update_rejects_an_empty_minibatch():
+    """1 x 2 transitions cannot fill 4 minibatches: a usage error raised before
+    any step, not a non-finite loss from the empty one."""
+    policy = toy_policy(seed=27)
+    buf = toy_buffer(policy, seed=28, horizon=1, n_envs=2)
+    before = policy.get_flat()
+    optimizer = Adam(policy.n_params, lr=policy.lr)
+    with pytest.raises(ValueError, match="minibatches"):
+        ppo_update(policy, optimizer, buf, PpoConfig(n_minibatches=4), np.random.default_rng(29))
+    np.testing.assert_array_equal(policy.params, before)
+
+
+def desk_update_faults():
+    """Minor page faults of three desk-shaped updates (64 x 24 transitions,
+    128/64/32 nets, 4 minibatches), each on a fresh buffer as in training."""
+    import resource
+
+    policy = GaussianPolicy(61, 12, (128, 64, 32), np.random.default_rng(30))
+    optimizer = Adam(policy.n_params, lr=policy.lr)
+    rng = np.random.default_rng(31)
+    faults = []
+    for seed in (32, 33, 34):
+        buf = toy_buffer(policy, seed=seed, horizon=24, n_envs=64)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        ppo_update(policy, optimizer, buf, PpoConfig(), rng)
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    return faults
+
+
+def test_update_does_not_fault_in_its_temporaries():
+    """After a warm-up, an update makes at most a few hundred minor faults.
+
+    Allocating the minibatch temporaries per call made 6,000-15,000 per
+    update: glibc handed them back to the OS and faulted them in again,
+    zeroed. Whether it does depends on the heap's history (its thresholds
+    adapt to earlier frees), so the count is taken in a fresh process."""
+    pytest.importorskip("resource")
+    tests = Path(__file__).parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(tests), str(tests.parent / "src"), env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import test_ppo; print(test_ppo.desk_update_faults())"],
+        env=env, check=True, timeout=600, capture_output=True, text=True).stdout
+    faults = ast.literal_eval(out.strip().splitlines()[-1])
+    assert max(faults[1:]) <= 300, faults
 
 
 def test_buffer_capacity():
