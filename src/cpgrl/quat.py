@@ -1,9 +1,7 @@
 """Quaternion helpers, (w, x, y, z) convention, body-to-world rotation.
 
 All functions broadcast over leading axes and are written componentwise so a
-batched call produces bit-identical results to per-item calls, except in
-which NaN a NaN lane holds: numpy's vector and scalar loops return different
-input NaNs of NaN + NaN, and IEEE 754 leaves that choice open.
+batched call produces bit-identical results to per-item calls.
 
 The kernels build their outputs by index gathers and by writes into
 `np.empty` arrays, not by `np.stack`/`np.concatenate`, whose call overhead

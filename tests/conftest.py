@@ -16,21 +16,6 @@ def assert_same_bits(a, b):
     np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
-def assert_same_bits_any_nan(a, b):
-    """assert_same_bits, except that a NaN lane need only be NaN in both.
-
-    IEEE 754 leaves open which input NaN an operation on two NaNs returns, and
-    numpy's vector and scalar loops for a commutative ufunc (`a + b`) return
-    different ones, so a NaN's sign and payload can depend on the array's
-    length. Every other lane, signed zeros and infinities included, must match.
-    """
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    assert a.shape == b.shape
-    np.testing.assert_array_equal(np.isnan(a), np.isnan(b))
-    keep = ~np.isnan(a)
-    np.testing.assert_array_equal(a[keep].view(np.uint64), b[keep].view(np.uint64))
-
-
 def central_difference(params, idx, h, loss):
     """(loss() at params[idx] + h  -  loss() at params[idx] - h) / 2h.
 
