@@ -286,8 +286,9 @@ def ppo_update(policy: GaussianPolicy, optimizer: Adam, buffer: RolloutBuffer,
                config: PpoConfig, rng: np.random.Generator) -> UpdateStats:
     """Epochs of shuffled minibatch steps; lr adapts per epoch on mean KL.
 
-    Each minibatch is gathered into the policy's workspace, so the arrays
-    minibatch_grads receives are overwritten by the next minibatch.
+    Each minibatch's observations are gathered into the policy's workspace,
+    so the obs array minibatch_grads receives is overwritten by the next
+    minibatch.
     """
     config.validate()
     n = buffer.size
@@ -308,24 +309,22 @@ def ppo_update(policy: GaussianPolicy, optimizer: Adam, buffer: RolloutBuffer,
     returns = returns.reshape(n)
     advantages = (advantages - advantages.mean()) / (advantages.std() + 1e-8)
 
-    def gather(name, source, idx):
-        # idx is a slice of a permutation of range(n), so no index can clip;
-        # mode="raise" would copy through a fresh temporary
-        out = policy.workspace.take(name, (idx.size,) + source.shape[1:])
-        return np.take(source, idx, axis=0, out=out, mode="clip")
-
     stats = {"policy_loss": [], "value_loss": [], "entropy": [], "kl": []}
     for epoch in range(config.n_epochs):
         perm = rng.permutation(n)
         splits = np.array_split(perm, config.n_minibatches)
         epoch_kl = []
         for k, idx in enumerate(splits):
+            # only the (rows, obs_dim) gather is large enough to fault in when
+            # allocated; idx is a slice of a permutation of range(n), so no index
+            # can clip, and mode="raise" would copy through a fresh temporary
+            mb_obs = np.take(obs, idx, axis=0, mode="clip",
+                             out=policy.workspace.take("obs", (idx.size, obs.shape[1])))
             try:
                 grads, pl, vl, ent, kl = minibatch_grads(
-                    policy, gather("obs", obs, idx), gather("actions", actions, idx),
-                    gather("old_logp", old_logp, idx), gather("advantages", advantages, idx),
-                    gather("returns", returns, idx), config,
-                    old_means=gather("old_means", old_means, idx), old_log_std=old_log_std,
+                    policy, mb_obs, actions[idx], old_logp[idx],
+                    advantages[idx], returns[idx], config,
+                    old_means=old_means[idx], old_log_std=old_log_std,
                 )
             except FloatingPointError:
                 raise NonFiniteLoss(epoch, k) from None
