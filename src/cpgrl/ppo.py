@@ -56,8 +56,8 @@ class GaussianPolicy:
     `params` holds actor | critic | log_std and `grads` their gradients in the
     same layout; the networks' weights and biases and `log_std` are views into
     `params`, so they are only ever written in place. `workspace` holds the
-    update's minibatch gathers and the scratch that the actor and the critic
-    share.
+    update's minibatch observation gather and the scratch that the actor and
+    the critic share.
     """
 
     def __init__(self, obs_dim: int, action_dim: int, hidden,
