@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -112,15 +112,34 @@ def rotations_of_two_blocks(draw):
     return q, a, b
 
 
+def assert_same_bits_where_not_nan(a, b):
+    """NaN in the same lanes, identical bits (signed zeros and infinities
+    included) in every other lane.
+
+    IEEE 754 leaves the sign and payload of a produced NaN unspecified, and
+    numpy picks its ufunc loop by array length, so which NaN a lane holds can
+    depend on how many rows were rotated together. No output can show it:
+    the simulator's divergence check raises on any NaN.
+    """
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    nan = np.isnan(a)
+    np.testing.assert_array_equal(nan, np.isnan(b))
+    assert_same_bits(np.where(nan, 0.0, a), np.where(nan, 0.0, b))
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @given(rotations_of_two_blocks())
+# with a zero quaternion, 0 * inf makes one NaN and 0 * nan passes on another;
+# the 5-row and the 1-row rotation keep NaNs of opposite sign
+@example((np.zeros((1, 4)), np.zeros((4, 3)), np.array([[np.nan, np.inf, np.inf]])))
 def test_rotating_a_concatenation_equals_concatenated_rotations(sample):
     """`_step_core` rotates feet with their velocities, and forces with the
     torque, in one call each."""
     q, a, b = sample
     for rotate in (quat.rotate, quat.rotate_inv):
         joined = rotate(q, np.concatenate([a, b], axis=-2))
-        assert_same_bits(joined, np.concatenate([rotate(q, a), rotate(q, b)], axis=-2))
+        assert_same_bits_where_not_nan(
+            joined, np.concatenate([rotate(q, a), rotate(q, b)], axis=-2))
 
 
 # ------------------------------------------------- properties
