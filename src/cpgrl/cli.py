@@ -102,8 +102,7 @@ def cmd_eval(args) -> int:
     if args.profile == "constant":
         profile = constant_profile(args.command)
     else:
-        profile = ramp_profile(peak=args.command if args.command else 1.0,
-                               duration=args.duration)
+        profile = ramp_profile(peak=args.command, duration=args.duration)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_config(cfg, out / "config.yaml")

@@ -12,6 +12,7 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 import numpy as np
 import yaml
 
+from .gait_planner import DemoConfig, PlannerConfig
 from .kinematics import LegGeometry
 from .oscillator import OscillatorParams
 from .ppo import PpoConfig
@@ -22,13 +23,6 @@ from .task import RewardWeights
 
 class ConfigError(ValueError):
     """Configuration failed validation; the CLI maps this to exit code 2."""
-
-
-@dataclass(frozen=True)
-class PlannerConfig:
-    h: int = 20
-    sigma: float = 0.1
-    burn_in_ticks: int = 5000
 
 
 @dataclass(frozen=True)
@@ -79,19 +73,6 @@ class RewardConfig:
 
 
 @dataclass(frozen=True)
-class DemoConfig:
-    """Synthetic trot demonstration parameters for the fitting pipeline."""
-
-    freq: float = 1.5
-    clearance_front: float = 0.07
-    clearance_rear: float = 0.04
-    step_length: float = 0.2
-    stance_fraction: float = 0.6
-    sample_rate: float = 180.0
-    stance_x_offset: float = -0.06
-
-
-@dataclass(frozen=True)
 class CommandConfig:
     vx_range: tuple = (-1.0, 1.0)
     vy_range: tuple = (-1.0, 1.0)
@@ -110,7 +91,6 @@ class TrainingConfig:
     hidden: tuple = (512, 256, 128)
     log_std_init: float = -1.0
     actor_out_scale: float = 0.01
-    normalize_obs: bool = True
     n_envs: int = 64
     horizon: int = 24
     iterations: int = 300
@@ -188,6 +168,7 @@ class RunConfig:
         try:
             self.cpg.validate()
             self.dr.validate()
+            self.curriculum.validate()
             self.train.ppo.validate()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc

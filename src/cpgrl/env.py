@@ -3,11 +3,9 @@
 State lives in stacked arrays that the broadcast-friendly simulator and
 task kernels step in one call, so batched stepping is bit-identical to
 stepping each env's slice alone. Each env owns its RNG stream,
-seeded from (master seed, env index), which makes whole runs reproducible
+seeded from (cfg.seed, env index), which makes whole runs reproducible
 and env streams mutually independent.
 """
-
-from dataclasses import replace
 
 import numpy as np
 
@@ -45,8 +43,7 @@ class VecLocomotionEnv:
     """Lockstep batch of simulated quadrupeds driven by residual actions."""
 
     def __init__(self, cfg: RunConfig, planner: GaitPlannerModel,
-                 n_envs: int | None = None, master_seed: int | None = None,
-                 train_mode: bool = True):
+                 n_envs: int | None = None, train_mode: bool = True):
         cfg.validate()
         self.cfg = cfg
         self.base_params = cfg.env_params()
@@ -54,8 +51,7 @@ class VecLocomotionEnv:
         self.nominal_q = self.base_params.nominal_q
         self.n = int(n_envs if n_envs is not None else cfg.train.n_envs)
         self.train_mode = train_mode
-        seed = cfg.seed if master_seed is None else master_seed
-        self.rngs = [np.random.default_rng([seed, 1000 + i]) for i in range(self.n)]
+        self.rngs = [np.random.default_rng([cfg.seed, 1000 + i]) for i in range(self.n)]
 
         self.baseline = planner.baseline_table()                      # (T, 12)
         self.desired_feet = planner.desired_feet_table(self.geometry)  # (T, 4, 3)
@@ -148,11 +144,9 @@ class VecLocomotionEnv:
 
         # impulse perturbations on episode-time boundaries
         if self.train_mode and self.cfg.dr.apply_impulses and curriculum is not None:
-            cap = min(curriculum.impulse_mag_cap, self.cfg.dr.impulse_mag_range[1])
-            schedule = replace(curriculum, impulse_mag_cap=cap)
             t_next = ((self.ep_steps + 1) * POLICY_DT).tolist()
             for i, (rng, t) in enumerate(zip(self.rngs, t_next)):
-                dv = schedule_impulse(rng, t, schedule, dt=POLICY_DT)
+                dv = schedule_impulse(rng, t, curriculum, dt=POLICY_DT)
                 if dv is not None:
                     self.linvel[i, :2] += dv
 

@@ -62,7 +62,7 @@ class SchemaError(ValueError):
 @dataclass(frozen=True)
 class RbfLayer:
     centers: np.ndarray  # (H, 2) points on the oscillator limit cycle
-    sigma: float = 0.1
+    sigma: float
 
     def __post_init__(self):
         object.__setattr__(self, "centers", np.asarray(self.centers, dtype=float))
@@ -126,22 +126,22 @@ def planner_forward(state, model: GaitPlannerModel) -> np.ndarray:
     return acts @ model.motor.weights + model.motor.bias
 
 
-def build_planner(
-    params: OscillatorParams | None = None,
-    h: int = 20,
-    sigma: float = 0.1,
-    burn_in_ticks: int = 5000,
-    nominal_q: np.ndarray | None = None,
-) -> GaitPlannerModel:
+@dataclass(frozen=True)
+class PlannerConfig:
+    h: int = 20
+    sigma: float = 0.1
+    burn_in_ticks: int = 5000
+
+
+def build_planner(params: OscillatorParams, config: PlannerConfig,
+                  nominal_q: np.ndarray) -> GaitPlannerModel:
     """Planner with centers on the limit cycle and a zero (unfitted) motor map.
 
-    The bias starts at nominal_q (or zero) so an unfitted planner holds a pose.
+    The bias starts at nominal_q so an unfitted planner holds a pose.
     """
-    params = params or OscillatorParams()
-    orbit = find_limit_cycle(params, burn_in_ticks)
-    rbf = RbfLayer(centers=sample_rbf_centers(orbit, h), sigma=sigma)
-    bias = np.zeros(12) if nominal_q is None else np.asarray(nominal_q, dtype=float)
-    motor = MotorLayer(weights=np.zeros((h, 12)), bias=bias)
+    orbit = find_limit_cycle(params, config.burn_in_ticks)
+    rbf = RbfLayer(centers=sample_rbf_centers(orbit, config.h), sigma=config.sigma)
+    motor = MotorLayer(weights=np.zeros((config.h, 12)), bias=nominal_q)
     return GaitPlannerModel(params=params, orbit=orbit, rbf=rbf, motor=motor)
 
 
@@ -177,26 +177,34 @@ class DemoTrajectory:
 _LEG_PHASE = np.array([0.0, 0.5, 0.5, 0.0])
 
 
-def generate_demo_trot(
-    geometry: LegGeometry,
-    freq: float = 1.5,
-    clearance_front: float = 0.07,
-    clearance_rear: float = 0.04,
-    step_length: float = 0.2,
-    stance_fraction: float = 0.6,
-    sample_rate: float = 180.0,
-    stand_height: float = 0.32,
-    stance_x_offset: float = -0.06,
-) -> DemoTrajectory:
+@dataclass(frozen=True)
+class DemoConfig:
+    """Synthetic trot demonstration parameters for the fitting pipeline.
+
+    A sample_rate of 180 Hz puts exactly 120 samples in a 1.5 Hz cycle, so
+    the swing apex lands exactly on a sample. The backward stance offset
+    keeps the support line behind the COM, countering the tail-down pitch
+    that stance-sweep friction otherwise induces in an open-loop trot on
+    point feet.
+    """
+
+    freq: float = 1.5
+    clearance_front: float = 0.07
+    clearance_rear: float = 0.04
+    step_length: float = 0.2
+    stance_fraction: float = 0.6
+    sample_rate: float = 180.0
+    stance_x_offset: float = -0.06
+
+
+def generate_demo_trot(demo: DemoConfig, geometry: LegGeometry,
+                       stand_height: float) -> DemoTrajectory:
     """Parametric trot: linear backward sweep in stance at constant height,
     half-sine vertical lift in swing peaking at the per-leg clearance.
-
-    The default sample_rate of 180 Hz puts exactly 120 samples in a 1.5 Hz
-    cycle, so the swing apex lands exactly on a sample. The default backward
-    stance offset keeps the support line behind the COM, countering the
-    tail-down pitch that stance-sweep friction otherwise induces in an
-    open-loop trot on point feet.
     """
+    freq, sample_rate = demo.freq, demo.sample_rate
+    stance_fraction, step_length = demo.stance_fraction, demo.step_length
+    clearance_front, clearance_rear = demo.clearance_front, demo.clearance_rear
     if not (0.5 <= stance_fraction < 1.0):
         raise InvalidParams(f"stance_fraction must be in [0.5, 1), got {stance_fraction}")
     if min(clearance_front, clearance_rear, step_length) <= 0:
@@ -230,14 +238,14 @@ def generate_demo_trot(
             * np.sin(np.pi * (phase - stance_fraction) / (1.0 - stance_fraction)),
         )
         center = geometry.hip_mounts[leg] + np.array(
-            [stance_x_offset, geometry.side_signs[leg] * geometry.hip_offset, 0.0]
+            [demo.stance_x_offset, geometry.side_signs[leg] * geometry.hip_offset, 0.0]
         )
         feet[leg, :, 0] = center[0] + x
         feet[leg, :, 1] = center[1]
         feet[leg, :, 2] = z
-    demo = DemoTrajectory(feet=feet, sample_rate=sample_rate, gait_frequency=freq)
-    demo.validate()
-    return demo
+    trajectory = DemoTrajectory(feet=feet, sample_rate=sample_rate, gait_frequency=freq)
+    trajectory.validate()
+    return trajectory
 
 
 _CSV_COLUMNS = ("t", "leg", "x", "y", "z")

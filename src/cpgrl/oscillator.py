@@ -87,7 +87,7 @@ def step_oscillator(state, params: OscillatorParams) -> np.ndarray:
 _SEED_STATE = np.array([0.2, 0.0])
 
 
-def find_limit_cycle(params: OscillatorParams, burn_in_ticks: int = 5000) -> PeriodicOrbit:
+def find_limit_cycle(params: OscillatorParams, burn_in_ticks: int) -> PeriodicOrbit:
     """Iterate to convergence, then sample one period of the limit cycle.
 
     The period is the integer tick count between consecutive positive-going

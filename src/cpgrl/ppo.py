@@ -61,8 +61,8 @@ class GaussianPolicy:
     """
 
     def __init__(self, obs_dim: int, action_dim: int, hidden,
-                 rng: np.random.Generator, log_std_init: float = -1.0,
-                 lr: float = 1e-3, actor_out_scale: float = 0.01):
+                 rng: np.random.Generator, *, log_std_init: float, lr: float,
+                 actor_out_scale: float):
         actor_sizes = [obs_dim, *hidden, action_dim]
         critic_sizes = [obs_dim, *hidden, 1]
         a = mlp_n_params(actor_sizes)
@@ -196,8 +196,8 @@ def gae(rewards, values, dones, bootstrap_value, gamma: float, lam: float):
     return advantages, advantages + values
 
 
-def adaptive_lr(lr: float, approx_kl: float, desired_kl: float = 0.01,
-                lo: float = 1e-6, hi: float = 1e-2) -> float:
+def adaptive_lr(lr: float, approx_kl: float, desired_kl: float, lo: float,
+                hi: float) -> float:
     """Shrink on KL overshoot, grow when updates are timid; clamped."""
     if lr <= 0:
         raise ValueError("lr must be positive")

@@ -7,7 +7,7 @@ a master seed and envs are mutually independent.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -28,7 +28,6 @@ class RandomizationConfig:
 
     mass_offset_range: tuple = (-1.0, 1.0)        # kg, added to the base mass
     friction_range: tuple = (0.5, 1.25)           # absolute coefficient
-    impulse_mag_range: tuple = (-1.8, 1.8)        # m/s, hard bound on impulses
     impulse_interval_init: float = 15.0           # s
     noise_ang_vel: float = 0.05                   # rad/s
     noise_gravity: float = 0.05                   # unitless
@@ -39,7 +38,7 @@ class RandomizationConfig:
     add_noise: bool = True
 
     def validate(self) -> None:
-        for name in ("mass_offset_range", "friction_range", "impulse_mag_range"):
+        for name in ("mass_offset_range", "friction_range"):
             lo, hi = getattr(self, name)
             if lo > hi:
                 raise ValueError(f"{name}: low {lo} > high {hi}")
@@ -60,27 +59,31 @@ class CurriculumConfig:
     interval_floor: float = 5.0     # s
     cap_init: float = 1.0           # m/s
     cap_max: float = 1.8            # m/s, Table bound on impulse magnitude
-    ema_decay: float = 0.99
+
+    def validate(self) -> None:
+        if not 0.0 <= self.cap_init <= self.cap_max:
+            raise ValueError(f"curriculum.cap_init ({self.cap_init}) must be in "
+                             f"[0, cap_max ({self.cap_max})]")
+        if not self.interval_floor > 0:
+            raise ValueError("curriculum.interval_floor must be positive")
 
 
 @dataclass(frozen=True)
 class CurriculumState:
-    impulse_interval: float = 15.0
-    impulse_mag_cap: float = 1.0
-    tracking_reward_ema: float = 0.0
+    impulse_interval: float
+    impulse_mag_cap: float
 
 
 def initial_curriculum(config: CurriculumConfig, dr: RandomizationConfig) -> CurriculumState:
     return CurriculumState(
         impulse_interval=dr.impulse_interval_init,
         impulse_mag_cap=config.cap_init,
-        tracking_reward_ema=0.0,
     )
 
 
-def sample_command_values(rng: np.random.Generator, ranges=None) -> np.ndarray:
-    """One (vx*, vy*, wz*) draw; per-component uniform ranges, default [-1, 1]."""
-    ranges = np.asarray(ranges if ranges is not None else [(-1, 1)] * 3, dtype=float)
+def sample_command_values(rng: np.random.Generator, ranges) -> np.ndarray:
+    """One (vx*, vy*, wz*) draw from per-component uniform ranges."""
+    ranges = np.asarray(ranges, dtype=float)
     return rng.uniform(ranges[:, 0], ranges[:, 1])
 
 
@@ -130,22 +133,20 @@ def add_sensor_noise(obs: np.ndarray, rng: np.random.Generator,
 
 def curriculum_update(cur: CurriculumState, tracking_fraction: float,
                       config: CurriculumConfig) -> CurriculumState:
-    """Harden perturbations when tracking is good; EMA tracks progress."""
+    """Harden perturbations when tracking is good; the cap never exceeds cap_max."""
     if not (0.0 <= tracking_fraction <= 1.0):
         raise ValueError(f"tracking fraction must be in [0, 1], got {tracking_fraction}")
-    ema = config.ema_decay * cur.tracking_reward_ema + (1.0 - config.ema_decay) * tracking_fraction
-    if tracking_fraction >= config.threshold:
-        return CurriculumState(
-            impulse_interval=max(cur.impulse_interval * config.interval_multiplier,
-                                 config.interval_floor),
-            impulse_mag_cap=min(cur.impulse_mag_cap * config.cap_multiplier, config.cap_max),
-            tracking_reward_ema=ema,
-        )
-    return replace(cur, tracking_reward_ema=ema)
+    if tracking_fraction < config.threshold:
+        return cur
+    return CurriculumState(
+        impulse_interval=max(cur.impulse_interval * config.interval_multiplier,
+                             config.interval_floor),
+        impulse_mag_cap=min(cur.impulse_mag_cap * config.cap_multiplier, config.cap_max),
+    )
 
 
 def schedule_impulse(rng: np.random.Generator, t: float, cur: CurriculumState,
-                     dt: float = 0.02):
+                     dt: float):
     """Impulse delta-v when t crosses an interval boundary within the last dt.
 
     The env passes t as a Python float, so the test runs on math.floor

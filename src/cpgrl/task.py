@@ -70,7 +70,7 @@ def build_observation_arrays(
     return np.concatenate(parts, axis=-1)
 
 
-def compose_action(q_cpg, q_rlfc, residual_limit: float = 0.6) -> np.ndarray:
+def compose_action(q_cpg, q_rlfc, residual_limit: float) -> np.ndarray:
     """Joint target = planner baseline + clamped policy residual."""
     q_cpg = np.asarray(q_cpg, dtype=float)
     residual = np.clip(np.asarray(q_rlfc, dtype=float), -residual_limit, residual_limit)

@@ -1,9 +1,10 @@
 """Residual-policy training: the planner stays frozen while PPO trains the
 feedback policy on top of it.
 
-Checkpoints capture everything mutable (policy, optimizer moments, env state
-arrays, every RNG stream, curriculum), so an interrupted run resumed from its
-checkpoint reproduces subsequent metrics bit-identically.
+Checkpoints capture everything mutable (policy, observation normalizer,
+optimizer moments, env state arrays, every RNG stream, curriculum), so an
+interrupted run resumed from its checkpoint reproduces subsequent metrics
+bit-identically.
 """
 
 import csv
@@ -33,26 +34,15 @@ from .task import OBS_DIM, REWARD_TERMS
 ACTION_DIM = 12
 _POLICY_STREAM = 500
 _TRAIN_STREAM = 501
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 def planner_from_config(cfg: RunConfig, demo=None):
     """The behavior-cloning pipeline: oscillator, centers, fitted motor map."""
     geometry = cfg.leg_geometry()
-    nominal_q = cfg.env_params().nominal_q
-    model = build_planner(
-        cfg.cpg, h=cfg.planner.h, sigma=cfg.planner.sigma,
-        burn_in_ticks=cfg.planner.burn_in_ticks, nominal_q=nominal_q,
-    )
+    model = build_planner(cfg.cpg, cfg.planner, cfg.env_params().nominal_q)
     if demo is None:
-        d = cfg.demo
-        demo = generate_demo_trot(
-            freq=d.freq, clearance_front=d.clearance_front,
-            clearance_rear=d.clearance_rear, step_length=d.step_length,
-            stance_fraction=d.stance_fraction, sample_rate=d.sample_rate,
-            stand_height=cfg.robot.stand_height, stance_x_offset=d.stance_x_offset,
-            geometry=geometry,
-        )
+        demo = generate_demo_trot(cfg.demo, geometry, cfg.robot.stand_height)
     motor, report = fit_motor_layer(demo, model, geometry, split_seed=cfg.seed)
     return fitted_planner(model, motor), report
 
@@ -107,37 +97,34 @@ def save_checkpoint(path, policy: GaussianPolicy, optimizer: Adam,
     env_state = env.state_dict()
     rng_states = env_state.pop("rng_states")
     adam = optimizer.state_dict()
+    norm = policy.obs_norm.state_dict()
     meta = {
         "version": CHECKPOINT_VERSION,
         "iteration": iteration,
         "policy_lr": policy.lr,
         "adam_t": adam["t"],
         "adam_lr": adam["lr"],
+        "norm_count": norm["count"],
         "hidden": list(cfg.train.hidden),
         "curriculum": {
             "impulse_interval": curriculum.impulse_interval,
             "impulse_mag_cap": curriculum.impulse_mag_cap,
-            "tracking_reward_ema": curriculum.tracking_reward_ema,
         },
         "train_rng": train_rng.bit_generator.state,
         "env_rngs": rng_states,
         "config": config_to_dict(cfg),
         "config_hash": config_hash(cfg),
     }
-    arrays = {f"env_{k}": v for k, v in env_state.items()}
-    if policy.obs_norm is not None:
-        norm = policy.obs_norm.state_dict()
-        arrays["norm_mean"] = norm["mean"]
-        arrays["norm_var"] = norm["var"]
-        meta["norm_count"] = norm["count"]
     savez_atomic(
         path,
         policy_flat=policy.params,
         adam_m=adam["m"],
         adam_v=adam["v"],
+        norm_mean=norm["mean"],
+        norm_var=norm["var"],
         meta=np.array(json.dumps(meta)),
         **planner_arrays(planner, prefix="planner_"),
-        **arrays,
+        **{f"env_{k}": v for k, v in env_state.items()},
     )
 
 
@@ -153,11 +140,9 @@ def load_checkpoint(path) -> dict:
                           "t": meta["adam_t"], "lr": meta["adam_lr"]},
             "planner": planner_from_arrays(data, prefix="planner_"),
             "env_arrays": {k[4:]: data[k] for k in data.files if k.startswith("env_")},
-            "obs_norm": None,
+            "obs_norm": {"count": meta["norm_count"], "mean": data["norm_mean"],
+                         "var": data["norm_var"]},
         }
-        if "norm_mean" in data.files:
-            out["obs_norm"] = {"count": meta["norm_count"], "mean": data["norm_mean"],
-                               "var": data["norm_var"]}
     out["config"] = config_from_dict(meta["config"])
     return out
 
@@ -180,13 +165,17 @@ def truncate_metrics(path, iteration: int) -> None:
 
 
 def _new_policy(cfg: RunConfig, lr: float) -> GaussianPolicy:
-    """Fresh policy drawn from the seed's policy stream."""
-    return GaussianPolicy(
+    """Fresh policy drawn from the seed's policy stream, with an empty
+    observation normalizer (which passes observations through unchanged
+    until its first update)."""
+    policy = GaussianPolicy(
         OBS_DIM, ACTION_DIM, cfg.train.hidden,
         np.random.default_rng([cfg.seed, _POLICY_STREAM]),
         log_std_init=cfg.train.log_std_init, lr=lr,
         actor_out_scale=cfg.train.actor_out_scale,
     )
+    policy.obs_norm = RunningNorm(OBS_DIM)
+    return policy
 
 
 def policy_from_checkpoint(ck: dict) -> GaussianPolicy:
@@ -196,9 +185,7 @@ def policy_from_checkpoint(ck: dict) -> GaussianPolicy:
         raise DimensionMismatch(
             f"checkpoint holds {flat.size} policy params, the config gives {policy.n_params}")
     policy.params[...] = flat
-    if ck["obs_norm"] is not None:
-        policy.obs_norm = RunningNorm(OBS_DIM)
-        policy.obs_norm.load_state_dict(ck["obs_norm"])
+    policy.obs_norm.load_state_dict(ck["obs_norm"])
     return policy
 
 
@@ -216,8 +203,6 @@ def train(cfg: RunConfig, planner: GaitPlannerModel, out_dir,
 
     env = VecLocomotionEnv(cfg, planner, train_mode=True)
     policy = _new_policy(cfg, cfg.train.lr_init)
-    if cfg.train.normalize_obs:
-        policy.obs_norm = RunningNorm(OBS_DIM)
     optimizer = Adam(policy.n_params, lr=policy.lr)
     train_rng = np.random.default_rng([cfg.seed, _TRAIN_STREAM])
     curriculum = initial_curriculum(cfg.curriculum, cfg.dr)

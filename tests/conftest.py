@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,16 @@ def assert_same_bits(a, b):
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     assert a.shape == b.shape
     np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def set_checkpoint_version(path, version):
+    """Rewrite a checkpoint's meta as if a program of that format wrote it."""
+    with np.load(path) as data:
+        arrays = dict(data)
+    meta = json.loads(str(arrays["meta"]))
+    meta["version"] = version
+    arrays["meta"] = np.array(json.dumps(meta))
+    np.savez(path, **arrays)
 
 
 def central_difference(params, idx, h, loss):
@@ -72,8 +84,7 @@ def allocating_backward(net, cache, grad_out):
 def planner():
     """A planner with a small random motor map: cheap, no behavior cloning."""
     cfg = RunConfig()
-    model = build_planner(cfg.cpg, h=cfg.planner.h, sigma=cfg.planner.sigma,
-                          nominal_q=cfg.env_params().nominal_q)
+    model = build_planner(cfg.cpg, cfg.planner, cfg.env_params().nominal_q)
     rng = np.random.default_rng(0)
     motor = MotorLayer(weights=rng.normal(scale=0.02, size=(cfg.planner.h, 12)),
                        bias=cfg.env_params().nominal_q)

@@ -18,6 +18,7 @@ from cpgrl.config import RunConfig
 from cpgrl.env import VecLocomotionEnv, substeps_per_policy_step
 from cpgrl.evaluate import constant_profile, contact_gait_stats, run_eval
 from cpgrl.gait_planner import (
+    DemoConfig,
     RbfLayer,
     build_planner,
     circular_xcorr_lag,
@@ -50,7 +51,8 @@ from cpgrl.simulator import _step_core, contact_force
 from cpgrl.task import REWARD_TERMS, RewardWeights, reward_terms_arrays
 from cpgrl.training import load_checkpoint, planner_from_config, policy_from_checkpoint, train
 
-GEOM = RunConfig().leg_geometry()
+CFG = RunConfig()
+GEOM = CFG.leg_geometry()
 NOMINAL_Q = standing_pose(GEOM, 0.32)
 
 
@@ -64,7 +66,7 @@ def report(num: int, name: str, detail: str, ok: bool) -> None:
 def test_criterion_1_oscillator_period():
     t0 = time.perf_counter()
     params = OscillatorParams(phi=np.pi / 60, alpha=0.01, tick_rate=200.0)
-    orbit = find_limit_cycle(params)
+    orbit = find_limit_cycle(params, CFG.planner.burn_in_ticks)
     elapsed = time.perf_counter() - t0
     freq = orbit.frequency(200.0)
     ok = abs(orbit.period_ticks - 120) <= 1 and 1.5 <= freq <= 1.8 and elapsed < 1.0
@@ -126,9 +128,9 @@ def test_criterion_3_kinematics():
 
 def test_criterion_4_behavior_cloning():
     t0 = time.perf_counter()
-    demo = generate_demo_trot(freq=1.5, clearance_front=0.07, clearance_rear=0.04,
-                              geometry=GEOM)
-    planner = build_planner(OscillatorParams(), h=20, sigma=0.1, nominal_q=NOMINAL_Q)
+    demo = generate_demo_trot(DemoConfig(freq=1.5, clearance_front=0.07, clearance_rear=0.04),
+                              GEOM, CFG.robot.stand_height)
+    planner = build_planner(CFG.cpg, CFG.planner, NOMINAL_Q)
     motor, fit = fit_motor_layer(demo, planner, GEOM)
     model = fitted_planner(planner, motor)
     feet = model.desired_feet_table(GEOM)
@@ -277,7 +279,7 @@ def test_criterion_7_gradient_suite():
         worst_mlp = max(worst_mlp, abs(fd - analytic[idx]) / max(abs(fd), 1e-6))
 
     # FK-refinement gradients
-    planner = build_planner(OscillatorParams(), h=20, sigma=0.1, nominal_q=NOMINAL_Q)
+    planner = build_planner(CFG.cpg, CFG.planner, NOMINAL_Q)
     phi_rows = rbf_activations(planner.orbit.samples[:20], planner.rbf)
     w = rng.normal(scale=0.05, size=(20, 12))
     b = NOMINAL_Q + rng.normal(scale=0.02, size=12)
@@ -435,12 +437,13 @@ def test_criterion_10_gait_preservation(desk_training):
 
 def test_criterion_11_randomization_and_curriculum():
     dr = RandomizationConfig()
+    curr = CurriculumConfig()
     rng = np.random.default_rng(11)
     n = 100000
     draws = {
         "mass": rng.uniform(*dr.mass_offset_range, size=n),
         "friction": rng.uniform(*dr.friction_range, size=n),
-        "impulse": rng.uniform(*dr.impulse_mag_range, size=n),
+        "impulse": rng.uniform(-curr.cap_max, curr.cap_max, size=n),
         "ang_vel_noise": rng.uniform(-dr.noise_ang_vel, dr.noise_ang_vel, size=n),
         "gravity_noise": rng.uniform(-dr.noise_gravity, dr.noise_gravity, size=n),
         "joint_pos_noise": rng.uniform(-dr.noise_joint_pos, dr.noise_joint_pos, size=n),
@@ -456,7 +459,6 @@ def test_criterion_11_randomization_and_curriculum():
         and np.abs(draws["joint_vel_noise"]).max() <= 0.075
     )
 
-    curr = CurriculumConfig()
     state = initial_curriculum(curr, dr)
     intervals = [state.impulse_interval]
     caps = [state.impulse_mag_cap]

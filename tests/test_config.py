@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -11,9 +13,17 @@ from cpgrl.config import (
     save_config,
 )
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
 
 def test_default_config_validates():
     RunConfig().validate()
+
+
+def test_shipped_configs_load():
+    # defaults.yaml is documented as the full default tree
+    assert load_config(CONFIGS / "defaults.yaml") == RunConfig()
+    load_config(CONFIGS / "desk_acceptance.yaml")
 
 
 def test_yaml_round_trip(tmp_path):
@@ -66,6 +76,13 @@ def test_validation_catches_bad_values():
     for alpha in (0.0, -0.1, 1.5, float("nan")):
         with pytest.raises(ConfigError, match="filter_alpha"):
             config_from_dict({"robot": {"filter_alpha": alpha}})
+    # an impulse is drawn within the curriculum's cap, which starts at cap_init
+    with pytest.raises(ConfigError, match="cap_init"):
+        config_from_dict({"curriculum": {"cap_init": -0.1}})
+    with pytest.raises(ConfigError, match="cap_init"):
+        config_from_dict({"curriculum": {"cap_init": 2.0, "cap_max": 1.8}})
+    with pytest.raises(ConfigError, match="interval_floor"):
+        config_from_dict({"curriculum": {"interval_floor": 0.0}})
 
 
 def test_hash_ignores_run_length():

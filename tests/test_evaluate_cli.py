@@ -1,9 +1,11 @@
 import csv
+import shutil
 
 import numpy as np
 import pytest
 from dataclasses import replace
 
+from conftest import set_checkpoint_version
 from cpgrl import cli
 from cpgrl.cli import main
 from cpgrl.config import RunConfig, save_config
@@ -24,7 +26,7 @@ from cpgrl.gait_planner import (
     save_planner_model,
 )
 from cpgrl.ppo import NonFiniteLoss
-from cpgrl.training import planner_from_config
+from cpgrl.training import planner_from_config, train
 
 
 def tiny_cfg(seed=0, iterations=2):
@@ -42,6 +44,20 @@ def fitted():
     cfg = tiny_cfg()
     planner, _ = planner_from_config(cfg)
     return cfg, planner
+
+
+@pytest.fixture(scope="module")
+def checkpoint(fitted, tmp_path_factory):
+    """The last checkpoint of a two-iteration tiny training run."""
+    cfg, planner = fitted
+    out = tmp_path_factory.mktemp("train")
+    train(cfg, planner, out, log=None)
+    return out / "checkpoint_000002.npz"
+
+
+def synthetic_demo():
+    cfg = tiny_cfg()
+    return generate_demo_trot(cfg.demo, cfg.leg_geometry(), cfg.robot.stand_height)
 
 
 # ----------------------------------------------------------------- profiles
@@ -173,7 +189,7 @@ def test_cli_bc_fit_deterministic(tmp_path):
 
 
 def test_cli_bc_fit_csv_demo(tmp_path):
-    demo = generate_demo_trot(geometry=tiny_cfg().leg_geometry())
+    demo = synthetic_demo()
     demo_path = tmp_path / "demo.csv"
     save_demo_csv(demo, demo_path)
     rc = main(["bc-fit", "--demo", str(demo_path), "--demo-freq", "1.5",
@@ -246,8 +262,27 @@ def test_cli_eval_config_hash_mismatch(tmp_path):
     assert rc == 2
 
 
+def test_cli_eval_ramp_to_zero_commands_zero(checkpoint, tmp_path):
+    rc = main(["eval", "--checkpoint", str(checkpoint), "--out", str(tmp_path / "eval"),
+               "--profile", "ramp", "--command", "0", "--duration", "2.0"])
+    assert rc == 0
+    with open(tmp_path / "eval" / "trace.csv", newline="") as fh:
+        cmd_vx = [float(row["cmd_vx"]) for row in csv.DictReader(fh)]
+    assert len(cmd_vx) == 100
+    assert all(v == 0.0 for v in cmd_vx)
+
+
+def test_cli_eval_rejects_version_2_checkpoint(checkpoint, tmp_path, capsys):
+    old = tmp_path / "old.npz"
+    shutil.copy(checkpoint, old)
+    set_checkpoint_version(old, 2)
+    rc = main(["eval", "--checkpoint", str(old), "--out", str(tmp_path / "eval")])
+    assert rc == 2
+    assert "unsupported checkpoint version 2" in capsys.readouterr().err
+
+
 def test_cli_bc_fit_unreachable_demo_exit_code(tmp_path, capsys):
-    demo = generate_demo_trot(geometry=tiny_cfg().leg_geometry())
+    demo = synthetic_demo()
     far = replace(demo, feet=demo.feet + np.array([0.0, 0.0, -1.0]))
     demo_path = tmp_path / "far.csv"
     save_demo_csv(far, demo_path)

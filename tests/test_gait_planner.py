@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -32,15 +34,20 @@ from cpgrl.gait_planner import (
     save_planner_model,
 )
 from cpgrl.kinematics import forward_kinematics_all, standing_pose
-from cpgrl.oscillator import OscillatorParams
 
-GEOM = RunConfig().leg_geometry()
+CFG = RunConfig()
+GEOM = CFG.leg_geometry()
 NOMINAL_Q = standing_pose(GEOM, 0.32)
+
+
+def trot(**changes):
+    """The configured synthetic trot, with the given demo fields changed."""
+    return generate_demo_trot(replace(CFG.demo, **changes), GEOM, CFG.robot.stand_height)
 
 
 @pytest.fixture(scope="module")
 def planner():
-    return build_planner(OscillatorParams(), h=20, sigma=0.1, nominal_q=NOMINAL_Q)
+    return build_planner(CFG.cpg, CFG.planner, NOMINAL_Q)
 
 
 # ---------------------------------------------------------------- rbf layer
@@ -114,7 +121,7 @@ def test_output_periodic_over_orbit(planner):
 # ---------------------------------------------------------------- demo gen
 
 def test_demo_trot_phasing():
-    demo = generate_demo_trot(geometry=GEOM)
+    demo = trot()
     n = demo.samples_per_period
     z = demo.feet[:, :, 2]
     assert circular_xcorr_lag(z[0], z[3]) == 0
@@ -122,7 +129,7 @@ def test_demo_trot_phasing():
 
 
 def test_demo_trot_clearances_exact():
-    demo = generate_demo_trot(geometry=GEOM)
+    demo = trot()
     z = demo.feet[:, :, 2]
     stance = z.min(axis=1)
     peaks = z.max(axis=1) - stance
@@ -130,7 +137,7 @@ def test_demo_trot_clearances_exact():
 
 
 def test_demo_trot_stance_fraction():
-    demo = generate_demo_trot(geometry=GEOM)
+    demo = trot()
     z = demo.feet[:, :, 2]
     at_stance = np.isclose(z, z.min(axis=1, keepdims=True), atol=1e-12)
     assert (at_stance.mean(axis=1) > 0.5).all()
@@ -138,17 +145,17 @@ def test_demo_trot_stance_fraction():
 
 def test_demo_trot_rejects_bad_params():
     with pytest.raises(InvalidParams):
-        generate_demo_trot(GEOM, stance_fraction=0.3)
+        trot(stance_fraction=0.3)
     with pytest.raises(InvalidParams):
-        generate_demo_trot(GEOM, clearance_front=-0.01)
+        trot(clearance_front=-0.01)
     with pytest.raises(InvalidParams):
-        generate_demo_trot(GEOM, freq=0.0)
+        trot(freq=0.0)
 
 
 # ---------------------------------------------------------------- csv io
 
 def test_csv_round_trip(tmp_path):
-    demo = generate_demo_trot(geometry=GEOM)
+    demo = trot()
     path = tmp_path / "demo.csv"
     save_demo_csv(demo, path)
     back = load_demo_csv(path, gait_frequency=demo.gait_frequency)
@@ -157,7 +164,7 @@ def test_csv_round_trip(tmp_path):
 
 
 def test_csv_missing_leg(tmp_path):
-    demo = generate_demo_trot(geometry=GEOM)
+    demo = trot()
     path = tmp_path / "demo.csv"
     save_demo_csv(demo, path)
     lines = path.read_text().splitlines()
@@ -218,7 +225,7 @@ def test_fit_realizability_oracle(planner):
 
 
 def test_fit_synthetic_trot(planner):
-    demo = generate_demo_trot(geometry=GEOM)
+    demo = trot()
     motor, report = fit_motor_layer(demo, planner, GEOM)
     # acceptance bound 5e-3; pinned regression headroom over the measured 6.2e-4
     assert report.val_rmse < 1.5e-3
@@ -238,7 +245,7 @@ def test_fit_synthetic_trot(planner):
 
 
 def test_fit_reproducible_with_seed(planner):
-    demo = generate_demo_trot(geometry=GEOM)
+    demo = trot()
     m1, r1 = fit_motor_layer(demo, planner, GEOM, split_seed=7)
     m2, r2 = fit_motor_layer(demo, planner, GEOM, split_seed=7)
     np.testing.assert_array_equal(m1.weights, m2.weights)
@@ -247,7 +254,7 @@ def test_fit_reproducible_with_seed(planner):
 
 
 def test_fit_unreachable_demo(planner):
-    demo = generate_demo_trot(geometry=GEOM)
+    demo = trot()
     feet = demo.feet.copy()
     feet[0, 10] = GEOM.hip_mounts[0] + np.array([0.6, -0.08, 0.0])
     bad = DemoTrajectory(feet=feet, sample_rate=demo.sample_rate, gait_frequency=demo.gait_frequency)
@@ -256,12 +263,9 @@ def test_fit_unreachable_demo(planner):
 
 
 def test_fit_singular_design(planner):
-    from dataclasses import replace
-
-    degenerate = replace(
-        planner, rbf=RbfLayer(centers=np.tile(planner.orbit.samples[0], (20, 1)), sigma=0.1)
-    )
-    demo = generate_demo_trot(geometry=GEOM)
+    degenerate = replace(planner, rbf=RbfLayer(
+        centers=np.tile(planner.orbit.samples[0], (20, 1)), sigma=planner.rbf.sigma))
+    demo = trot()
     with pytest.raises(SingularFit):
         fit_motor_layer(demo, degenerate, GEOM)
 
@@ -339,7 +343,7 @@ def test_fit_matches_two_evaluation_refine_bitwise(planner, refine_steps, refine
 
     The large learning rate makes steps overshoot, so the halving branch runs too.
     """
-    demo = generate_demo_trot(geometry=GEOM)
+    demo = trot()
     ref_motor, ref_report = two_evaluation_refine(demo, planner, 3, refine_steps, refine_lr)
     motor, report = fit_motor_layer(demo, planner, GEOM, split_seed=3,
                                     refine_steps=refine_steps, refine_lr=refine_lr)
@@ -356,7 +360,7 @@ def test_xcorr_lag_tie_goes_to_the_largest_lag():
 
 
 def test_liftoff_detection():
-    demo = generate_demo_trot(geometry=GEOM)
+    demo = trot()
     n = demo.samples_per_period
     # FR stance occupies [0, 0.6); swing's first sample sits at stance height
     # (half-sine starts at 0), so the first airborne sample is 0.6*n + 1

@@ -14,6 +14,7 @@ from conftest import (
     assert_same_bits,
     central_difference,
 )
+from cpgrl.config import RunConfig
 from cpgrl.nn import Adam, Mlp
 from cpgrl.ppo import (
     LOG_2PI,
@@ -29,9 +30,12 @@ from cpgrl.ppo import (
 )
 
 
+TRAIN = RunConfig().train
+
+
 def toy_policy(seed=0, obs_dim=6, act_dim=3, hidden=(8, 8), log_std_init=-0.5):
     return GaussianPolicy(obs_dim, act_dim, hidden, np.random.default_rng(seed),
-                          log_std_init=log_std_init, actor_out_scale=1.0)
+                          log_std_init=log_std_init, lr=TRAIN.lr_init, actor_out_scale=1.0)
 
 
 def toy_buffer(policy, seed=1, horizon=10, n_envs=4):
@@ -171,21 +175,26 @@ def test_policy_views_alias_params():
 
 # ------------------------------------------------------------------- lr rule
 
+def lr_rule(lr, approx_kl):
+    """adaptive_lr with the configured target KL (0.01) and clamp."""
+    return adaptive_lr(lr, approx_kl, TRAIN.ppo.desired_kl, TRAIN.ppo.lr_min, TRAIN.ppo.lr_max)
+
+
 def test_adaptive_lr_shrinks():
-    assert adaptive_lr(1e-3, 0.03, 0.01) == pytest.approx(1e-3 / 1.5)
+    assert lr_rule(1e-3, 0.03) == pytest.approx(1e-3 / 1.5)
 
 
 def test_adaptive_lr_grows():
-    assert adaptive_lr(1e-3, 0.004, 0.01) == pytest.approx(1.5e-3)
+    assert lr_rule(1e-3, 0.004) == pytest.approx(1.5e-3)
 
 
 def test_adaptive_lr_dead_zone():
-    assert adaptive_lr(1e-3, 0.01, 0.01) == 1e-3
+    assert lr_rule(1e-3, 0.01) == 1e-3
 
 
 def test_adaptive_lr_clamps():
-    assert adaptive_lr(1.5e-6, 0.05, 0.01) == 1e-6
-    assert adaptive_lr(9e-3, 0.001, 0.01) == 1e-2
+    assert lr_rule(1.5e-6, 0.05) == 1e-6
+    assert lr_rule(9e-3, 0.001) == 1e-2
 
 
 # ------------------------------------------------------------------- losses
@@ -398,7 +407,9 @@ def desk_update_faults():
     128/64/32 nets, 4 minibatches), each on a fresh buffer as in training."""
     import resource
 
-    policy = GaussianPolicy(61, 12, (128, 64, 32), np.random.default_rng(30))
+    policy = GaussianPolicy(61, 12, (128, 64, 32), np.random.default_rng(30),
+                            log_std_init=TRAIN.log_std_init, lr=TRAIN.lr_init,
+                            actor_out_scale=TRAIN.actor_out_scale)
     optimizer = Adam(policy.n_params, lr=policy.lr)
     rng = np.random.default_rng(31)
     faults = []

@@ -24,6 +24,7 @@ from cpgrl.task import (
 )
 
 PARAMS = RunConfig().env_params()
+RESIDUAL_LIMIT = RunConfig().robot.residual_limit
 GEOM = PARAMS.geometry
 NOMINAL_Q = PARAMS.nominal_q
 DT = 0.02
@@ -107,13 +108,13 @@ def test_observation_pure_function():
 # ------------------------------------------------------------- compose
 
 def test_compose_sum():
-    q = compose_action(np.full(12, 0.3), np.full(12, 0.1))
+    q = compose_action(np.full(12, 0.3), np.full(12, 0.1), RESIDUAL_LIMIT)
     np.testing.assert_allclose(q, 0.4)
 
 
 def test_compose_zero_residual_is_identity():
     baseline = NOMINAL_Q + 0.123
-    np.testing.assert_array_equal(compose_action(baseline, np.zeros(12)), baseline)
+    np.testing.assert_array_equal(compose_action(baseline, np.zeros(12), RESIDUAL_LIMIT), baseline)
 
 
 def test_compose_clamps_residual():

@@ -1,21 +1,19 @@
 import csv
-import json
 import os
 
 import numpy as np
 import pytest
 from dataclasses import replace
 
+from conftest import set_checkpoint_version
 from cpgrl import training
 from cpgrl.config import RunConfig, config_hash
 from cpgrl.env import VecLocomotionEnv
 from cpgrl.gait_planner import load_planner_model, save_planner_model
 from cpgrl.nn import Adam, DimensionMismatch
-from cpgrl.ppo import GaussianPolicy
-from cpgrl.randomization import CurriculumState
+from cpgrl.randomization import CurriculumState, initial_curriculum
 from cpgrl.task import OBS_DIM, REWARD_TERMS
 from cpgrl.training import (
-    ACTION_DIM,
     collect_rollouts,
     load_checkpoint,
     planner_from_config,
@@ -42,6 +40,14 @@ def fitted():
     return cfg, planner, report
 
 
+def write_checkpoint(path, cfg, planner):
+    """An iteration-1 checkpoint of a fresh policy, optimizer and env."""
+    env = VecLocomotionEnv(cfg, planner, train_mode=True)
+    policy = training._new_policy(cfg, cfg.train.lr_init)
+    save_checkpoint(path, policy, Adam(policy.n_params), env, np.random.default_rng(4),
+                    initial_curriculum(cfg.curriculum, cfg.dr), 1, cfg, planner)
+
+
 def test_planner_pipeline_quality(fitted):
     _, planner, report = fitted
     assert report.val_rmse < 5e-3
@@ -51,7 +57,7 @@ def test_planner_pipeline_quality(fitted):
 def test_collect_rollouts_shapes(fitted):
     cfg, planner, _ = fitted
     env = VecLocomotionEnv(cfg, planner, train_mode=True)
-    policy = GaussianPolicy(OBS_DIM, ACTION_DIM, cfg.train.hidden, np.random.default_rng(0))
+    policy = training._new_policy(cfg, cfg.train.lr_init)
     buf, stats = collect_rollouts(env, policy, np.random.default_rng(1), horizon=24)
     assert buf.size == 8 * 24
     assert buf.observations.shape == (24, 8, OBS_DIM)
@@ -64,14 +70,13 @@ def test_collect_rollouts_shapes(fitted):
 def test_zero_actor_actions_are_pure_noise(fitted):
     cfg, planner, _ = fitted
     env = VecLocomotionEnv(cfg, planner, train_mode=False)
-    policy = GaussianPolicy(OBS_DIM, ACTION_DIM, cfg.train.hidden,
-                            np.random.default_rng(0), log_std_init=-1.0)
+    policy = training._new_policy(cfg, cfg.train.lr_init)
     for w in policy.actor.weights:
         w[:] = 0.0
     buf, _ = collect_rollouts(env, policy, np.random.default_rng(2), horizon=24)
     actions = buf.actions.reshape(-1, 12)
     assert abs(actions.mean()) < 0.02
-    assert np.allclose(actions.std(axis=0), np.exp(-1.0), rtol=0.15)
+    assert np.allclose(actions.std(axis=0), np.exp(cfg.train.log_std_init), rtol=0.15)
     # the planner still drives motion: the robots move even with a zero actor
     assert np.abs(env.pos[:, 0]).max() > 0.02
 
@@ -111,19 +116,23 @@ def test_resume_reproduces_metrics_bit_identically(fitted, tmp_path):
 def test_checkpoint_round_trip(fitted, tmp_path):
     cfg, planner, _ = fitted
     env = VecLocomotionEnv(cfg, planner, train_mode=True)
-    policy = GaussianPolicy(OBS_DIM, ACTION_DIM, cfg.train.hidden, np.random.default_rng(3))
+    policy = training._new_policy(cfg, cfg.train.lr_init)
     optimizer = Adam(policy.n_params, lr=policy.lr)
     rng = np.random.default_rng(4)
     collect_rollouts(env, policy, rng, horizon=4)
+    assert policy.obs_norm.count == 4 * cfg.train.n_envs
 
     path = tmp_path / "ck.npz"
     save_checkpoint(path, policy, optimizer, env, rng,
-                    CurriculumState(12.0, 1.2, 0.5), 7, cfg, planner)
+                    CurriculumState(12.0, 1.2), 7, cfg, planner)
     ck = load_checkpoint(path)
     assert ck["meta"]["iteration"] == 7
     assert ck["meta"]["config_hash"] == config_hash(cfg)
     np.testing.assert_array_equal(ck["policy_flat"], policy.get_flat())
     restored = policy_from_checkpoint(ck)
+    assert restored.obs_norm.count == policy.obs_norm.count
+    np.testing.assert_array_equal(restored.obs_norm.mean, policy.obs_norm.mean)
+    np.testing.assert_array_equal(restored.obs_norm.var, policy.obs_norm.var)
     obs = np.zeros(OBS_DIM)
     np.testing.assert_array_equal(restored.mean_action(obs), policy.mean_action(obs))
     np.testing.assert_array_equal(ck["planner"].baseline_table(), planner.baseline_table())
@@ -136,31 +145,21 @@ def test_checkpoint_round_trip(fitted, tmp_path):
 @pytest.mark.parametrize("size", [1, -1], ids=["length-1", "one-short"])
 def test_checkpoint_policy_size_mismatch_rejected(fitted, tmp_path, size):
     cfg, planner, _ = fitted
-    env = VecLocomotionEnv(cfg, planner, train_mode=True)
-    policy = GaussianPolicy(OBS_DIM, ACTION_DIM, cfg.train.hidden, np.random.default_rng(3))
     path = tmp_path / "ck.npz"
-    save_checkpoint(path, policy, Adam(policy.n_params), env, np.random.default_rng(4),
-                    CurriculumState(), 1, cfg, planner)
+    write_checkpoint(path, cfg, planner)
     ck = load_checkpoint(path)
     ck["policy_flat"] = ck["policy_flat"][:size]
     with pytest.raises(DimensionMismatch):
         policy_from_checkpoint(ck)
 
 
-def test_checkpoint_version_1_rejected(fitted, tmp_path):
+@pytest.mark.parametrize("version", [1, 2])
+def test_old_checkpoint_version_rejected(fitted, tmp_path, version):
     cfg, planner, _ = fitted
-    env = VecLocomotionEnv(cfg, planner, train_mode=True)
-    policy = GaussianPolicy(OBS_DIM, ACTION_DIM, cfg.train.hidden, np.random.default_rng(3))
     path = tmp_path / "ck.npz"
-    save_checkpoint(path, policy, Adam(policy.n_params), env, np.random.default_rng(4),
-                    CurriculumState(), 1, cfg, planner)
-    with np.load(path) as data:
-        arrays = dict(data)
-    meta = json.loads(str(arrays["meta"]))
-    meta["version"] = 1
-    arrays["meta"] = np.array(json.dumps(meta))
-    np.savez(path, **arrays)
-    with pytest.raises(ValueError, match="version 1"):
+    write_checkpoint(path, cfg, planner)
+    set_checkpoint_version(path, version)
+    with pytest.raises(ValueError, match=f"unsupported checkpoint version {version}"):
         load_checkpoint(path)
 
 
@@ -176,12 +175,8 @@ def test_resume_rejects_config_mismatch(fitted, tmp_path):
 
 def test_interrupted_writes_leave_earlier_file_intact(fitted, tmp_path, monkeypatch):
     cfg, planner, _ = fitted
-    env = VecLocomotionEnv(cfg, planner, train_mode=True)
-    policy = GaussianPolicy(OBS_DIM, ACTION_DIM, cfg.train.hidden, np.random.default_rng(3))
     writers = {
-        "ck.npz": lambda path: save_checkpoint(
-            path, policy, Adam(policy.n_params), env, np.random.default_rng(4),
-            CurriculumState(), 1, cfg, planner),
+        "ck.npz": lambda path: write_checkpoint(path, cfg, planner),
         "planner.npz": lambda path: save_planner_model(planner, path),
     }
     real_savez = np.savez
