@@ -18,9 +18,9 @@ from .kinematics import (
     LEG_NAMES,
     LegGeometry,
     Unreachable,
+    feet_and_jacobians_all,
     forward_kinematics_all,
     inverse_kinematics,
-    leg_jacobian_all,
 )
 from .oscillator import OscillatorParams, PeriodicOrbit, find_limit_cycle
 
@@ -405,10 +405,11 @@ def refine_loss_and_grads(
     """
     n = phi.shape[0]
     q_flat = phi @ weights + bias  # (N, 12)
-    feet = forward_kinematics_all(q_flat, geometry)
+    feet, jac = feet_and_jacobians_all(q_flat, geometry)  # (N, 4, 3), (N, 4, 3, 3)
     err = feet - target_feet
-    loss = float(np.mean(np.sum(err * err, axis=-1)))
-    jac = leg_jacobian_all(q_flat, geometry)  # (N, 4, 3, 3)
+    sq = np.sum(err * err, axis=-1)
+    # np.mean's own arithmetic (one sum, then / count) without its Python wrapper
+    loss = float(sq.sum() / sq.size)
     grad_q = (2.0 / (n * 4)) * np.einsum("nlij,nli->nlj", jac, err).reshape(n, 12)
     return loss, phi.T @ grad_q, grad_q.sum(axis=0)
 

@@ -62,84 +62,86 @@ class LegGeometry:
         return abs(self.thigh_len - self.calf_len)
 
 
-def _sagittal_chain(q_hip, q_knee, geom: LegGeometry):
-    t, c = geom.thigh_len, geom.calf_len
-    x = -t * np.sin(q_hip) - c * np.sin(q_hip + q_knee)
-    z = -t * np.cos(q_hip) - c * np.cos(q_hip + q_knee)
-    return x, z
-
-
 def forward_kinematics(q, geom: LegGeometry, leg: int) -> np.ndarray:
     """Foot position in the body frame for one leg; q is (..., 3)."""
     q = np.asarray(q, dtype=float)
-    q_abd, q_hip, q_knee = q[..., 0], q[..., 1], q[..., 2]
-    x, z = _sagittal_chain(q_hip, q_knee, geom)
-    y = geom.side_signs[leg] * geom.hip_offset
-    ca, sa = np.cos(q_abd), np.sin(q_abd)
-    foot = np.stack([x, ca * y - sa * z, sa * y + ca * z], axis=-1)
-    return geom.hip_mounts[leg] + foot
+    y_off = geom.side_signs[leg] * geom.hip_offset
+    return _leg_kinematics(q, geom, y_off, geom.hip_mounts[leg])[0]
 
 
 def forward_kinematics_all(q12, geom: LegGeometry) -> np.ndarray:
     """Feet for all four legs: q12 is (..., 12) -> (..., 4, 3) body frame."""
-    q = np.asarray(q12, dtype=float)
-    q = q.reshape(q.shape[:-1] + (4, 3))
-    q_abd, q_hip, q_knee = q[..., 0], q[..., 1], q[..., 2]
-    x, z = _sagittal_chain(q_hip, q_knee, geom)
-    y = geom.side_signs * geom.hip_offset
-    ca, sa = np.cos(q_abd), np.sin(q_abd)
-    foot = np.empty(x.shape + (3,))
-    foot[..., 0] = x
-    foot[..., 1] = ca * y - sa * z
-    foot[..., 2] = sa * y + ca * z
-    foot += geom.hip_mounts
-    return foot
+    y_off = geom.side_signs * geom.hip_offset
+    return _leg_kinematics(_per_leg(q12), geom, y_off, geom.hip_mounts)[0]
 
 
 def leg_jacobian(q, geom: LegGeometry, leg: int) -> np.ndarray:
     """d(foot)/d(q) for one leg, (..., 3, 3); column order (abd, hip, knee)."""
     q = np.asarray(q, dtype=float)
-    return _jacobian_core(
-        q[..., 0], q[..., 1], q[..., 2], geom,
-        geom.side_signs[leg] * geom.hip_offset,
-    )
+    y_off = geom.side_signs[leg] * geom.hip_offset
+    return _leg_kinematics(q, geom, y_off, geom.hip_mounts[leg], jacobian=True)[1]
 
 
 def leg_jacobian_all(q12, geom: LegGeometry) -> np.ndarray:
     """Jacobians for all four legs: (..., 12) -> (..., 4, 3, 3)."""
+    return feet_and_jacobians_all(q12, geom)[1]
+
+
+def feet_and_jacobians_all(q12, geom: LegGeometry) -> tuple[np.ndarray, np.ndarray]:
+    """forward_kinematics_all and leg_jacobian_all of the same q12 in one pass.
+
+    (..., 12) -> feet (..., 4, 3) and Jacobians (..., 4, 3, 3), each bit-equal
+    to its own function's result; the two share every sine and cosine.
+    """
+    y_off = geom.side_signs * geom.hip_offset
+    return _leg_kinematics(_per_leg(q12), geom, y_off, geom.hip_mounts, jacobian=True)
+
+
+def _per_leg(q12):
     q = np.asarray(q12, dtype=float)
-    q = q.reshape(q.shape[:-1] + (4, 3))
-    return _jacobian_core(
-        q[..., 0], q[..., 1], q[..., 2], geom, geom.side_signs * geom.hip_offset
-    )
+    return q.reshape(q.shape[:-1] + (4, 3))
 
 
-def _jacobian_core(q_abd, q_hip, q_knee, geom: LegGeometry, y_off):
+def _leg_kinematics(q, geom: LegGeometry, y_off, mounts, jacobian=False):
+    """Feet (and with jacobian=True their Jacobians, else None) of legs whose
+    joints are q's last axis; y_off and mounts broadcast over q's leading axes.
+
+    Each sine and cosine is taken once. The sagittal z is the same expression
+    as dx_dhip, and the foot's y the same as the abduction column's z entry.
+    """
+    q_abd, q_hip, q_knee = q[..., 0], q[..., 1], q[..., 2]
     t, c = geom.thigh_len, geom.calf_len
     hk = q_hip + q_knee
-    # each trig value once, in the same products and sums as the written-out
-    # partials; z of the sagittal chain is the same expression as dx_dhip
-    cos_hk = np.cos(hk)
-    dx_dknee = -c * cos_hk
-    dz_dknee = c * np.sin(hk)
-    dx_dhip = -t * np.cos(q_hip) - c * cos_hk
-    dz_dhip = t * np.sin(q_hip) + dz_dknee
-    z = dx_dhip
+    sin_h, cos_h = np.sin(q_hip), np.cos(q_hip)
+    sin_hk, cos_hk = np.sin(hk), np.cos(hk)
     ca, sa = np.cos(q_abd), np.sin(q_abd)
-    neg_sa = -sa
+    z = -t * cos_h - c * cos_hk
+    foot_y = ca * y_off - sa * z
 
+    foot = np.empty(z.shape + (3,))
+    foot[..., 0] = -t * sin_h - c * sin_hk
+    foot[..., 1] = foot_y
+    foot[..., 2] = sa * y_off + ca * z
+    foot += mounts
+    if not jacobian:
+        return foot, None
+
+    dx_dknee = -c * cos_hk
+    dz_dknee = c * sin_hk
+    dz_dhip = t * sin_h + dz_dknee
+    neg_sa = -sa
     # columns: d(foot)/d(q_abd), d(foot)/d(q_hip), d(foot)/d(q_knee)
-    jac = np.empty(dx_dhip.shape + (3, 3))
+    jac = np.empty(z.shape + (3, 3))
     jac[..., 0, 0] = 0.0
     jac[..., 1, 0] = neg_sa * y_off - ca * z
-    jac[..., 2, 0] = ca * y_off - sa * z
-    jac[..., 0, 1] = dx_dhip
+    jac[..., 2, 0] = foot_y
+    jac[..., 0, 1] = z
     jac[..., 1, 1] = neg_sa * dz_dhip
     jac[..., 2, 1] = ca * dz_dhip
     jac[..., 0, 2] = dx_dknee
     jac[..., 1, 2] = neg_sa * dz_dknee
     jac[..., 2, 2] = ca * dz_dknee
-    return jac
+    return foot, jac
 
 
 def inverse_kinematics(p, geom: LegGeometry, leg: int) -> np.ndarray:

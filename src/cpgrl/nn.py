@@ -234,9 +234,8 @@ class RunningNorm:
 class Adam:
     """Adaptive-moment gradient descent on a flat parameter vector."""
 
-    def __init__(self, n_params: int, lr: float = 1e-3,
+    def __init__(self, n_params: int,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
@@ -247,8 +246,8 @@ class Adam:
         self._a = np.empty(n_params)
         self._b = np.empty(n_params)
 
-    def step(self, params: np.ndarray, grads: np.ndarray) -> None:
-        """One update of params, m and v, all in place.
+    def step(self, params: np.ndarray, grads: np.ndarray, lr: float) -> None:
+        """One update of params, m and v, all in place, at learning rate lr.
 
         params -= lr * m_hat / (sqrt(v_hat) + eps), with every product and
         quotient in the order of that formula.
@@ -266,12 +265,12 @@ class Adam:
         np.divide(self.v, 1.0 - self.beta2**self.t, out=b)           # v_hat
         np.sqrt(b, out=b)
         b += self.eps
-        np.multiply(self.lr, a, out=a)
+        np.multiply(lr, a, out=a)
         a /= b
         params -= a
 
     def state_dict(self) -> dict:
-        return {"m": self.m.copy(), "v": self.v.copy(), "t": self.t, "lr": self.lr}
+        return {"m": self.m.copy(), "v": self.v.copy(), "t": self.t}
 
     def load_state_dict(self, state: dict) -> None:
         m = np.asarray(state["m"], dtype=float)
@@ -282,4 +281,3 @@ class Adam:
         self.m = m.copy()
         self.v = v.copy()
         self.t = int(state["t"])
-        self.lr = float(state["lr"])

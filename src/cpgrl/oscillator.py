@@ -77,10 +77,10 @@ def step_oscillator(state, params: OscillatorParams) -> np.ndarray:
     gain = 1.0 + params.alpha
     c = np.cos(params.phi)
     s = np.sin(params.phi)
-    return np.stack(
-        [np.tanh(gain * (c * o0 + s * o1)), np.tanh(gain * (-s * o0 + c * o1))],
-        axis=-1,
-    )
+    out = np.empty(state.shape)
+    out[..., 0] = np.tanh(gain * (c * o0 + s * o1))
+    out[..., 1] = np.tanh(gain * (-s * o0 + c * o1))
+    return out
 
 
 # any non-zero point inside the basin works; attractivity pulls it onto the cycle

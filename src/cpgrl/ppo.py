@@ -332,8 +332,7 @@ def ppo_update(policy: GaussianPolicy, optimizer: Adam, buffer: RolloutBuffer,
                 norm = float(np.linalg.norm(grads))
                 if norm > config.max_grad_norm:
                     grads *= config.max_grad_norm / norm
-            optimizer.lr = policy.lr
-            optimizer.step(policy.params, grads)
+            optimizer.step(policy.params, grads, policy.lr)
             stats["policy_loss"].append(pl)
             stats["value_loss"].append(vl)
             stats["entropy"].append(ent)

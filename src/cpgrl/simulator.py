@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import quat
-from .kinematics import LegGeometry, forward_kinematics_all, leg_jacobian_all, standing_pose
+from .kinematics import LegGeometry, feet_and_jacobians_all, standing_pose
 
 
 class NumericalDivergence(RuntimeError):
@@ -149,12 +149,9 @@ def _step_core(pos, rot, linvel, angvel, q, qdot, air, ep_time,
     mass and friction are per env (scalars for one robot). Every output is a
     new array; the inputs are never written.
     """
-    geom = params.geometry
-
     tau = pd_torque(targets, q, qdot, params.kp, params.kd, params.tau_limit)
 
-    feet_b = forward_kinematics_all(q, geom)                      # (..., 4, 3)
-    jac_b = leg_jacobian_all(q, geom)                             # (..., 4, 3, 3)
+    feet_b, jac_b = feet_and_jacobians_all(q, params.geometry)    # (..., 4, 3), (..., 4, 3, 3)
     rot4 = rot[..., None, :]
     qdot_legs = np.reshape(qdot, qdot.shape[:-1] + (4, 3))
     v_feet_b = _matvec3(jac_b, qdot_legs)

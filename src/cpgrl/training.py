@@ -103,7 +103,6 @@ def save_checkpoint(path, policy: GaussianPolicy, optimizer: Adam,
         "iteration": iteration,
         "policy_lr": policy.lr,
         "adam_t": adam["t"],
-        "adam_lr": adam["lr"],
         "norm_count": norm["count"],
         "hidden": list(cfg.train.hidden),
         "curriculum": {
@@ -136,8 +135,7 @@ def load_checkpoint(path) -> dict:
         out = {
             "meta": meta,
             "policy_flat": data["policy_flat"],
-            "optimizer": {"m": data["adam_m"], "v": data["adam_v"],
-                          "t": meta["adam_t"], "lr": meta["adam_lr"]},
+            "optimizer": {"m": data["adam_m"], "v": data["adam_v"], "t": meta["adam_t"]},
             "planner": planner_from_arrays(data, prefix="planner_"),
             "env_arrays": {k[4:]: data[k] for k in data.files if k.startswith("env_")},
             "obs_norm": {"count": meta["norm_count"], "mean": data["norm_mean"],
@@ -203,7 +201,7 @@ def train(cfg: RunConfig, planner: GaitPlannerModel, out_dir,
 
     env = VecLocomotionEnv(cfg, planner, train_mode=True)
     policy = _new_policy(cfg, cfg.train.lr_init)
-    optimizer = Adam(policy.n_params, lr=policy.lr)
+    optimizer = Adam(policy.n_params)
     train_rng = np.random.default_rng([cfg.seed, _TRAIN_STREAM])
     curriculum = initial_curriculum(cfg.curriculum, cfg.dr)
     start_iteration = 0

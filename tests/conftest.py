@@ -18,12 +18,12 @@ def assert_same_bits(a, b):
     np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
-def set_checkpoint_version(path, version):
-    """Rewrite a checkpoint's meta as if a program of that format wrote it."""
+def set_checkpoint_meta(path, **entries):
+    """Rewrite entries of a checkpoint's meta, as an earlier writer would have set them."""
     with np.load(path) as data:
         arrays = dict(data)
     meta = json.loads(str(arrays["meta"]))
-    meta["version"] = version
+    meta.update(entries)
     arrays["meta"] = np.array(json.dumps(meta))
     np.savez(path, **arrays)
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from conftest import set_checkpoint_version
+from conftest import set_checkpoint_meta
 from cpgrl import cli
 from cpgrl.cli import main
 from cpgrl.config import RunConfig, save_config
@@ -275,7 +275,7 @@ def test_cli_eval_ramp_to_zero_commands_zero(checkpoint, tmp_path):
 def test_cli_eval_rejects_version_2_checkpoint(checkpoint, tmp_path, capsys):
     old = tmp_path / "old.npz"
     shutil.copy(checkpoint, old)
-    set_checkpoint_version(old, 2)
+    set_checkpoint_meta(old, version=2)
     rc = main(["eval", "--checkpoint", str(old), "--out", str(tmp_path / "eval")])
     assert rc == 2
     assert "unsupported checkpoint version 2" in capsys.readouterr().err

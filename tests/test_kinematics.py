@@ -10,6 +10,7 @@ from cpgrl.config import RunConfig
 from cpgrl.kinematics import (
     LEG_INDEX,
     Unreachable,
+    feet_and_jacobians_all,
     forward_kinematics,
     forward_kinematics_all,
     inverse_kinematics,
@@ -229,16 +230,21 @@ def stack_jacobian(q_abd, q_hip, q_knee, geom, y_off):
     return np.stack([col_abd, col_hip, col_knee], axis=-1)
 
 
+# (84,) is the planner refinement's batch: the desk fit's 84 training samples
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("lead", [(), (1,), (64,), (1024,)])
+@pytest.mark.parametrize("lead", [(), (1,), (64,), (1024,), (84,)])
 def test_fk_and_jacobian_bitwise_equal_to_stack_forms(lead):
     rng = np.random.default_rng(sum(lead) + 1)
     q12 = with_special_lanes(rng, lead + (12,))
-    assert_same_bits(forward_kinematics_all(q12, GO1), stack_forward_kinematics_all(q12, GO1))
+    stack_feet = stack_forward_kinematics_all(q12, GO1)
+    assert_same_bits(forward_kinematics_all(q12, GO1), stack_feet)
     q = q12.reshape(lead + (4, 3))
     y_all = GO1.side_signs * GO1.hip_offset
-    assert_same_bits(leg_jacobian_all(q12, GO1),
-                     stack_jacobian(q[..., 0], q[..., 1], q[..., 2], GO1, y_all))
+    stack_jac = stack_jacobian(q[..., 0], q[..., 1], q[..., 2], GO1, y_all)
+    assert_same_bits(leg_jacobian_all(q12, GO1), stack_jac)
+    feet, jac = feet_and_jacobians_all(q12, GO1)
+    assert_same_bits(feet, stack_feet)
+    assert_same_bits(jac, stack_jac)
     for leg in range(4):
         y_off = GO1.side_signs[leg] * GO1.hip_offset
         assert_same_bits(leg_jacobian(q[..., leg, :], GO1, leg),

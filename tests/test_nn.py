@@ -201,25 +201,25 @@ def test_running_norm_state_of_wrong_size_rejected(field, size):
 def test_adam_converges_on_quadratic():
     target = np.array([1.0, -2.0, 0.5])
     params = np.zeros(3)
-    opt = Adam(3, lr=0.05)
+    opt = Adam(3)
     for _ in range(500):
-        opt.step(params, 2.0 * (params - target))
+        opt.step(params, 2.0 * (params - target), 0.05)
     np.testing.assert_allclose(params, target, atol=1e-3)
 
 
 def test_adam_state_round_trip():
-    opt = Adam(4, lr=1e-3)
+    opt = Adam(4)
     params = np.ones(4)
     for _ in range(10):
-        opt.step(params, params * 0.1)
+        opt.step(params, params * 0.1, 1e-3)
     state = opt.state_dict()
     p_ref = params.copy()
-    opt.step(p_ref, params * 0.1)
+    opt.step(p_ref, params * 0.1, 1e-3)
 
     opt2 = Adam(4)
     opt2.load_state_dict(state)
     p_new = params.copy()
-    opt2.step(p_new, params * 0.1)
+    opt2.step(p_new, params * 0.1, 1e-3)
     np.testing.assert_array_equal(p_ref, p_new)
 
 
@@ -244,15 +244,16 @@ def test_in_place_adam_matches_out_of_place_bitwise():
     rng = np.random.default_rng(7)
     n = 37
     params = rng.normal(size=n)
-    opt = Adam(n, lr=3e-3)
+    lr = 3e-3
+    opt = Adam(n)
     ref_params, ref_m, ref_v = params.copy(), np.zeros(n), np.zeros(n)
     for t in range(1, 201):
         grads = rng.normal(scale=10.0 ** rng.uniform(-6, 1), size=n)
         lanes = rng.random(n) < 0.2
         grads[lanes] = rng.choice([0.0, -0.0], size=int(lanes.sum()))
         ref_params, ref_m, ref_v = out_of_place_adam(
-            ref_params, grads, ref_m, ref_v, t, opt.lr)
-        opt.step(params, grads)
+            ref_params, grads, ref_m, ref_v, t, lr)
+        opt.step(params, grads, lr)
         assert_same_bits(params, ref_params)
         assert_same_bits(opt.m, ref_m)
         assert_same_bits(opt.v, ref_v)

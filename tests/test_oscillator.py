@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import assert_same_bits, with_special_lanes
 from cpgrl.config import RunConfig
 from cpgrl.oscillator import (
     NoOscillation,
@@ -74,6 +75,26 @@ def test_batched_step_matches_scalar():
     stepped = step_oscillator(batch, PARAMS)
     for i in range(7):
         np.testing.assert_array_equal(stepped[i], step_oscillator(batch[i], PARAMS))
+
+
+def stack_step_oscillator(state, params):
+    """The earlier step_oscillator, which stacked its two tanh lanes."""
+    o0, o1 = state[..., 0], state[..., 1]
+    gain = 1.0 + params.alpha
+    c, s = np.cos(params.phi), np.sin(params.phi)
+    return np.stack(
+        [np.tanh(gain * (c * o0 + s * o1)), np.tanh(gain * (-s * o0 + c * o1))], axis=-1)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("lead", [(), (1,), (64,), (1024,)])
+def test_step_bitwise_equal_to_stack_form(lead):
+    rng = np.random.default_rng(sum(lead) + 1)
+    state = with_special_lanes(rng, lead + (2,))
+    stepped = step_oscillator(state, PARAMS)
+    assert_same_bits(stepped, stack_step_oscillator(state, PARAMS))
+    for i in np.ndindex(lead):
+        assert_same_bits(stepped[i], stack_step_oscillator(state[i], PARAMS))
 
 
 def test_limit_cycle_period_default():

@@ -151,7 +151,7 @@ def test_entropy_analytic():
 
 def test_policy_views_alias_params():
     policy = toy_policy()
-    optimizer = Adam(policy.n_params, lr=policy.lr)
+    optimizer = Adam(policy.n_params)
     actor, critic = policy.actor, policy.critic
     for stage in ("constructed", "updated"):
         for view in [*actor.weights, *actor.biases, *critic.weights, *critic.biases,
@@ -307,7 +307,7 @@ def test_update_decreases_surrogate_on_fixed_buffer():
         return pl + config.value_coef * vl - config.entropy_coef * ent
 
     before = total_loss()
-    optimizer = Adam(policy.n_params, lr=policy.lr)
+    optimizer = Adam(policy.n_params)
     ppo_update(policy, optimizer, buf, config, np.random.default_rng(15))
     after = total_loss()
     assert after < before
@@ -317,7 +317,7 @@ def test_update_stats_and_reproducibility():
     def run():
         policy = toy_policy(seed=16)
         buf = toy_buffer(policy, seed=17)
-        optimizer = Adam(policy.n_params, lr=policy.lr)
+        optimizer = Adam(policy.n_params)
         stats = ppo_update(policy, optimizer, buf, PpoConfig(), np.random.default_rng(18))
         return policy.get_flat(), stats
 
@@ -333,7 +333,7 @@ def test_non_finite_loss_aborts():
     policy = toy_policy(seed=19)
     buf = toy_buffer(policy, seed=20)
     buf.rewards[0, 0] = np.inf
-    optimizer = Adam(policy.n_params, lr=policy.lr)
+    optimizer = Adam(policy.n_params)
     with pytest.raises(NonFiniteLoss):
         ppo_update(policy, optimizer, buf, PpoConfig(), np.random.default_rng(21))
 
@@ -357,8 +357,7 @@ def allocating_ppo_update(policy, optimizer, buffer, config, rng):
             grads, pl, vl, ent, kl = minibatch_grads(
                 policy, obs[idx], actions[idx], old_logp[idx], advantages[idx],
                 returns[idx], config, old_means[idx], buffer.sample_log_std)
-            optimizer.lr = policy.lr
-            optimizer.step(policy.params, grads)
+            optimizer.step(policy.params, grads, policy.lr)
             for key, value in zip(stats, (pl, vl, ent, kl)):
                 stats[key].append(value)
             epoch_kl.append(kl)
@@ -375,7 +374,7 @@ def test_update_bitwise_equal_to_allocating_update(monkeypatch):
         buf = toy_buffer(policy, seed=25, horizon=5, n_envs=3)
         buf.observations[0, 0, :3] = [0.0, -0.0, 0.0]
         buf.observations[2, 1, 2:4] = -0.0
-        optimizer = Adam(policy.n_params, lr=policy.lr)
+        optimizer = Adam(policy.n_params)
         stats = update(policy, optimizer, buf, PpoConfig(), np.random.default_rng(26))
         return policy, optimizer, stats
 
@@ -396,7 +395,7 @@ def test_update_rejects_an_empty_minibatch():
     policy = toy_policy(seed=27)
     buf = toy_buffer(policy, seed=28, horizon=1, n_envs=2)
     before = policy.get_flat()
-    optimizer = Adam(policy.n_params, lr=policy.lr)
+    optimizer = Adam(policy.n_params)
     with pytest.raises(ValueError, match="minibatches"):
         ppo_update(policy, optimizer, buf, PpoConfig(n_minibatches=4), np.random.default_rng(29))
     np.testing.assert_array_equal(policy.params, before)
@@ -410,7 +409,7 @@ def desk_update_faults():
     policy = GaussianPolicy(61, 12, (128, 64, 32), np.random.default_rng(30),
                             log_std_init=TRAIN.log_std_init, lr=TRAIN.lr_init,
                             actor_out_scale=TRAIN.actor_out_scale)
-    optimizer = Adam(policy.n_params, lr=policy.lr)
+    optimizer = Adam(policy.n_params)
     rng = np.random.default_rng(31)
     faults = []
     for seed in (32, 33, 34):

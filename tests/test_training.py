@@ -1,11 +1,12 @@
 import csv
 import os
+import shutil
 
 import numpy as np
 import pytest
 from dataclasses import replace
 
-from conftest import set_checkpoint_version
+from conftest import set_checkpoint_meta
 from cpgrl import training
 from cpgrl.config import RunConfig, config_hash
 from cpgrl.env import VecLocomotionEnv
@@ -102,22 +103,26 @@ def test_resume_reproduces_metrics_bit_identically(fitted, tmp_path):
 
     cfg2 = replace(cfg5, train=replace(cfg5.train, iterations=2))
     train(cfg2, planner, tmp_path / "part", log=None)
-    resumed = train(cfg5, planner, tmp_path / "part",
-                    resume_from=tmp_path / "part" / "checkpoint_000002.npz", log=None)
-    resumed_rows = list(csv.DictReader(open(resumed)))
+    # a version-3 file from the earlier writer also stored Adam's unused "adam_lr"
+    shutil.copytree(tmp_path / "part", tmp_path / "legacy")
+    set_checkpoint_meta(tmp_path / "legacy" / "checkpoint_000002.npz", adam_lr=123.0)
+    for run in ("part", "legacy"):
+        resumed = train(cfg5, planner, tmp_path / run,
+                        resume_from=tmp_path / run / "checkpoint_000002.npz", log=None)
+        resumed_rows = list(csv.DictReader(open(resumed)))
 
-    assert len(resumed_rows) == 5
-    for a, b in zip(full_rows[2:], resumed_rows[2:]):
-        for key in ("mean_reward", "tracking_fraction", "approx_kl", "lr",
-                    "policy_loss", "value_loss"):
-            assert a[key] == b[key], key
+        assert len(resumed_rows) == 5
+        for a, b in zip(full_rows[2:], resumed_rows[2:]):
+            for key in ("mean_reward", "tracking_fraction", "approx_kl", "lr",
+                        "policy_loss", "value_loss"):
+                assert a[key] == b[key], (run, key)
 
 
 def test_checkpoint_round_trip(fitted, tmp_path):
     cfg, planner, _ = fitted
     env = VecLocomotionEnv(cfg, planner, train_mode=True)
     policy = training._new_policy(cfg, cfg.train.lr_init)
-    optimizer = Adam(policy.n_params, lr=policy.lr)
+    optimizer = Adam(policy.n_params)
     rng = np.random.default_rng(4)
     collect_rollouts(env, policy, rng, horizon=4)
     assert policy.obs_norm.count == 4 * cfg.train.n_envs
@@ -128,6 +133,7 @@ def test_checkpoint_round_trip(fitted, tmp_path):
     ck = load_checkpoint(path)
     assert ck["meta"]["iteration"] == 7
     assert ck["meta"]["config_hash"] == config_hash(cfg)
+    assert "adam_lr" not in ck["meta"]
     np.testing.assert_array_equal(ck["policy_flat"], policy.get_flat())
     restored = policy_from_checkpoint(ck)
     assert restored.obs_norm.count == policy.obs_norm.count
@@ -158,7 +164,7 @@ def test_old_checkpoint_version_rejected(fitted, tmp_path, version):
     cfg, planner, _ = fitted
     path = tmp_path / "ck.npz"
     write_checkpoint(path, cfg, planner)
-    set_checkpoint_version(path, version)
+    set_checkpoint_meta(path, version=version)
     with pytest.raises(ValueError, match=f"unsupported checkpoint version {version}"):
         load_checkpoint(path)
 
