@@ -18,11 +18,14 @@ from .kinematics import (
     LEG_NAMES,
     LegGeometry,
     Unreachable,
-    feet_and_jacobians_all,
+    _all_legs,
+    _joint_major,
+    _leg_kinematics,
     forward_kinematics_all,
     inverse_kinematics,
 )
 from .oscillator import OscillatorParams, PeriodicOrbit, find_limit_cycle
+from .simulator import _matvec3_t
 
 
 class TooManyCenters(ValueError):
@@ -405,12 +408,16 @@ def refine_loss_and_grads(
     """
     n = phi.shape[0]
     q_flat = phi @ weights + bias  # (N, 12)
-    feet, jac = feet_and_jacobians_all(q_flat, geometry)  # (N, 4, 3), (N, 4, 3, 3)
-    err = feet - target_feet
-    sq = np.sum(err * err, axis=-1)
+    # the kinematics kernel runs component-major: feet (3, 4, N), Jacobians (3, 3, 4, N)
+    y_off, mounts = _all_legs(geometry, 1)
+    feet, jac = _leg_kinematics(_joint_major(q_flat.T), geometry, y_off, mounts,
+                                jacobian=True)
+    err = feet - target_feet.T
+    # the long sums below round by memory order, so they run over (N, ...) copies
+    sq = np.ascontiguousarray((err * err).sum(axis=0).T)
     # np.mean's own arithmetic (one sum, then / count) without its Python wrapper
     loss = float(sq.sum() / sq.size)
-    grad_q = (2.0 / (n * 4)) * np.einsum("nlij,nli->nlj", jac, err).reshape(n, 12)
+    grad_q = np.ascontiguousarray(((2.0 / (n * 4)) * _matvec3_t(jac, err)).T).reshape(n, 12)
     return loss, phi.T @ grad_q, grad_q.sum(axis=0)
 
 

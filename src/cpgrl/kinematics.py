@@ -9,8 +9,12 @@ Conventions:
   - the abduction joint rotates the (lateral offset, sagittal) assembly
     about the body x axis
 
-Everything broadcasts over leading axes; feet/Jacobians for all four legs
-come from the *_all variants with a legs axis.
+The kernel `_leg_kinematics` is component-major: the joint axis leads and
+feet come out (3, ...), Jacobians (3, 3, ...), with leg and env axes
+trailing. The public functions keep the array-of-structs layout, components
+last and leading axes broadcasting, by moving axes around the same kernel;
+feet/Jacobians for all four legs come from the *_all variants with a legs
+axis.
 """
 
 from dataclasses import dataclass, field
@@ -62,24 +66,30 @@ class LegGeometry:
         return abs(self.thigh_len - self.calf_len)
 
 
+# The public functions below reverse every axis (`.T`) on the way into the
+# component-major kernel and back out, so q's leading axes trail inside it.
+
+
 def forward_kinematics(q, geom: LegGeometry, leg: int) -> np.ndarray:
     """Foot position in the body frame for one leg; q is (..., 3)."""
-    q = np.asarray(q, dtype=float)
-    y_off = geom.side_signs[leg] * geom.hip_offset
-    return _leg_kinematics(q, geom, y_off, geom.hip_mounts[leg])[0]
+    q = np.asarray(q, dtype=float).T
+    y_off, mount = _one_leg(geom, leg, q.ndim - 1)
+    return np.ascontiguousarray(_leg_kinematics(q, geom, y_off, mount)[0].T)
 
 
 def forward_kinematics_all(q12, geom: LegGeometry) -> np.ndarray:
     """Feet for all four legs: q12 is (..., 12) -> (..., 4, 3) body frame."""
-    y_off = geom.side_signs * geom.hip_offset
-    return _leg_kinematics(_per_leg(q12), geom, y_off, geom.hip_mounts)[0]
+    q = np.asarray(q12, dtype=float).T
+    y_off, mounts = _all_legs(geom, q.ndim - 1)
+    return np.ascontiguousarray(_leg_kinematics(_joint_major(q), geom, y_off, mounts)[0].T)
 
 
 def leg_jacobian(q, geom: LegGeometry, leg: int) -> np.ndarray:
     """d(foot)/d(q) for one leg, (..., 3, 3); column order (abd, hip, knee)."""
-    q = np.asarray(q, dtype=float)
-    y_off = geom.side_signs[leg] * geom.hip_offset
-    return _leg_kinematics(q, geom, y_off, geom.hip_mounts[leg], jacobian=True)[1]
+    q = np.asarray(q, dtype=float).T
+    y_off, mount = _one_leg(geom, leg, q.ndim - 1)
+    jac = _leg_kinematics(q, geom, y_off, mount, jacobian=True)[1]
+    return _rows_last(jac)
 
 
 def leg_jacobian_all(q12, geom: LegGeometry) -> np.ndarray:
@@ -93,23 +103,48 @@ def feet_and_jacobians_all(q12, geom: LegGeometry) -> tuple[np.ndarray, np.ndarr
     (..., 12) -> feet (..., 4, 3) and Jacobians (..., 4, 3, 3), each bit-equal
     to its own function's result; the two share every sine and cosine.
     """
+    q = np.asarray(q12, dtype=float).T
+    y_off, mounts = _all_legs(geom, q.ndim - 1)
+    feet, jac = _leg_kinematics(_joint_major(q), geom, y_off, mounts, jacobian=True)
+    return np.ascontiguousarray(feet.T), _rows_last(jac)
+
+
+def _joint_major(q):
+    """(12, ...) joint vectors (legs FR, FL, RR, RL, three joints each) as a
+    (3, 4, ...) view: joint, leg, then the env axes."""
+    return q.reshape((4, 3) + q.shape[1:]).swapaxes(0, 1)
+
+
+def _all_legs(geom: LegGeometry, n_env_axes: int):
+    """The four lateral offsets (4, 1...) and hip mounts (3, 4, 1...), with
+    n_env_axes trailing axes of 1 to broadcast against the env axes."""
+    tail = (1,) * n_env_axes
     y_off = geom.side_signs * geom.hip_offset
-    return _leg_kinematics(_per_leg(q12), geom, y_off, geom.hip_mounts, jacobian=True)
+    return y_off.reshape((4,) + tail), geom.hip_mounts.T.reshape((3, 4) + tail)
 
 
-def _per_leg(q12):
-    q = np.asarray(q12, dtype=float)
-    return q.reshape(q.shape[:-1] + (4, 3))
+def _one_leg(geom: LegGeometry, leg: int, n_env_axes: int):
+    """One leg's lateral offset and its hip mount (3, 1...), as _all_legs."""
+    y_off = geom.side_signs[leg] * geom.hip_offset
+    return y_off, geom.hip_mounts[leg].reshape((3,) + (1,) * n_env_axes)
+
+
+def _rows_last(jac):
+    """(3, 3, ...) Jacobians, row then column, as C-contiguous (..., 3, 3)."""
+    return np.ascontiguousarray(jac.T.swapaxes(-1, -2))
 
 
 def _leg_kinematics(q, geom: LegGeometry, y_off, mounts, jacobian=False):
-    """Feet (and with jacobian=True their Jacobians, else None) of legs whose
-    joints are q's last axis; y_off and mounts broadcast over q's leading axes.
+    """Feet (and with jacobian=True their Jacobians, else None) in the
+    component-major layout: q is (3, ...) with the (abd, hip, knee) joint
+    axis first, feet come out (3, ...) and Jacobians (3, 3, ...) as (row,
+    column, ...). y_off broadcasts against q[0], and mounts, (3, ...),
+    against the feet.
 
     Each sine and cosine is taken once. The sagittal z is the same expression
     as dx_dhip, and the foot's y the same as the abduction column's z entry.
     """
-    q_abd, q_hip, q_knee = q[..., 0], q[..., 1], q[..., 2]
+    q_abd, q_hip, q_knee = q[0], q[1], q[2]
     t, c = geom.thigh_len, geom.calf_len
     hk = q_hip + q_knee
     sin_h, cos_h = np.sin(q_hip), np.cos(q_hip)
@@ -118,10 +153,10 @@ def _leg_kinematics(q, geom: LegGeometry, y_off, mounts, jacobian=False):
     z = -t * cos_h - c * cos_hk
     foot_y = ca * y_off - sa * z
 
-    foot = np.empty(z.shape + (3,))
-    foot[..., 0] = -t * sin_h - c * sin_hk
-    foot[..., 1] = foot_y
-    foot[..., 2] = sa * y_off + ca * z
+    foot = np.empty((3,) + z.shape)
+    foot[0] = -t * sin_h - c * sin_hk
+    foot[1] = foot_y
+    foot[2] = sa * y_off + ca * z
     foot += mounts
     if not jacobian:
         return foot, None
@@ -131,16 +166,16 @@ def _leg_kinematics(q, geom: LegGeometry, y_off, mounts, jacobian=False):
     dz_dhip = t * sin_h + dz_dknee
     neg_sa = -sa
     # columns: d(foot)/d(q_abd), d(foot)/d(q_hip), d(foot)/d(q_knee)
-    jac = np.empty(z.shape + (3, 3))
-    jac[..., 0, 0] = 0.0
-    jac[..., 1, 0] = neg_sa * y_off - ca * z
-    jac[..., 2, 0] = foot_y
-    jac[..., 0, 1] = z
-    jac[..., 1, 1] = neg_sa * dz_dhip
-    jac[..., 2, 1] = ca * dz_dhip
-    jac[..., 0, 2] = dx_dknee
-    jac[..., 1, 2] = neg_sa * dz_dknee
-    jac[..., 2, 2] = ca * dz_dknee
+    jac = np.empty((3, 3) + z.shape)
+    jac[0, 0] = 0.0
+    jac[1, 0] = neg_sa * y_off - ca * z
+    jac[2, 0] = foot_y
+    jac[0, 1] = z
+    jac[1, 1] = neg_sa * dz_dhip
+    jac[2, 1] = ca * dz_dhip
+    jac[0, 2] = dx_dknee
+    jac[1, 2] = neg_sa * dz_dknee
+    jac[2, 2] = ca * dz_dknee
     return foot, jac
 
 

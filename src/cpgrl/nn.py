@@ -10,6 +10,13 @@ import math
 import numpy as np
 
 
+# normalized observations are clipped to +-OBS_CLIP, the usual PPO guard
+# against outliers in a young running estimate, not a quantity to tune
+OBS_CLIP = 10.0
+# added to the running variance so constant observation slots divide finitely
+NORM_EPS = 1e-8
+
+
 class DimensionMismatch(ValueError):
     pass
 
@@ -186,10 +193,8 @@ class RunningNorm:
     the 61 mixed-scale observation slots comparable for the tiny networks.
     """
 
-    def __init__(self, dim: int, clip: float = 10.0, eps: float = 1e-8):
+    def __init__(self, dim: int):
         self.dim = dim
-        self.clip = clip
-        self.eps = eps
         self.count = 0.0
         self.mean = np.zeros(dim)
         self.var = np.ones(dim)
@@ -214,8 +219,8 @@ class RunningNorm:
     def normalize(self, obs: np.ndarray) -> np.ndarray:
         if self.count == 0:
             return np.asarray(obs, dtype=float)
-        std = np.sqrt(self.var + self.eps)
-        return np.clip((obs - self.mean) / std, -self.clip, self.clip)
+        std = np.sqrt(self.var + NORM_EPS)
+        return np.clip((obs - self.mean) / std, -OBS_CLIP, OBS_CLIP)
 
     def state_dict(self) -> dict:
         return {"count": self.count, "mean": self.mean.copy(), "var": self.var.copy()}

@@ -6,9 +6,12 @@ regularized Coulomb friction. Joint velocities integrate against a per-joint
 reflected inertia so joint-acceleration and action-rate penalties stay
 meaningful without articulated leg dynamics.
 
-The numerical core `_step_core` operates on arrays with arbitrary leading
-axes: the vectorized training environment steps all envs in one call, and
-stepping one env's slice alone gives bit-identical results.
+The numerical core `_step_core` takes component-major arrays: the 3, 4 or
+12 components lead and the env axes trail, so each arithmetic call runs over
+whole rows of envs. One robot's arrays are the same with no env axes. The
+vectorized training environment transposes its (n, ...) state into this
+layout, steps all envs in one call per substep, and transposes back; stepping
+one env's slice alone gives bit-identical results.
 """
 
 from dataclasses import dataclass, field, replace
@@ -16,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import quat
-from .kinematics import LegGeometry, feet_and_jacobians_all, standing_pose
+from .kinematics import LegGeometry, _all_legs, _joint_major, _leg_kinematics, standing_pose
 
 
 class NumericalDivergence(RuntimeError):
@@ -89,89 +92,93 @@ def pd_torque(q_star, q, qdot, kp: float, kd: float, tau_limit: float) -> np.nda
 
 
 def clamp_joints(q, joint_limits) -> np.ndarray:
-    """np.clip(q, joint_limits[0], joint_limits[1]) for (2, 12) limits.
+    """np.clip(q, lower, upper) per joint for (12, ...) q and (2, 12) limits.
 
     With array bounds np.clip ties like the input-first order (see pd_torque).
     """
-    return np.minimum(np.maximum(q, joint_limits[0]), joint_limits[1])
+    limits = joint_limits.reshape(joint_limits.shape + (1,) * (q.ndim - 1))
+    return np.minimum(np.maximum(q, limits[0]), limits[1])
 
 
 def contact_force(foot_pos, foot_vel, params: EnvParams, friction):
     """Ground reaction force on foot point(s) and their penetration depth.
 
-    The terrain is the plane through the origin with params.terrain_normal.
-    Normal: max(0, k*penetration - d*v_n) with v_n the outward (separation)
-    velocity. Tangential: -min(mu*N, k_t*|v_t|) along the slip direction.
-    friction broadcasts against the points' leading axes.
+    Points are component-major, (3, ...), and so is the force. The terrain is
+    the plane through the origin with params.terrain_normal. Normal:
+    max(0, k*penetration - d*v_n) with v_n the outward (separation) velocity.
+    Tangential: -min(mu*N, k_t*|v_t|) along the slip direction. friction
+    broadcasts against the points' trailing axes.
     """
     n = params.terrain_normal
-    height = (
-        foot_pos[..., 0] * n[0] + foot_pos[..., 1] * n[1] + foot_pos[..., 2] * n[2]
-    )
+    height = foot_pos[0] * n[0] + foot_pos[1] * n[1] + foot_pos[2] * n[2]
     pen = -height
     in_contact = pen > 0.0
 
-    v_n = foot_vel[..., 0] * n[0] + foot_vel[..., 1] * n[1] + foot_vel[..., 2] * n[2]
+    v_n = foot_vel[0] * n[0] + foot_vel[1] * n[1] + foot_vel[2] * n[2]
     normal_mag = np.where(
         in_contact,
         np.maximum(0.0, params.contact_stiffness * pen - params.contact_damping * v_n),
         0.0,
     )
 
-    v_t = foot_vel - v_n[..., None] * n
-    speed = np.sqrt((v_t * v_t).sum(axis=-1))
+    n = n.reshape((3,) + (1,) * pen.ndim)
+    v_t = foot_vel - v_n * n
+    speed = np.sqrt((v_t * v_t).sum(axis=0))
     cap = friction * normal_mag
     tangential_mag = np.minimum(cap, params.tangential_gain * speed)
     safe_speed = np.where(speed > 0.0, speed, 1.0)
-    f_t = -(tangential_mag / safe_speed)[..., None] * v_t
+    f_t = -(tangential_mag / safe_speed) * v_t
 
-    return normal_mag[..., None] * n + f_t, pen
+    return normal_mag * n + f_t, pen
 
 
 def _matvec3(m, v):
-    """(..., 3, 3) @ (..., 3) with a fixed summation order (bit-stable)."""
-    return (
-        m[..., 0] * v[..., 0:1] + m[..., 1] * v[..., 1:2] + m[..., 2] * v[..., 2:3]
-    )
+    """(3, 3, ...) @ (3, ...), component-major, with a fixed summation order (bit-stable)."""
+    return m[:, 0] * v[0] + m[:, 1] * v[1] + m[:, 2] * v[2]
 
 
 def _matvec3_t(m, v):
-    """(..., 3, 3)^T @ (..., 3) as a sum of m's rows, in the same order as _matvec3."""
-    return (
-        m[..., 0, :] * v[..., 0:1] + m[..., 1, :] * v[..., 1:2] + m[..., 2, :] * v[..., 2:3]
-    )
+    """(3, 3, ...)^T @ (3, ...) as a sum of m's rows, in the same order as _matvec3."""
+    return m[0] * v[0] + m[1] * v[1] + m[2] * v[2]
 
 
 def _step_core(pos, rot, linvel, angvel, q, qdot, air, ep_time,
                targets, params: EnvParams, dt: float, mass, friction):
-    """One 200 Hz substep on plain arrays; leading axes broadcast.
+    """One 200 Hz substep on component-major arrays.
 
-    mass and friction are per env (scalars for one robot). Every output is a
-    new array; the inputs are never written.
+    The components lead and the env axes trail: pos, linvel and angvel are
+    (3, ...), rot (4, ...), q, qdot and targets (12, ...), air (4, ...), and
+    ep_time, mass and friction have the env axes alone (scalars for one
+    robot, whose arrays keep their usual shapes). Inside, feet are (3, 4, ...)
+    and Jacobians (3, 3, 4, ...). Every output is a new array; the inputs are
+    never written.
     """
     tau = pd_torque(targets, q, qdot, params.kp, params.kd, params.tau_limit)
 
-    feet_b, jac_b = feet_and_jacobians_all(q, params.geometry)    # (..., 4, 3), (..., 4, 3, 3)
-    rot4 = rot[..., None, :]
-    qdot_legs = np.reshape(qdot, qdot.shape[:-1] + (4, 3))
-    v_feet_b = _matvec3(jac_b, qdot_legs)
+    geom = params.geometry
+    y_off, mounts = _all_legs(geom, pos.ndim - 1)
+    feet_b, jac_b = _leg_kinematics(_joint_major(q), geom, y_off, mounts, jacobian=True)
+    v_feet_b = _matvec3(jac_b, _joint_major(qdot))
+    rot4 = rot[:, None]
+    w, u = rot4[0], rot4[1:4]
     # rotation is per vector, so the feet and their velocities rotate in one call
-    feet_v_w = quat.rotate(rot4, np.concatenate(
-        [feet_b, quat.cross(angvel[..., None, :], feet_b) + v_feet_b], axis=-2))
-    feet_w = pos[..., None, :] + feet_v_w[..., :4, :]
-    v_feet_w = linvel[..., None, :] + feet_v_w[..., 4:, :]
+    feet_v_w = quat._rotate(w, u, np.concatenate(
+        [feet_b, quat._cross(angvel[:, None], feet_b) + v_feet_b], axis=1))
+    pos4 = pos[:, None]
+    feet_w = pos4 + feet_v_w[:, :4]
+    v_feet_w = linvel[:, None] + feet_v_w[:, 4:]
 
-    f_w, pen = contact_force(feet_w, v_feet_w, params,
-                             np.asarray(friction, dtype=float)[..., None])
-    torque_w = quat.cross(feet_w - pos[..., None, :], f_w).sum(axis=-2)
+    f_w, pen = contact_force(feet_w, v_feet_w, params, friction)
+    # numpy sums the 4-long leg axis left to right from +0.0, as it summed the
+    # array-of-structs legs axis: four -0.0 terms give +0.0, unlike a chain of adds
+    torque_w = quat._cross(feet_w - pos4, f_w).sum(axis=1)
     # the foot forces and the trunk torque go to the body frame in one call
-    wrench_b = quat.rotate_inv(rot4, np.concatenate([f_w, torque_w[..., None, :]], axis=-2))
-    f_b = wrench_b[..., :4, :]
-    torque_b = wrench_b[..., 4, :]
+    wrench_b = quat._rotate(w, -u, np.concatenate([f_w, torque_w[:, None]], axis=1))
+    f_b = wrench_b[:, :4]
+    torque_b = wrench_b[:, 4]
 
     # contact reaction projected onto the joints; ground force flexes the leg
-    joint_reaction = _matvec3_t(jac_b, f_b)                       # (..., 4, 3)
-    joint_reaction = np.reshape(joint_reaction, qdot.shape)
+    joint_reaction = _matvec3_t(jac_b, f_b).swapaxes(0, 1).reshape(qdot.shape)
 
     qddot = (tau + joint_reaction) / params.reflected_inertia
     qdot_new = qdot + dt * qddot
@@ -181,18 +188,17 @@ def _step_core(pos, rot, linvel, angvel, q, qdot, air, ep_time,
 
     # trunk wrench: contact forces, their moments about the COM, gravity;
     # gravity enters as an acceleration so free fall integrates to dt*g exactly
-    mass_arr = np.asarray(mass, dtype=float)
-    f_sum = f_w.sum(axis=-2)
-    accel = f_sum / mass_arr[..., None]
-    accel[..., 2] = accel[..., 2] - params.gravity
+    f_sum = f_w.sum(axis=1)
+    accel = f_sum / mass
+    accel[2] = accel[2] - params.gravity
     linvel_new = linvel + dt * accel
     pos_new = pos + dt * linvel_new
 
-    inertia = params.trunk_inertia
+    inertia = params.trunk_inertia.reshape((3,) + (1,) * (pos.ndim - 1))
     ang_mom = inertia * angvel
-    gyro = quat.cross(angvel, ang_mom)
+    gyro = quat._cross(angvel, ang_mom)
     angvel_new = angvel + dt * (torque_b - gyro) / inertia
-    rot_new = quat.normalize(quat.multiply(rot, quat.from_rotvec(angvel_new * dt)))
+    rot_new = quat._normalize(quat._multiply(rot, quat._from_rotvec(angvel_new * dt)))
 
     contacts_new = pen > 0.0
     air_new = np.where(contacts_new, 0.0, air + dt)

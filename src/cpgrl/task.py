@@ -80,12 +80,17 @@ def compose_action(q_cpg, q_rlfc, residual_limit: float) -> np.ndarray:
 # the six foot pairs (i, j), i < j, in the order (0, 1), (0, 2), ..., (2, 3)
 _PAIR_I, _PAIR_J = np.triu_indices(4, k=1)
 
+# m; feet closer than this touch. It follows the robot's foot size, not a
+# reward trade-off, so no config sets it (the weight does).
+FOOT_CONTACT_DISTANCE = 0.04
 
-def count_foot_pair_collisions(feet_body, threshold: float = 0.04) -> np.ndarray:
-    """Number of foot pairs closer than threshold; feet_body (..., 4, 3)."""
+
+def count_foot_pair_collisions(feet_body) -> np.ndarray:
+    """Number of foot pairs closer than FOOT_CONTACT_DISTANCE; feet_body (..., 4, 3)."""
     feet = np.asarray(feet_body, dtype=float)
     d = feet[..., _PAIR_I, :] - feet[..., _PAIR_J, :]
-    return ((d * d).sum(axis=-1) < threshold * threshold).sum(axis=-1, dtype=float)
+    limit = FOOT_CONTACT_DISTANCE * FOOT_CONTACT_DISTANCE
+    return ((d * d).sum(axis=-1) < limit).sum(axis=-1, dtype=float)
 
 
 def reward_terms_arrays(

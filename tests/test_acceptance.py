@@ -337,7 +337,7 @@ def test_criterion_8_physics_sanity():
     jac = leg_jacobian_all(q, params.geometry)
     v_b = np.einsum("lij,lj->li", jac, qdot.reshape(4, 3))
     v_w = linvel + quat.rotate(rot, np.cross(angvel, feet_b) + v_b)
-    fz = contact_force(feet_w, v_w, params, params.friction)[0][:, 2].sum()
+    fz = contact_force(feet_w.T, v_w.T, params, params.friction)[0][2].sum()
     weight = params.trunk_mass * params.gravity
     balance = abs(fz / weight - 1.0)
 

@@ -41,7 +41,8 @@ def test_step_advances_phase_and_time(planner):
 
 
 def test_vectorized_step_matches_scalar_bitwise(planner):
-    """Batched `_step_core` over all envs equals `_step_core` on each env's slice."""
+    """`env.step`, and `_step_core` over all envs component-major (env axis
+    last), equal `_step_core` on each env's slice."""
     cfg = small_cfg()
     # randomized dynamics give each env its own mass and friction
     cfg = replace(cfg, dr=replace(cfg.dr, randomize_dynamics=True, add_noise=False,
@@ -56,6 +57,12 @@ def test_vectorized_step_matches_scalar_bitwise(planner):
                                 cfg.robot.residual_limit)
         alpha = cfg.robot.filter_alpha
         filtered = alpha * target + (1.0 - alpha) * env.filter_mem
+        batched = (env.pos.T, env.rot.T, env.linvel.T, env.angvel.T,
+                   env.q.T, env.qdot.T, env.air.T, env.ep_time)
+        for _ in range(env.substeps):
+            out = _step_core(*batched, filtered.T, params, params.dt, env.mass, env.friction)
+            batched = out[:6] + out[7:]
+        batched_out = out
         per_env = []
         for i in range(env.n):
             state = (env.pos[i], env.rot[i], env.linvel[i], env.angvel[i],
@@ -67,8 +74,9 @@ def test_vectorized_step_matches_scalar_bitwise(planner):
             per_env.append(out)
         env.step(actions)
         for i, out in enumerate(per_env):
-            for name, value in zip(names, out):
+            for name, value, batch in zip(names, out, batched_out):
                 np.testing.assert_array_equal(getattr(env, name)[i], value, err_msg=name)
+                np.testing.assert_array_equal(np.asarray(batch)[..., i], value, err_msg=name)
 
 
 def test_filter_alpha_one_passes_the_target_through(planner):

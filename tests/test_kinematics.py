@@ -10,6 +10,9 @@ from cpgrl.config import RunConfig
 from cpgrl.kinematics import (
     LEG_INDEX,
     Unreachable,
+    _all_legs,
+    _joint_major,
+    _leg_kinematics,
     feet_and_jacobians_all,
     forward_kinematics,
     forward_kinematics_all,
@@ -251,6 +254,13 @@ def test_fk_and_jacobian_bitwise_equal_to_stack_forms(lead):
                          stack_jacobian(q[..., leg, 0], q[..., leg, 1], q[..., leg, 2], GO1, y_off))
     # the abduction column's x entry is +0.0, as zeros_like gave
     assert not np.signbit(leg_jacobian_all(q12, GO1)[..., 0, 0]).any()
+    # the kernel itself, component-major as `_step_core` calls it: (12, ...)
+    # joints in, (3, 4, ...) feet and (3, 3, 4, ...) Jacobians out
+    q_c = np.ascontiguousarray(np.moveaxis(q12, -1, 0))
+    y_off, mounts = _all_legs(GO1, len(lead))
+    feet_c, jac_c = _leg_kinematics(_joint_major(q_c), GO1, y_off, mounts, jacobian=True)
+    assert_same_bits(feet_c, np.moveaxis(stack_feet, (-1, -2), (0, 1)))
+    assert_same_bits(jac_c, np.moveaxis(stack_jac, (-2, -1, -3), (0, 1, 2)))
 
 
 # ---------------------------------------------------------------- properties

@@ -4,56 +4,18 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import assert_same_bits, with_special_lanes
+from conftest import (
+    assert_same_bits,
+    assert_same_bits_where_not_nan,
+    concat_from_rotvec,
+    concat_rotate_inv,
+    stack_cross,
+    stack_multiply,
+    stack_rotate,
+    sum_normalize,
+    with_special_lanes,
+)
 from cpgrl import quat
-
-# ------------------------------------------------- reference (stack) forms
-
-
-def stack_cross(a, b):
-    ax, ay, az = a[..., 0], a[..., 1], a[..., 2]
-    bx, by, bz = b[..., 0], b[..., 1], b[..., 2]
-    return np.stack([ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx], axis=-1)
-
-
-def stack_rotate(q, v):
-    w = q[..., 0:1]
-    u = q[..., 1:4]
-    uv = stack_cross(u, v)
-    uuv = stack_cross(u, uv)
-    return v + 2.0 * (w * uv + uuv)
-
-
-def concat_rotate_inv(q, v):
-    conj = np.concatenate([q[..., 0:1], -q[..., 1:4]], axis=-1)
-    return stack_rotate(conj, v)
-
-
-def stack_multiply(a, b):
-    aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
-    bw, bx, by, bz = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
-    return np.stack(
-        [
-            aw * bw - ax * bx - ay * by - az * bz,
-            aw * bx + ax * bw + ay * bz - az * by,
-            aw * by - ax * bz + ay * bw + az * bx,
-            aw * bz + ax * by - ay * bx + az * bw,
-        ],
-        axis=-1,
-    )
-
-
-def concat_from_rotvec(r):
-    angle = np.sqrt(np.sum(r * r, axis=-1, keepdims=True))
-    half = 0.5 * angle
-    small = angle < 1e-12
-    scale = np.where(small, 0.5, np.sin(half) / np.where(small, 1.0, angle))
-    return np.concatenate([np.cos(half), r * scale], axis=-1)
-
-
-def sum_normalize(q):
-    return q / np.sqrt(np.sum(q * q, axis=-1, keepdims=True))
-
 
 # leading shapes: one item, the n = 1 env step, and the desk and rollout batches
 LEADING = [(), (1, 4), (64, 4), (1024, 4)]
@@ -81,7 +43,9 @@ def test_kernels_bitwise_equal_to_stack_forms(lead):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("n", [1, 64, 1024])
 def test_kernels_bitwise_on_the_step_core_broadcast(n):
-    """(n, 1, 4) quaternions against (n, 4, 3) foot vectors, as `_step_core` calls them."""
+    """(4, 1, n) quaternions against (3, 4, n) foot vectors, component-major
+    as `_step_core` calls the kernels, and the (n, 1, 4) and (n, 4, 3)
+    array-of-structs forms through the public functions."""
     rng = np.random.default_rng(n)
     rot4 = with_special_lanes(rng, (n, 1, 4))
     feet = with_special_lanes(rng, (n, 4, 3))
@@ -92,6 +56,19 @@ def test_kernels_bitwise_on_the_step_core_broadcast(n):
     # a world-frame constant against a batch, as gravity_body calls rotate_inv
     g = np.array([0.0, 0.0, -1.0])
     assert_same_bits(quat.rotate_inv(rot4[:, 0], g), concat_rotate_inv(rot4[:, 0], g))
+
+    rot4_c, feet_c, angvel_c = (x.transpose(2, 1, 0) for x in (rot4, feet, angvel))
+    w, u = rot4_c[0], rot4_c[1:4]
+    assert_same_bits(quat._rotate(w, u, feet_c), stack_rotate(rot4, feet).transpose(2, 1, 0))
+    assert_same_bits(quat._rotate(w, -u, feet_c),
+                     concat_rotate_inv(rot4, feet).transpose(2, 1, 0))
+    assert_same_bits(quat._cross(angvel_c, feet_c), stack_cross(angvel, feet).transpose(2, 1, 0))
+    # the trunk update: one rotation vector and quaternion per env
+    rot, r = rot4[:, 0], angvel[:, 0]
+    assert_same_bits(quat._cross(r.T, feet[:, 0].T), stack_cross(r, feet[:, 0]).T)
+    assert_same_bits(quat._from_rotvec(r.T), concat_from_rotvec(r).T)
+    assert_same_bits(quat._multiply(rot.T, rot4[::-1, 0].T), stack_multiply(rot, rot4[::-1, 0]).T)
+    assert_same_bits(quat._normalize(rot.T), sum_normalize(rot).T)
 
 
 def test_from_rotvec_zero_and_tiny_angles_bitwise():
@@ -110,21 +87,6 @@ def rotations_of_two_blocks(draw):
     a = draw(arrays(np.float64, lead + (4, 3), elements=floats))
     b = draw(arrays(np.float64, lead + (k, 3), elements=floats))
     return q, a, b
-
-
-def assert_same_bits_where_not_nan(a, b):
-    """NaN in the same lanes, identical bits (signed zeros and infinities
-    included) in every other lane.
-
-    IEEE 754 leaves the sign and payload of a produced NaN unspecified, and
-    numpy picks its ufunc loop by array length, so which NaN a lane holds can
-    depend on how many rows were rotated together. No output can show it:
-    the simulator's divergence check raises on any NaN.
-    """
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    nan = np.isnan(a)
-    np.testing.assert_array_equal(nan, np.isnan(b))
-    assert_same_bits(np.where(nan, 0.0, a), np.where(nan, 0.0, b))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -1,17 +1,26 @@
+import itertools
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from dataclasses import replace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import SPECIAL_LANES, assert_same_bits, with_special_lanes
+from conftest import (
+    SPECIAL_LANES,
+    aos_step_core,
+    assert_same_bits,
+    assert_same_bits_where_not_nan,
+    with_special_lanes,
+)
 from cpgrl import quat
 from cpgrl.config import RunConfig
 from cpgrl.env import VecLocomotionEnv
 from cpgrl.kinematics import forward_kinematics_all, leg_jacobian_all
 from cpgrl.simulator import (
     NumericalDivergence,
+    _matvec3,
     _matvec3_t,
     _step_core,
     clamp_joints,
@@ -49,8 +58,8 @@ def substep(s, targets, params):
 
 
 def force(foot_pos, foot_vel, params=PARAMS):
-    """Contact force on foot point(s) at the params' own friction."""
-    return contact_force(foot_pos, foot_vel, params, params.friction)[0]
+    """Contact force on (..., 3) foot point(s) at the params' own friction."""
+    return contact_force(foot_pos.T, foot_vel.T, params, params.friction)[0].T
 
 
 def settle(params, seconds, drop=0.02):
@@ -99,18 +108,21 @@ def test_pd_torque_bitwise_equal_to_np_clip(tau_limit):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_clamp_joints_bitwise_equal_to_np_clip():
-    """(12,) bounds with 0.0 and -0.0 on either side, against every input lane."""
+    """(12,) bounds with 0.0 and -0.0 on either side, against every input
+    lane; clamp_joints takes (12, n) joint vectors."""
     limits = np.array([
         [-0.0, 0.0, -0.0, 0.0, -0.5, -0.5, -0.0, 0.0, -1.0, 0.0, -np.inf, -0.0],
         [0.0, -0.0, -0.0, 0.0, -0.0, 0.0, 0.5, 0.5, 1.0, 1.0, 0.0, np.inf],
     ])
     lanes = np.concatenate([SPECIAL_LANES, [0.5, -0.5, 1.0, -1.0, 2.0, -2.0]])
     x = np.repeat(lanes[:, None], 12, axis=1)
-    assert_same_bits(clamp_joints(x, limits), np.clip(x, limits[0], limits[1]))
+    assert_same_bits(clamp_joints(x.T, limits).T, np.clip(x, limits[0], limits[1]))
     q = with_special_lanes(np.random.default_rng(4), (64, 12))
-    assert_same_bits(clamp_joints(q, limits), np.clip(q, limits[0], limits[1]))
-    assert_same_bits(clamp_joints(q, PARAMS.joint_limits),
+    assert_same_bits(clamp_joints(q.T, limits).T, np.clip(q, limits[0], limits[1]))
+    assert_same_bits(clamp_joints(q.T, PARAMS.joint_limits).T,
                      np.clip(q, PARAMS.joint_limits[0], PARAMS.joint_limits[1]))
+    # one robot's (12,) joints
+    assert_same_bits(clamp_joints(q[0], limits), np.clip(q[0], limits[0], limits[1]))
 
 
 # ---------------------------------------------------------------- contact
@@ -232,6 +244,17 @@ def test_divergence_detected(planner):
     assert err.value.env_index == 0
 
 
+def stack_matvec3(m, v):
+    return np.stack(
+        [
+            m[..., 0, 0] * v[..., 0] + m[..., 0, 1] * v[..., 1] + m[..., 0, 2] * v[..., 2],
+            m[..., 1, 0] * v[..., 0] + m[..., 1, 1] * v[..., 1] + m[..., 1, 2] * v[..., 2],
+            m[..., 2, 0] * v[..., 0] + m[..., 2, 1] * v[..., 1] + m[..., 2, 2] * v[..., 2],
+        ],
+        axis=-1,
+    )
+
+
 def stack_matvec3_t(m, v):
     return np.stack(
         [
@@ -246,10 +269,15 @@ def stack_matvec3_t(m, v):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("lead", [(), (1, 4), (64, 4), (1024, 4)])
 def test_matvec3_t_bitwise_equal_to_stack_form(lead):
+    """(3, 3, ...) matrices and (3, ...) vectors, component-major, against
+    the stack forms on (..., 3, 3) and (..., 3)."""
     rng = np.random.default_rng(sum(lead))
     m = with_special_lanes(rng, lead + (3, 3))
     v = with_special_lanes(rng, lead + (3,))
-    assert_same_bits(_matvec3_t(m, v), stack_matvec3_t(m, v))
+    m_c = np.moveaxis(m, (-2, -1), (0, 1))
+    v_c = np.moveaxis(v, -1, 0)
+    assert_same_bits(_matvec3_t(m_c, v_c), np.moveaxis(stack_matvec3_t(m, v), -1, 0))
+    assert_same_bits(_matvec3(m_c, v_c), np.moveaxis(stack_matvec3(m, v), -1, 0))
 
 
 @st.composite
@@ -272,14 +300,15 @@ def batched_states(draw):
 @settings(deadline=None, max_examples=50)
 @given(batched_states())
 def test_batched_step_core_equals_each_env_alone(sample):
-    """Stepping n envs in one call gives each env's slice stepped alone, bit for bit."""
+    """Stepping n envs in one component-major call, env axis last, gives each
+    env's slice stepped alone, bit for bit."""
     state, targets, mass, friction = sample
-    batched = _step_core(*state, targets, PARAMS, PARAMS.dt, mass, friction)
+    batched = _step_core(*(x.T for x in state), targets.T, PARAMS, PARAMS.dt, mass, friction)
     for i in range(len(mass)):
         alone = _step_core(*(x[i] for x in state), targets[i], PARAMS, PARAMS.dt,
                            mass[i], friction[i])
         for name, b, a in zip(STEP_OUT, batched, alone):
-            b, a = np.asarray(b[i]), np.asarray(a)
+            b, a = np.asarray(b[..., i]), np.asarray(a)
             assert (b.dtype, b.shape, b.tobytes()) == (a.dtype, a.shape, a.tobytes()), name
 
 
@@ -291,7 +320,8 @@ def test_step_core_never_writes_its_inputs(n):
     inputs = [np.array(s[k], dtype=float) for k in STEP_IN]
     inputs += [PARAMS.nominal_q + 0.1, np.array(PARAMS.trunk_mass), np.array(PARAMS.friction)]
     if n is not None:
-        inputs = [np.repeat(x[None], n, axis=0) for x in inputs]
+        # component-major: the env axis goes last
+        inputs = [np.repeat(x[..., None], n, axis=-1) for x in inputs]
     before = [x.copy() for x in inputs]
     for x in inputs:
         x.flags.writeable = False
@@ -299,6 +329,74 @@ def test_step_core_never_writes_its_inputs(n):
     _step_core(*state, targets, PARAMS, PARAMS.dt, mass, friction)
     for x, x0 in zip(inputs, before):
         assert_same_bits(x, x0)
+
+
+def special_states(rng, n):
+    """Component-major states of n robots near the ground. In every even env
+    each input holds one SPECIAL_LANES value, the inputs taking the five in
+    turn, at a random entry."""
+    fields = itertools.count()
+    even = np.arange(0, n, 2)
+
+    def field(rows, lo, hi, base=0.0):
+        x = rng.uniform(lo, hi, size=rows + (n,)) + base
+        entries = x.reshape(-1, n)
+        rows_hit = rng.integers(entries.shape[0], size=even.size)
+        entries[rows_hit, even] = SPECIAL_LANES[(next(fields) + even) % SPECIAL_LANES.size]
+        return x
+
+    nominal = PARAMS.nominal_q[:, None]
+    state = [field((3,), -0.05, 0.05, np.array([[0.0], [0.0], [PARAMS.stand_height]])),
+             field((4,), -0.2, 0.2, quat.IDENTITY[:, None]),
+             field((3,), -1.0, 1.0), field((3,), -2.0, 2.0),
+             field((12,), -0.3, 0.3, nominal), field((12,), -5.0, 5.0),
+             field((4,), 0.0, 0.5), field((), 0.0, 10.0)]
+    state[1] = state[1] / np.linalg.norm(state[1], axis=0)
+    targets = field((12,), -0.3, 0.3, nominal)
+    return state, targets, field((), 10.0, 14.0), field((), 0.4, 1.2)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("n", [1, 64, 1024])
+def test_step_core_equals_the_array_of_structs_reference(n):
+    """60 chained substeps of the component-major `_step_core` equal the
+    array-of-structs reference in conftest, with ±0, ±inf and NaN inputs.
+    NaN lanes compare as NaN (see assert_same_bits_where_not_nan)."""
+    rng = np.random.default_rng(n)
+    state, targets, mass, friction = special_states(rng, n)
+    ref = [x.T for x in state]
+    for _ in range(60):
+        out = _step_core(*state, targets, PARAMS, PARAMS.dt, mass, friction)
+        ref_out = aos_step_core(*ref, targets.T, PARAMS, PARAMS.dt, mass, friction)
+        for name, a, b in zip(STEP_OUT, out, ref_out):
+            assert np.asarray(a).dtype == np.asarray(b).dtype, name
+            assert_same_bits_where_not_nan(np.asarray(a, dtype=float).T, b)
+        state = list(out[:6] + out[7:])
+        ref = list(ref_out[:6] + ref_out[7:])
+    # the odd envs stay finite, so the comparison covers the physics too
+    assert np.isfinite(np.concatenate(state[:6]))[:, 1::2].all()
+
+
+@pytest.mark.parametrize("n", [None, 3])
+def test_leg_sums_start_from_positive_zero(n):
+    """numpy's sum over the 4-long leg axis starts from +0.0, so four forces
+    of -0.0 sum to +0.0 where a written-out chain of adds keeps -0.0. Airborne
+    feet slipping forward on a slope all get an x force of -0.0, and on a
+    trunk at linvel_x = -0.0 the sum's sign shows in the new velocity."""
+    params = PARAMS.with_slope(0.2)
+    s = spawn(params, drop=0.5)
+    s["linvel"] = np.array([-0.0, 0.0, 0.0])
+    s["qdot"] = np.tile([0.0, -1.0, 0.0], 4)
+    inputs = [np.asarray(s[k], dtype=float) for k in STEP_IN]
+    inputs += [params.nominal_q, np.array(params.trunk_mass), np.array(params.friction)]
+    if n is not None:
+        inputs = [np.repeat(x[..., None], n, axis=-1) for x in inputs]
+    *state, targets, mass, friction = inputs
+    out = _step_core(*state, targets, params, params.dt, mass, friction)
+    ref = aos_step_core(*(x.T for x in state), targets.T, params, params.dt, mass, friction)
+    for a, b in zip(out, ref):
+        assert_same_bits(np.asarray(a, dtype=float).T, np.asarray(b, dtype=float))
+    assert not np.signbit(out[2][0]).any()
 
 
 # ---------------------------------------------------------------- termination
