@@ -111,11 +111,19 @@ def _rotate(w, u, v):
     """v + 2 (w (u x v) + u x (u x v)) for the quaternion with parts w, u.
 
     Both cross products are _cross's, sharing one gather of u's components.
+    The later steps write into the temporaries they consume, operands in the
+    formula's order, which saves an allocation and a pass per step on the
+    substep's (3, 8, n) block.
     """
     u_yzx, u_zxy = u[_YZX], u[_ZXY]
-    uv = u_yzx * v[_ZXY] - u_zxy * v[_YZX]
-    uuv = u_yzx * uv[_ZXY] - u_zxy * uv[_YZX]
-    return v + 2.0 * (w * uv + uuv)
+    uv = u_yzx * v[_ZXY]
+    uv -= u_zxy * v[_YZX]
+    uuv = u_yzx * uv[_ZXY]
+    uuv -= u_zxy * uv[_YZX]
+    out = np.multiply(w, uv, out=uv)
+    out += uuv
+    out *= 2.0
+    return np.add(v, out, out=out)
 
 
 def _cross(a, b):
