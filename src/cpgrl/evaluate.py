@@ -22,9 +22,13 @@ def constant_profile(value: float):
     return profile
 
 
-def ramp_profile(peak: float = 1.0, hold: float = 1.0, duration: float = 10.0):
-    """Command rising linearly to the peak, then held for the final second(s)."""
-    ramp_time = max(duration - hold, 1e-9)
+# seconds at the peak at the end of a ramp, so the trace ends on a steady command
+RAMP_HOLD = 1.0
+
+
+def ramp_profile(peak: float, duration: float):
+    """Command rising linearly to the peak, then held for the final RAMP_HOLD seconds."""
+    ramp_time = max(duration - RAMP_HOLD, 1e-9)
 
     def profile(t: float) -> np.ndarray:
         vx = peak * min(t / ramp_time, 1.0)
@@ -80,8 +84,13 @@ def run_eval(cfg: RunConfig, planner: GaitPlannerModel, policy: GaussianPolicy |
 
     policy=None runs the pure planner baseline (zero residual). The robot
     first settles for settle_time seconds under zero command; the trace and
-    the summary cover only the commanded window.
+    the summary cover only the commanded window, which must be finite and
+    hold at least one policy step.
     """
+    if not (np.isfinite(duration) and round(duration * POLICY_RATE) >= 1):
+        raise ValueError(f"eval duration {duration} s is not a finite number of policy "
+                         f"steps of {POLICY_DT} s, at least one")
+    n_steps = int(round(duration * POLICY_RATE))
     # the episode must outlast the eval, or a timeout reset lands inside the trace
     episode_limit = max(cfg.sim.episode_limit, settle_time + duration + POLICY_DT)
     cfg = replace(cfg, sim=replace(cfg.sim, episode_limit=episode_limit))
@@ -89,7 +98,6 @@ def run_eval(cfg: RunConfig, planner: GaitPlannerModel, policy: GaussianPolicy |
     zero_cmd = np.zeros((1, 3))
     falls = 0
     n_settle = int(round(settle_time * POLICY_RATE))
-    n_steps = int(round(duration * POLICY_RATE))
     start_x = None
     # the window's per-row state; the derived columns are computed after the loop
     log = {name: np.empty((n_steps, width)) for name, width in (
@@ -167,6 +175,8 @@ def run_eval(cfg: RunConfig, planner: GaitPlannerModel, policy: GaussianPolicy |
 
 def export_gait(planner: GaitPlannerModel, geometry, n_periods: int, path) -> int:
     """Baseline joint targets and body-frame FK feet, one row per tick."""
+    if n_periods < 1:
+        raise ValueError(f"gait export needs at least one period, got {n_periods}")
     table = planner.baseline_table()
     feet = planner.desired_feet_table(geometry)
     t_ticks = planner.orbit.period_ticks

@@ -18,14 +18,12 @@ from .kinematics import (
     LEG_NAMES,
     LegGeometry,
     Unreachable,
-    _all_legs,
-    _joint_major,
-    _leg_kinematics,
     forward_kinematics_all,
     inverse_kinematics,
+    joint_torques,
+    leg_kinematics,
 )
 from .oscillator import OscillatorParams, PeriodicOrbit, find_limit_cycle
-from .simulator import _matvec3_t
 
 
 class TooManyCenters(ValueError):
@@ -254,21 +252,6 @@ def generate_demo_trot(demo: DemoConfig, geometry: LegGeometry,
 _CSV_COLUMNS = ("t", "leg", "x", "y", "z")
 
 
-def save_demo_csv(demo: DemoTrajectory, path) -> None:
-    """Write the schema `t,leg,x,y,z`; repr floats round-trip bit-exactly."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_CSV_COLUMNS)
-        n = demo.feet.shape[1]
-        for leg, name in enumerate(LEG_NAMES):
-            for k in range(n):
-                t = k / demo.sample_rate
-                x, y, z = demo.feet[leg, k]
-                writer.writerow(
-                    [repr(float(t)), name, repr(float(x)), repr(float(y)), repr(float(z))]
-                )
-
-
 def load_demo_csv(path, gait_frequency: float | None = None) -> DemoTrajectory:
     """Parse a demo trajectory CSV.
 
@@ -408,16 +391,14 @@ def refine_loss_and_grads(
     """
     n = phi.shape[0]
     q_flat = phi @ weights + bias  # (N, 12)
-    # the kinematics kernel runs component-major: feet (3, 4, N), Jacobians (3, 3, 4, N)
-    y_off, mounts = _all_legs(geometry, 1)
-    feet, jac = _leg_kinematics(_joint_major(q_flat.T), geometry, y_off, mounts,
-                                jacobian=True)
+    # the kinematics run component-major: feet (3, 4, N), Jacobians (3, 3, 4, N)
+    feet, jac = leg_kinematics(q_flat.T, geometry, jacobian=True)
     err = feet - target_feet.T
     # the long sums below round by memory order, so they run over (N, ...) copies
     sq = np.ascontiguousarray((err * err).sum(axis=0).T)
     # np.mean's own arithmetic (one sum, then / count) without its Python wrapper
     loss = float(sq.sum() / sq.size)
-    grad_q = np.ascontiguousarray(((2.0 / (n * 4)) * _matvec3_t(jac, err)).T).reshape(n, 12)
+    grad_q = np.ascontiguousarray(((2.0 / (n * 4)) * joint_torques(jac, err)).T)
     return loss, phi.T @ grad_q, grad_q.sum(axis=0)
 
 
@@ -535,12 +516,6 @@ def cyclic_lag_distance(lag: int, target: int, n: int) -> int:
     """Cyclic distance between a measured lag and a target lag."""
     d = abs(lag - target) % n
     return int(min(d, n - d))
-
-
-def foot_clearances(feet_table: np.ndarray) -> np.ndarray:
-    """Peak swing height above stance level per leg; feet_table (T, 4, 3)."""
-    z = feet_table[..., 2]
-    return z.max(axis=0) - z.min(axis=0)
 
 
 # ------------------------------------------------------------------ model io

@@ -9,12 +9,13 @@ Conventions:
   - the abduction joint rotates the (lateral offset, sagittal) assembly
     about the body x axis
 
-The kernel `_leg_kinematics` is component-major: the joint axis leads and
-feet come out (3, ...), Jacobians (3, 3, ...), with leg and env axes
-trailing. The public functions keep the array-of-structs layout, components
-last and leading axes broadcasting, by moving axes around the same kernel;
-feet/Jacobians for all four legs come from the *_all variants with a legs
-axis.
+`leg_kinematics` is the one forward pass: component-major, (12, ...) joints
+in, feet (3, 4, ...) and Jacobians (3, 3, 4, ...) out, with the leg and env
+axes trailing. The physics substep and the planner fit call it with
+`foot_velocities` (J qdot) and `joint_torques` (J^T f) on the same layout.
+`forward_kinematics_all` and `leg_jacobian_all` give the array-of-structs
+layout, (..., 12) in and (..., 4, 3) or (..., 4, 3, 3) out, around the same
+pass. Inverse kinematics solves one leg at a time.
 """
 
 from dataclasses import dataclass, field
@@ -66,85 +67,20 @@ class LegGeometry:
         return abs(self.thigh_len - self.calf_len)
 
 
-# The public functions below reverse every axis (`.T`) on the way into the
-# component-major kernel and back out, so q's leading axes trail inside it.
-
-
-def forward_kinematics(q, geom: LegGeometry, leg: int) -> np.ndarray:
-    """Foot position in the body frame for one leg; q is (..., 3)."""
-    q = np.asarray(q, dtype=float).T
-    y_off, mount = _one_leg(geom, leg, q.ndim - 1)
-    return np.ascontiguousarray(_leg_kinematics(q, geom, y_off, mount)[0].T)
-
-
-def forward_kinematics_all(q12, geom: LegGeometry) -> np.ndarray:
-    """Feet for all four legs: q12 is (..., 12) -> (..., 4, 3) body frame."""
-    q = np.asarray(q12, dtype=float).T
-    y_off, mounts = _all_legs(geom, q.ndim - 1)
-    return np.ascontiguousarray(_leg_kinematics(_joint_major(q), geom, y_off, mounts)[0].T)
-
-
-def leg_jacobian(q, geom: LegGeometry, leg: int) -> np.ndarray:
-    """d(foot)/d(q) for one leg, (..., 3, 3); column order (abd, hip, knee)."""
-    q = np.asarray(q, dtype=float).T
-    y_off, mount = _one_leg(geom, leg, q.ndim - 1)
-    jac = _leg_kinematics(q, geom, y_off, mount, jacobian=True)[1]
-    return _rows_last(jac)
-
-
-def leg_jacobian_all(q12, geom: LegGeometry) -> np.ndarray:
-    """Jacobians for all four legs: (..., 12) -> (..., 4, 3, 3)."""
-    return feet_and_jacobians_all(q12, geom)[1]
-
-
-def feet_and_jacobians_all(q12, geom: LegGeometry) -> tuple[np.ndarray, np.ndarray]:
-    """forward_kinematics_all and leg_jacobian_all of the same q12 in one pass.
-
-    (..., 12) -> feet (..., 4, 3) and Jacobians (..., 4, 3, 3), each bit-equal
-    to its own function's result; the two share every sine and cosine.
-    """
-    q = np.asarray(q12, dtype=float).T
-    y_off, mounts = _all_legs(geom, q.ndim - 1)
-    feet, jac = _leg_kinematics(_joint_major(q), geom, y_off, mounts, jacobian=True)
-    return np.ascontiguousarray(feet.T), _rows_last(jac)
-
-
-def _joint_major(q):
-    """(12, ...) joint vectors (legs FR, FL, RR, RL, three joints each) as a
-    (3, 4, ...) view: joint, leg, then the env axes."""
-    return q.reshape((4, 3) + q.shape[1:]).swapaxes(0, 1)
-
-
-def _all_legs(geom: LegGeometry, n_env_axes: int):
-    """The four lateral offsets (4, 1...) and hip mounts (3, 4, 1...), with
-    n_env_axes trailing axes of 1 to broadcast against the env axes."""
-    tail = (1,) * n_env_axes
-    y_off = geom.side_signs * geom.hip_offset
-    return y_off.reshape((4,) + tail), geom.hip_mounts.T.reshape((3, 4) + tail)
-
-
-def _one_leg(geom: LegGeometry, leg: int, n_env_axes: int):
-    """One leg's lateral offset and its hip mount (3, 1...), as _all_legs."""
-    y_off = geom.side_signs[leg] * geom.hip_offset
-    return y_off, geom.hip_mounts[leg].reshape((3,) + (1,) * n_env_axes)
-
-
-def _rows_last(jac):
-    """(3, 3, ...) Jacobians, row then column, as C-contiguous (..., 3, 3)."""
-    return np.ascontiguousarray(jac.T.swapaxes(-1, -2))
-
-
-def _leg_kinematics(q, geom: LegGeometry, y_off, mounts, jacobian=False):
-    """Feet (and with jacobian=True their Jacobians, else None) in the
-    component-major layout: q is (3, ...) with the (abd, hip, knee) joint
-    axis first, feet come out (3, ...) and Jacobians (3, 3, ...) as (row,
-    column, ...). y_off broadcasts against q[0], and mounts, (3, ...),
-    against the feet.
+def leg_kinematics(q, geom: LegGeometry, jacobian=False):
+    """Feet of the four legs, and with jacobian=True their Jacobians (else
+    None), component-major: q is (12, ...) joints, legs FR, FL, RR, RL with
+    three joints each and any env axes trailing. Feet come out (3, 4, ...),
+    Jacobians (3, 3, 4, ...) as (row, column, leg, ...).
 
     Each sine and cosine is taken once. The sagittal z is the same expression
     as dx_dhip, and the foot's y the same as the abduction column's z entry.
     """
-    q_abd, q_hip, q_knee = q[0], q[1], q[2]
+    tail = (1,) * (q.ndim - 1)
+    # the offsets and mounts with trailing axes of 1 to broadcast against the envs
+    y_off = (geom.side_signs * geom.hip_offset).reshape((4,) + tail)
+    mounts = geom.hip_mounts.T.reshape((3, 4) + tail)
+    q_abd, q_hip, q_knee = _joint_major(q)
     t, c = geom.thigh_len, geom.calf_len
     hk = q_hip + q_knee
     sin_h, cos_h = np.sin(q_hip), np.cos(q_hip)
@@ -177,6 +113,42 @@ def _leg_kinematics(q, geom: LegGeometry, y_off, mounts, jacobian=False):
     jac[1, 2] = neg_sa * dz_dknee
     jac[2, 2] = ca * dz_dknee
     return foot, jac
+
+
+def foot_velocities(jac, qdot):
+    """Foot velocities J @ qdot per leg, (3, 4, ...), from leg_kinematics'
+    Jacobians and (12, ...) joint velocities, summed in a fixed order (bit-stable)."""
+    v = _joint_major(qdot)
+    return jac[:, 0] * v[0] + jac[:, 1] * v[1] + jac[:, 2] * v[2]
+
+
+def joint_torques(jac, f):
+    """Joint torques J^T f, (12, ...), from leg_kinematics' Jacobians and
+    (3, 4, ...) foot forces; J's rows summed in foot_velocities' order."""
+    tau = jac[0] * f[0] + jac[1] * f[1] + jac[2] * f[2]
+    return tau.swapaxes(0, 1).reshape((12,) + tau.shape[2:])
+
+
+def _joint_major(q):
+    """(12, ...) joint vectors as a (3, 4, ...) view: joint, leg, then the env axes."""
+    return q.reshape((4, 3) + q.shape[1:]).swapaxes(0, 1)
+
+
+# The array-of-structs forms reverse every axis (`.T`) on the way into
+# leg_kinematics and back out, so q12's leading axes trail inside it.
+
+
+def forward_kinematics_all(q12, geom: LegGeometry) -> np.ndarray:
+    """Feet for all four legs: q12 is (..., 12) -> (..., 4, 3) body frame."""
+    feet = leg_kinematics(np.asarray(q12, dtype=float).T, geom)[0]
+    return np.ascontiguousarray(feet.T)
+
+
+def leg_jacobian_all(q12, geom: LegGeometry) -> np.ndarray:
+    """d(foot)/d(q) for all four legs: (..., 12) -> (..., 4, 3, 3), row then
+    column, column order (abd, hip, knee)."""
+    jac = leg_kinematics(np.asarray(q12, dtype=float).T, geom, jacobian=True)[1]
+    return np.ascontiguousarray(jac.T.swapaxes(-1, -2))
 
 
 def inverse_kinematics(p, geom: LegGeometry, leg: int) -> np.ndarray:

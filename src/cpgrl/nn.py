@@ -236,14 +236,16 @@ class RunningNorm:
         self.var = var.copy()
 
 
+# Kingma & Ba's defaults; no run tunes them, only the learning rate passed to step
+ADAM_BETA1 = 0.9    # first-moment decay: a gradient average over about 10 steps
+ADAM_BETA2 = 0.999  # second-moment decay: a squared-gradient average over about 1000 steps
+ADAM_EPS = 1e-8     # keeps the step finite where the second moment is still zero
+
+
 class Adam:
     """Adaptive-moment gradient descent on a flat parameter vector."""
 
-    def __init__(self, n_params: int,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+    def __init__(self, n_params: int):
         self.m = np.zeros(n_params)
         self.v = np.zeros(n_params)
         self.t = 0
@@ -259,17 +261,17 @@ class Adam:
         """
         a, b = self._a, self._b
         self.t += 1
-        self.m *= self.beta1
-        np.multiply(1.0 - self.beta1, grads, out=a)
+        self.m *= ADAM_BETA1
+        np.multiply(1.0 - ADAM_BETA1, grads, out=a)
         self.m += a
-        self.v *= self.beta2
-        np.multiply(1.0 - self.beta2, grads, out=a)
+        self.v *= ADAM_BETA2
+        np.multiply(1.0 - ADAM_BETA2, grads, out=a)
         a *= grads
         self.v += a
-        np.divide(self.m, 1.0 - self.beta1**self.t, out=a)           # m_hat
-        np.divide(self.v, 1.0 - self.beta2**self.t, out=b)           # v_hat
+        np.divide(self.m, 1.0 - ADAM_BETA1**self.t, out=a)           # m_hat
+        np.divide(self.v, 1.0 - ADAM_BETA2**self.t, out=b)           # v_hat
         np.sqrt(b, out=b)
-        b += self.eps
+        b += ADAM_EPS
         np.multiply(lr, a, out=a)
         a /= b
         params -= a

@@ -3,9 +3,10 @@
 The kernels (`_normalize`, `_multiply`, `_rotate`, `_cross`, `_from_rotvec`)
 take component-major arrays: the 3 or 4 components lead, and any env or item
 axes trail and broadcast, so each arithmetic call runs over whole rows of
-envs. The physics substep calls them on that layout directly. The public
-functions take the array-of-structs layout, components on the last axis and
-leading axes broadcasting, and move the axes around the same kernels.
+envs. The physics substep calls them on that layout directly, and it is
+`_cross`'s only caller. The public functions take the array-of-structs
+layout, components on the last axis and leading axes broadcasting, and move
+the axes around the same kernels.
 
 Every output component is the same products summed in the same order as the
 written-out formula, so each result equals the stack form bit for bit, sign
@@ -44,11 +45,6 @@ def rotate_inv(q, v):
     q, v = _components_first(q, v)
     # the conjugate's vector part; negation is exact
     return _components_last(_rotate(q[0], -q[1:4], v))
-
-
-def cross(a, b):
-    a, b = _components_first(a, b)
-    return _components_last(_cross(a, b))
 
 
 def from_rotvec(r):

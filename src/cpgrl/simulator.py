@@ -8,10 +8,12 @@ meaningful without articulated leg dynamics.
 
 The numerical core `_step_core` takes component-major arrays: the 3, 4 or
 12 components lead and the env axes trail, so each arithmetic call runs over
-whole rows of envs. One robot's arrays are the same with no env axes. The
-vectorized training environment transposes its (n, ...) state into this
-layout, steps all envs in one call per substep, and transposes back; stepping
-one env's slice alone gives bit-identical results.
+whole rows of envs. The feet, their velocities and the contact reaction at
+the joints come from `kinematics.leg_kinematics`, `foot_velocities` and
+`joint_torques` on the same layout. One robot's arrays are the same with no
+env axes. The vectorized training environment transposes its (n, ...) state
+into this layout, steps all envs in one call per substep, and transposes
+back; stepping one env's slice alone gives bit-identical results.
 """
 
 from dataclasses import dataclass, field, replace
@@ -19,7 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import quat
-from .kinematics import LegGeometry, _all_legs, _joint_major, _leg_kinematics, standing_pose
+from .kinematics import LegGeometry, foot_velocities, joint_torques, leg_kinematics, standing_pose
 
 
 class NumericalDivergence(RuntimeError):
@@ -132,16 +134,6 @@ def contact_force(foot_pos, foot_vel, params: EnvParams, friction):
     return normal_mag * n + f_t, pen
 
 
-def _matvec3(m, v):
-    """(3, 3, ...) @ (3, ...), component-major, with a fixed summation order (bit-stable)."""
-    return m[:, 0] * v[0] + m[:, 1] * v[1] + m[:, 2] * v[2]
-
-
-def _matvec3_t(m, v):
-    """(3, 3, ...)^T @ (3, ...) as a sum of m's rows, in the same order as _matvec3."""
-    return m[0] * v[0] + m[1] * v[1] + m[2] * v[2]
-
-
 def _step_core(pos, rot, linvel, angvel, q, qdot, air, ep_time,
                targets, params: EnvParams, dt: float, mass, friction):
     """One 200 Hz substep on component-major arrays.
@@ -155,10 +147,8 @@ def _step_core(pos, rot, linvel, angvel, q, qdot, air, ep_time,
     """
     tau = pd_torque(targets, q, qdot, params.kp, params.kd, params.tau_limit)
 
-    geom = params.geometry
-    y_off, mounts = _all_legs(geom, pos.ndim - 1)
-    feet_b, jac_b = _leg_kinematics(_joint_major(q), geom, y_off, mounts, jacobian=True)
-    v_feet_b = _matvec3(jac_b, _joint_major(qdot))
+    feet_b, jac_b = leg_kinematics(q, params.geometry, jacobian=True)
+    v_feet_b = foot_velocities(jac_b, qdot)
     rot4 = rot[:, None]
     w, u = rot4[0], rot4[1:4]
     # rotation is per vector, so the feet and their velocities rotate in one call
@@ -178,7 +168,7 @@ def _step_core(pos, rot, linvel, angvel, q, qdot, air, ep_time,
     torque_b = wrench_b[:, 4]
 
     # contact reaction projected onto the joints; ground force flexes the leg
-    joint_reaction = _matvec3_t(jac_b, f_b).swapaxes(0, 1).reshape(qdot.shape)
+    joint_reaction = joint_torques(jac_b, f_b)
 
     qddot = (tau + joint_reaction) / params.reflected_inertia
     qdot_new = qdot + dt * qddot

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from cpgrl.config import RunConfig
 from cpgrl.gait_planner import MotorLayer, build_planner, fitted_planner
+from cpgrl.kinematics import LEG_NAMES, forward_kinematics_all, leg_jacobian_all
 from cpgrl.nn import elu, elu_grad
 from cpgrl.simulator import pd_torque
 
@@ -50,6 +52,46 @@ def with_special_lanes(rng, shape, share=0.2):
     mask = rng.random(shape) < share
     x[mask] = rng.choice(SPECIAL_LANES, size=int(mask.sum()))
     return x
+
+
+def save_demo_csv(demo, path):
+    """Write the demo CSV schema `t,leg,x,y,z` that `load_demo_csv` reads;
+    repr floats round-trip bit-exactly."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(("t", "leg", "x", "y", "z"))
+        n = demo.feet.shape[1]
+        for leg, name in enumerate(LEG_NAMES):
+            for k in range(n):
+                t = k / demo.sample_rate
+                x, y, z = demo.feet[leg, k]
+                writer.writerow(
+                    [repr(float(t)), name, repr(float(x)), repr(float(y)), repr(float(z))]
+                )
+
+
+def foot_clearances(feet_table):
+    """Peak swing height above stance level per leg; feet_table (T, 4, 3)."""
+    z = feet_table[..., 2]
+    return z.max(axis=0) - z.min(axis=0)
+
+
+def _in_leg_slot(q, leg):
+    """(..., 3) joints of one leg placed in an otherwise zero (..., 12) vector."""
+    q = np.asarray(q, dtype=float)
+    q12 = np.zeros(q.shape[:-1] + (12,))
+    q12[..., 3 * leg:3 * leg + 3] = q
+    return q12
+
+
+def one_leg_foot(q, geom, leg):
+    """One leg's foot (..., 3) from its (..., 3) joints, through forward_kinematics_all."""
+    return forward_kinematics_all(_in_leg_slot(q, leg), geom)[..., leg, :]
+
+
+def one_leg_jacobian(q, geom, leg):
+    """One leg's (..., 3, 3) Jacobian from its (..., 3) joints, through leg_jacobian_all."""
+    return leg_jacobian_all(_in_leg_slot(q, leg), geom)[..., leg, :, :]
 
 
 def allocating_forward_cached(net, x):

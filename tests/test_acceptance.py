@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from conftest import central_difference
+from conftest import central_difference, foot_clearances, one_leg_foot, one_leg_jacobian
 from cpgrl import quat
 from cpgrl.config import RunConfig
 from cpgrl.env import VecLocomotionEnv, substeps_per_policy_step
@@ -25,16 +25,13 @@ from cpgrl.gait_planner import (
     cyclic_lag_distance,
     fit_motor_layer,
     fitted_planner,
-    foot_clearances,
     generate_demo_trot,
     rbf_activations,
     refine_loss_and_grads,
 )
 from cpgrl.kinematics import (
-    forward_kinematics,
     forward_kinematics_all,
     inverse_kinematics,
-    leg_jacobian,
     leg_jacobian_all,
     standing_pose,
 )
@@ -98,9 +95,9 @@ def test_criterion_3_kinematics():
         q = np.array([rng.uniform(-0.7, 0.7), rng.uniform(-0.6, 1.2),
                       rng.uniform(-2.4, -0.3)])
         leg = int(rng.integers(0, 4))
-        p = forward_kinematics(q, GEOM, leg)
+        p = one_leg_foot(q, GEOM, leg)
         q_back = inverse_kinematics(p, GEOM, leg)
-        p_back = forward_kinematics(q_back, GEOM, leg)
+        p_back = one_leg_foot(q_back, GEOM, leg)
         worst_pos = max(worst_pos, float(np.max(np.abs(p_back - p))))
         count += 1
 
@@ -109,12 +106,12 @@ def test_criterion_3_kinematics():
     for _ in range(100):
         q = np.array([rng.uniform(-0.7, 0.7), rng.uniform(-0.6, 1.2),
                       rng.uniform(-2.4, -0.3)])
-        jac = leg_jacobian(q, GEOM, 0)
+        jac = one_leg_jacobian(q, GEOM, 0)
         for j in range(3):
             dq = np.zeros(3)
             dq[j] = h
-            fd = (forward_kinematics(q + dq, GEOM, 0)
-                  - forward_kinematics(q - dq, GEOM, 0)) / (2 * h)
+            fd = (one_leg_foot(q + dq, GEOM, 0)
+                  - one_leg_foot(q - dq, GEOM, 0)) / (2 * h)
             denom = np.maximum(np.abs(fd), 1e-3)
             worst_jac = max(worst_jac, float(np.max(np.abs(jac[:, j] - fd) / denom)))
     elapsed = time.perf_counter() - t0

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from conftest import set_checkpoint_meta
+from conftest import save_demo_csv, set_checkpoint_meta
 from cpgrl import cli
 from cpgrl.cli import main
 from cpgrl.config import RunConfig, save_config
@@ -22,7 +22,6 @@ from cpgrl.gait_planner import (
     SingularFit,
     generate_demo_trot,
     load_planner_model,
-    save_demo_csv,
     save_planner_model,
 )
 from cpgrl.ppo import NonFiniteLoss
@@ -68,7 +67,7 @@ def test_constant_profile():
 
 
 def test_ramp_profile_shape():
-    p = ramp_profile(peak=1.0, hold=1.0, duration=10.0)
+    p = ramp_profile(peak=1.0, duration=10.0)
     assert p(0.0)[0] == 0.0
     assert p(4.5)[0] == pytest.approx(0.5)
     assert p(9.0)[0] == pytest.approx(1.0)
@@ -279,6 +278,28 @@ def test_cli_eval_rejects_version_2_checkpoint(checkpoint, tmp_path, capsys):
     rc = main(["eval", "--checkpoint", str(old), "--out", str(tmp_path / "eval")])
     assert rc == 2
     assert "unsupported checkpoint version 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("duration", ["0", "0.004", "-1", "inf"])
+def test_cli_eval_window_under_one_policy_step_exit_code(checkpoint, tmp_path, capsys, duration):
+    """A window with no policy step, or with no finite count of them, is a usage error."""
+    rc = main(["eval", "--checkpoint", str(checkpoint), "--out", str(tmp_path / "eval"),
+               "--duration", duration])
+    assert rc == 2
+    assert "policy steps" in capsys.readouterr().err
+    assert not (tmp_path / "eval" / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("periods", ["0", "-2"])
+def test_cli_export_gait_needs_a_period_exit_code(fitted, tmp_path, capsys, periods):
+    """An export of no period is a usage error, not an empty table."""
+    model = tmp_path / "planner.npz"
+    save_planner_model(fitted[1], model)
+    rc = main(["export-gait", "--model", str(model), "--periods", periods,
+               "--out", str(tmp_path / "gait")])
+    assert rc == 2
+    assert "at least one period" in capsys.readouterr().err
+    assert not (tmp_path / "gait" / "gait.csv").exists()
 
 
 def test_cli_bc_fit_unreachable_demo_exit_code(tmp_path, capsys):

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import foot_clearances, save_demo_csv
 from cpgrl.config import RunConfig
 from cpgrl.gait_planner import (
     DemoTrajectory,
@@ -21,7 +22,6 @@ from cpgrl.gait_planner import (
     detect_liftoff_index,
     fit_motor_layer,
     fitted_planner,
-    foot_clearances,
     generate_demo_trot,
     load_demo_csv,
     load_planner_model,
@@ -30,7 +30,6 @@ from cpgrl.gait_planner import (
     rbf_activations,
     refine_loss_and_grads,
     sample_rbf_centers,
-    save_demo_csv,
     save_planner_model,
 )
 from cpgrl.kinematics import forward_kinematics_all, standing_pose

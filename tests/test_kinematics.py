@@ -5,20 +5,17 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from conftest import assert_same_bits, with_special_lanes
+from conftest import assert_same_bits, one_leg_foot, one_leg_jacobian, with_special_lanes
 from cpgrl.config import RunConfig
 from cpgrl.kinematics import (
     LEG_INDEX,
     Unreachable,
-    _all_legs,
-    _joint_major,
-    _leg_kinematics,
-    feet_and_jacobians_all,
-    forward_kinematics,
+    foot_velocities,
     forward_kinematics_all,
     inverse_kinematics,
-    leg_jacobian,
+    joint_torques,
     leg_jacobian_all,
+    leg_kinematics,
     standing_pose,
 )
 
@@ -50,12 +47,12 @@ def random_reachable_joints(rng, n, below_axis=False):
 
 
 def test_fk_zero_pose_points_straight_down():
-    foot = forward_kinematics(np.zeros(3), GEOM, FR)
+    foot = one_leg_foot(np.zeros(3), GEOM, FR)
     np.testing.assert_allclose(foot, [0.0, -0.08, -0.426], atol=1e-15)
 
 
 def test_fk_right_angle_knee():
-    foot = forward_kinematics(np.array([0.0, 0.0, -np.pi / 2]), GEOM, FR)
+    foot = one_leg_foot(np.array([0.0, 0.0, -np.pi / 2]), GEOM, FR)
     np.testing.assert_allclose(foot, [0.213, -0.08, -0.213], atol=1e-12)
 
 
@@ -72,17 +69,18 @@ def test_fk_abduction_matches_rotation_matrix_oracle():
         ca, sa = np.cos(q[0]), np.sin(q[0])
         rot_x = np.array([[1, 0, 0], [0, ca, -sa], [0, sa, ca]])
         np.testing.assert_allclose(
-            forward_kinematics(q, GEOM, FR), rot_x @ local, atol=1e-12
+            one_leg_foot(q, GEOM, FR), rot_x @ local, atol=1e-12
         )
 
 
 def test_fk_all_matches_per_leg():
+    """Each leg's foot depends on its own three joints only."""
     rng = np.random.default_rng(4)
     q12 = random_reachable_joints(rng, 4).reshape(12)
     feet = forward_kinematics_all(q12, GO1)
     for leg in range(4):
         np.testing.assert_array_equal(
-            feet[leg], forward_kinematics(q12[3 * leg : 3 * leg + 3], GO1, leg)
+            feet[leg], one_leg_foot(q12[3 * leg : 3 * leg + 3], GO1, leg)
         )
 
 
@@ -91,33 +89,33 @@ def test_jacobian_matches_finite_differences():
     h = 1e-6
     qs = random_reachable_joints(rng, 100)
     for q in qs:
-        jac = leg_jacobian(q, GO1, FR)
+        jac = one_leg_jacobian(q, GO1, FR)
         fd = np.zeros((3, 3))
         for j in range(3):
             dq = np.zeros(3)
             dq[j] = h
             fd[:, j] = (
-                forward_kinematics(q + dq, GO1, FR) - forward_kinematics(q - dq, GO1, FR)
+                one_leg_foot(q + dq, GO1, FR) - one_leg_foot(q - dq, GO1, FR)
             ) / (2 * h)
         np.testing.assert_allclose(jac, fd, rtol=1e-5, atol=1e-8)
 
 
 def test_jacobian_specific_point():
     q = np.array([0.1, 0.4, -0.8])
-    jac = leg_jacobian(q, GO1, FR)
+    jac = one_leg_jacobian(q, GO1, FR)
     h = 1e-6
     fd = np.zeros((3, 3))
     for j in range(3):
         dq = np.zeros(3)
         dq[j] = h
         fd[:, j] = (
-            forward_kinematics(q + dq, GO1, FR) - forward_kinematics(q - dq, GO1, FR)
+            one_leg_foot(q + dq, GO1, FR) - one_leg_foot(q - dq, GO1, FR)
         ) / (2 * h)
     np.testing.assert_allclose(jac, fd, rtol=1e-5, atol=1e-9)
 
 
 def test_jacobian_singular_at_full_extension():
-    jac = leg_jacobian(np.array([0.2, 0.3, 0.0]), GO1, FR)
+    jac = one_leg_jacobian(np.array([0.2, 0.3, 0.0]), GO1, FR)
     scale = GO1.max_reach**3
     assert abs(np.linalg.det(jac)) < 1e-9 * scale
 
@@ -125,23 +123,24 @@ def test_jacobian_singular_at_full_extension():
 def test_jacobian_abduction_column_has_zero_x():
     rng = np.random.default_rng(6)
     for q in random_reachable_joints(rng, 20):
-        jac = leg_jacobian(q, GO1, FR)
+        jac = one_leg_jacobian(q, GO1, FR)
         assert jac[0, 0] == 0.0
 
 
 def test_jacobian_all_matches_per_leg():
+    """Each leg's Jacobian depends on its own three joints only."""
     rng = np.random.default_rng(7)
     q12 = random_reachable_joints(rng, 4).reshape(12)
     jacs = leg_jacobian_all(q12, GO1)
     for leg in range(4):
         np.testing.assert_array_equal(
-            jacs[leg], leg_jacobian(q12[3 * leg : 3 * leg + 3], GO1, leg)
+            jacs[leg], one_leg_jacobian(q12[3 * leg : 3 * leg + 3], GO1, leg)
         )
 
 
 def test_ik_round_trip_specific():
     q = np.array([0.3, 0.5, -1.0])
-    p = forward_kinematics(q, GO1, FR)
+    p = one_leg_foot(q, GO1, FR)
     q_back = inverse_kinematics(p, GO1, FR)
     np.testing.assert_allclose(q_back, q, atol=1e-9)
 
@@ -152,9 +151,9 @@ def test_fk_ik_round_trip_random_points():
     qs = random_reachable_joints(rng, n, below_axis=True)
     legs = rng.integers(0, 4, n)
     for q, leg in zip(qs, legs):
-        p = forward_kinematics(q, GO1, int(leg))
+        p = one_leg_foot(q, GO1, int(leg))
         q_back = inverse_kinematics(p, GO1, int(leg))
-        p_back = forward_kinematics(q_back, GO1, int(leg))
+        p_back = one_leg_foot(q_back, GO1, int(leg))
         assert np.max(np.abs(p_back - p)) <= 1e-9
         # same branch (knee backward, foot below axis) recovers the same angles
         np.testing.assert_allclose(q_back, q, atol=1e-7)
@@ -183,8 +182,8 @@ def test_mirror_symmetry():
     rng = np.random.default_rng(9)
     for q in random_reachable_joints(rng, 30):
         q_mirror = q * np.array([-1.0, 1.0, 1.0])
-        p_fr = forward_kinematics(q, GEOM, FR)
-        p_fl = forward_kinematics(q_mirror, GEOM, FL)
+        p_fr = one_leg_foot(q, GEOM, FR)
+        p_fl = one_leg_foot(q_mirror, GEOM, FL)
         np.testing.assert_allclose(p_fl, p_fr * np.array([1.0, -1.0, 1.0]), atol=1e-12)
 
 
@@ -245,22 +244,61 @@ def test_fk_and_jacobian_bitwise_equal_to_stack_forms(lead):
     y_all = GO1.side_signs * GO1.hip_offset
     stack_jac = stack_jacobian(q[..., 0], q[..., 1], q[..., 2], GO1, y_all)
     assert_same_bits(leg_jacobian_all(q12, GO1), stack_jac)
-    feet, jac = feet_and_jacobians_all(q12, GO1)
-    assert_same_bits(feet, stack_feet)
-    assert_same_bits(jac, stack_jac)
     for leg in range(4):
         y_off = GO1.side_signs[leg] * GO1.hip_offset
-        assert_same_bits(leg_jacobian(q[..., leg, :], GO1, leg),
+        assert_same_bits(one_leg_jacobian(q[..., leg, :], GO1, leg),
                          stack_jacobian(q[..., leg, 0], q[..., leg, 1], q[..., leg, 2], GO1, y_off))
     # the abduction column's x entry is +0.0, as zeros_like gave
     assert not np.signbit(leg_jacobian_all(q12, GO1)[..., 0, 0]).any()
-    # the kernel itself, component-major as `_step_core` calls it: (12, ...)
-    # joints in, (3, 4, ...) feet and (3, 3, 4, ...) Jacobians out
+    # leg_kinematics as `_step_core` calls it: (12, ...) joints in, (3, 4, ...)
+    # feet and (3, 3, 4, ...) Jacobians out of one pass
     q_c = np.ascontiguousarray(np.moveaxis(q12, -1, 0))
-    y_off, mounts = _all_legs(GO1, len(lead))
-    feet_c, jac_c = _leg_kinematics(_joint_major(q_c), GO1, y_off, mounts, jacobian=True)
+    feet_c, jac_c = leg_kinematics(q_c, GO1, jacobian=True)
     assert_same_bits(feet_c, np.moveaxis(stack_feet, (-1, -2), (0, 1)))
     assert_same_bits(jac_c, np.moveaxis(stack_jac, (-2, -1, -3), (0, 1, 2)))
+
+
+def stack_matvec3(m, v):
+    return np.stack(
+        [
+            m[..., 0, 0] * v[..., 0] + m[..., 0, 1] * v[..., 1] + m[..., 0, 2] * v[..., 2],
+            m[..., 1, 0] * v[..., 0] + m[..., 1, 1] * v[..., 1] + m[..., 1, 2] * v[..., 2],
+            m[..., 2, 0] * v[..., 0] + m[..., 2, 1] * v[..., 1] + m[..., 2, 2] * v[..., 2],
+        ],
+        axis=-1,
+    )
+
+
+def stack_matvec3_t(m, v):
+    return np.stack(
+        [
+            m[..., 0, 0] * v[..., 0] + m[..., 1, 0] * v[..., 1] + m[..., 2, 0] * v[..., 2],
+            m[..., 0, 1] * v[..., 0] + m[..., 1, 1] * v[..., 1] + m[..., 2, 1] * v[..., 2],
+            m[..., 0, 2] * v[..., 0] + m[..., 1, 2] * v[..., 1] + m[..., 2, 2] * v[..., 2],
+        ],
+        axis=-1,
+    )
+
+
+# the leading axes of the stack forms end in the 4-long leg axis: one robot,
+# then the n = 1 env step and the desk and rollout batches
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("lead", [(4,), (1, 4), (64, 4), (1024, 4)])
+def test_foot_velocities_and_joint_torques_bitwise_equal_to_stack_forms(lead):
+    """(3, 3, 4, ...) Jacobians, (12, ...) joint velocities and (3, 4, ...)
+    foot forces, component-major as `_step_core` passes them, against the
+    stack forms on (..., 3, 3) matrices and (..., 3) vectors."""
+    rng = np.random.default_rng(sum(lead))
+    m = with_special_lanes(rng, lead + (3, 3))
+    v = with_special_lanes(rng, lead + (3,))
+    m_c = np.moveaxis(m, (-2, -1, -3), (0, 1, 2))
+    v_c = np.moveaxis(v, (-1, -2), (0, 1))
+    joints = lead[:-1] + (12,)
+    qdot = np.moveaxis(v.reshape(joints), -1, 0)
+    assert_same_bits(joint_torques(m_c, v_c),
+                     np.moveaxis(stack_matvec3_t(m, v).reshape(joints), -1, 0))
+    assert_same_bits(foot_velocities(m_c, qdot),
+                     np.moveaxis(stack_matvec3(m, v), (-1, -2), (0, 1)))
 
 
 # ---------------------------------------------------------------- properties
@@ -274,7 +312,7 @@ def test_fk_ik_fk_round_trip_property(q_abd, q_hip, q_knee, leg):
     # IK picks the branch with the foot below the abduction axis
     assume(-t * np.cos(q_hip) - c * np.cos(q_hip + q_knee) <= -0.02)
     q = np.array([q_abd, q_hip, q_knee])
-    p = forward_kinematics(q, GO1, leg)
+    p = one_leg_foot(q, GO1, leg)
     q_back = inverse_kinematics(p, GO1, leg)
-    assert np.max(np.abs(forward_kinematics(q_back, GO1, leg) - p)) <= 1e-9
+    assert np.max(np.abs(one_leg_foot(q_back, GO1, leg) - p)) <= 1e-9
     np.testing.assert_allclose(q_back, q, atol=1e-7)

@@ -20,8 +20,6 @@ from cpgrl.env import VecLocomotionEnv
 from cpgrl.kinematics import forward_kinematics_all, leg_jacobian_all
 from cpgrl.simulator import (
     NumericalDivergence,
-    _matvec3,
-    _matvec3_t,
     _step_core,
     clamp_joints,
     contact_force,
@@ -242,42 +240,6 @@ def test_divergence_detected(planner):
     with pytest.raises(NumericalDivergence) as err:
         env.step(np.zeros((1, 12)))
     assert err.value.env_index == 0
-
-
-def stack_matvec3(m, v):
-    return np.stack(
-        [
-            m[..., 0, 0] * v[..., 0] + m[..., 0, 1] * v[..., 1] + m[..., 0, 2] * v[..., 2],
-            m[..., 1, 0] * v[..., 0] + m[..., 1, 1] * v[..., 1] + m[..., 1, 2] * v[..., 2],
-            m[..., 2, 0] * v[..., 0] + m[..., 2, 1] * v[..., 1] + m[..., 2, 2] * v[..., 2],
-        ],
-        axis=-1,
-    )
-
-
-def stack_matvec3_t(m, v):
-    return np.stack(
-        [
-            m[..., 0, 0] * v[..., 0] + m[..., 1, 0] * v[..., 1] + m[..., 2, 0] * v[..., 2],
-            m[..., 0, 1] * v[..., 0] + m[..., 1, 1] * v[..., 1] + m[..., 2, 1] * v[..., 2],
-            m[..., 0, 2] * v[..., 0] + m[..., 1, 2] * v[..., 1] + m[..., 2, 2] * v[..., 2],
-        ],
-        axis=-1,
-    )
-
-
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("lead", [(), (1, 4), (64, 4), (1024, 4)])
-def test_matvec3_t_bitwise_equal_to_stack_form(lead):
-    """(3, 3, ...) matrices and (3, ...) vectors, component-major, against
-    the stack forms on (..., 3, 3) and (..., 3)."""
-    rng = np.random.default_rng(sum(lead))
-    m = with_special_lanes(rng, lead + (3, 3))
-    v = with_special_lanes(rng, lead + (3,))
-    m_c = np.moveaxis(m, (-2, -1), (0, 1))
-    v_c = np.moveaxis(v, -1, 0)
-    assert_same_bits(_matvec3_t(m_c, v_c), np.moveaxis(stack_matvec3_t(m, v), -1, 0))
-    assert_same_bits(_matvec3(m_c, v_c), np.moveaxis(stack_matvec3(m, v), -1, 0))
 
 
 @st.composite
