@@ -49,14 +49,13 @@ def _load_run_config(args) -> RunConfig:
 
 def cmd_bc_fit(args) -> int:
     cfg = _load_run_config(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
     demo = None
     if args.demo != "synthetic":
         demo = load_demo_csv(args.demo, gait_frequency=args.demo_freq)
     planner, report = planner_from_config(cfg, demo=demo)
 
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     model_path = out / "planner.npz"
     save_planner_model(planner, model_path)
     save_config(cfg, out / "config.yaml")
@@ -103,12 +102,12 @@ def cmd_eval(args) -> int:
         profile = constant_profile(args.command)
     else:
         profile = ramp_profile(peak=args.command, duration=args.duration)
+    # run_eval checks the window and creates --out for the trace it writes
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    save_config(cfg, out / "config.yaml")
     trace_path = out / "trace.csv"
     summary, data = run_eval(cfg, ck["planner"], policy, profile, args.duration,
                              trace_path=trace_path)
+    save_config(cfg, out / "config.yaml")
     period_steps = ck["planner"].orbit.period_ticks // substeps_per_policy_step(cfg.sim.dt)
     gait = contact_gait_stats(data, period_steps)
     print(f"trace              {trace_path}")
@@ -123,11 +122,11 @@ def cmd_eval(args) -> int:
 def cmd_export_gait(args) -> int:
     planner = load_planner_model(args.model)
     cfg = load_config(args.config) if args.config else RunConfig()
+    # export_gait checks the period count and creates --out for the table
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    save_config(cfg, out / "config.yaml")
     path = out / "gait.csv"
     rows = export_gait(planner, cfg.leg_geometry(), args.periods, path)
+    save_config(cfg, out / "config.yaml")
     print(f"gait table         {path} ({rows} rows, "
           f"{planner.orbit.period_ticks} ticks/period)")
     return EXIT_OK

@@ -10,6 +10,10 @@ env's actions, and from them its trajectory, differ at about 1e-7 from the
 same env run alone. Each env owns its RNG stream, seeded from (cfg.seed, env
 index), which makes whole runs reproducible and env streams mutually
 independent.
+
+An env's one clock is `ep_steps`, its policy steps this episode: its planner
+row is `ep_steps * substeps % period` (one planner tick per substep), and it
+times out once `ep_steps * POLICY_DT` reaches the episode limit.
 """
 
 import numpy as np
@@ -73,9 +77,7 @@ class VecLocomotionEnv:
         self.qdot = np.zeros((n, 12))
         self.contacts = np.zeros((n, 4), dtype=bool)
         self.air = np.zeros((n, 4))
-        self.ep_time = np.zeros(n)
         self.filter_mem = np.zeros((n, 12))
-        self.phase = np.zeros(n, dtype=np.int64)
         self.ep_steps = np.zeros(n, dtype=np.int64)
         self.cmd = np.zeros((n, 3))
         self.mass = np.full(n, self.base_params.trunk_mass)
@@ -102,9 +104,7 @@ class VecLocomotionEnv:
         self.qdot[i] = 0.0
         self.contacts[i] = False
         self.air[i] = 0.0
-        self.ep_time[i] = 0.0
         self.filter_mem[i] = self.nominal_q
-        self.phase[i] = 0
         self.ep_steps[i] = 0
         self.prev_action[i] = 0.0
         self.prev_target[i] = self.baseline[0]
@@ -126,9 +126,10 @@ class VecLocomotionEnv:
     def observe(self) -> np.ndarray:
         """(n, 61) observations; sensor noise only in training mode."""
         gravity_b = quat.gravity_body(self.rot)
+        tick = self.ep_steps * self.substeps % self.period
         obs = build_observation_arrays(
             self.cmd, self.angvel, gravity_b, self.q, self.qdot,
-            self.contacts, self.prev_action, self.baseline[self.phase % self.period],
+            self.contacts, self.prev_action, self.baseline[tick],
             self.nominal_q,
         )
         if self.train_mode and self.cfg.dr.add_noise:
@@ -155,7 +156,8 @@ class VecLocomotionEnv:
                 if dv is not None:
                     self.linvel[i, :2] += dv
 
-        target = compose_action(self.baseline[self.phase % self.period], actions,
+        tick = self.ep_steps * self.substeps % self.period
+        target = compose_action(self.baseline[tick], actions,
                                 self.cfg.robot.residual_limit)
         # first-order low-pass filter; RunConfig.validate keeps alpha in (0, 1]
         alpha = self.cfg.robot.filter_alpha
@@ -169,12 +171,9 @@ class VecLocomotionEnv:
         pos, rot, linvel, angvel, q, qdot, air, targets = [
             np.ascontiguousarray(x.T) for x in
             (self.pos, self.rot, self.linvel, self.angvel, self.q, self.qdot, self.air, filtered)]
-        ep_time = self.ep_time
         for _ in range(self.substeps):
-            pos, rot, linvel, angvel, q, qdot, contacts, air, ep_time = _step_core(
-                pos, rot, linvel, angvel, q, qdot, air, ep_time,
-                targets, p, p.dt, self.mass, self.friction,
-            )
+            pos, rot, linvel, angvel, q, qdot, contacts, air = _step_core(
+                pos, rot, linvel, angvel, q, qdot, air, targets, p, self.mass, self.friction)
         pos, rot, linvel, angvel, q, qdot, contacts, air = [
             np.ascontiguousarray(x.T) for x in (pos, rot, linvel, angvel, q, qdot, contacts, air)]
         bad = _check_divergence(pos, rot, linvel, angvel, q, qdot, p.divergence_limit)
@@ -185,12 +184,11 @@ class VecLocomotionEnv:
                 env_index=idx,
             )
         self.pos, self.rot, self.linvel, self.angvel = pos, rot, linvel, angvel
-        self.q, self.qdot, self.air, self.ep_time = q, qdot, air, ep_time
-        self.contacts = contacts
-        self.phase = self.phase + self.substeps
+        self.q, self.qdot, self.contacts, self.air = q, qdot, contacts, air
+        self.ep_steps = self.ep_steps + 1
 
         feet_body = forward_kinematics_all(self.q, self.geometry)
-        desired = self.desired_feet[self.phase % self.period]
+        desired = self.desired_feet[self.ep_steps * self.substeps % self.period]
         terms = reward_terms_arrays(
             self.cmd, self.rot, self.linvel, self.angvel, self.pos[:, 2],
             self.q, self.qdot, prev_qdot, self.contacts, prev_contacts, prev_air,
@@ -201,14 +199,14 @@ class VecLocomotionEnv:
         for v in terms.values():
             rewards = rewards + v
 
-        timeout = self.ep_time >= p.episode_limit - 0.5 * p.dt
+        # elapsed time on the 20 ms grid; the half-substep margin absorbs rounding
+        timeout = self.ep_steps * POLICY_DT >= p.episode_limit - 0.5 * p.dt
         clearance = trunk_clearance(self.pos, self.rot, p)
         collided = clearance < p.collision_margin
         dones = timeout | collided
 
         self.prev_action = actions.copy()
         self.prev_target = target
-        self.ep_steps = self.ep_steps + 1
         self.episode_return = self.episode_return + rewards
 
         info = {"terms": terms, "timeout": timeout, "collision": collided}
@@ -235,8 +233,8 @@ class VecLocomotionEnv:
 
     _ARRAY_FIELDS = (
         "pos", "rot", "linvel", "angvel", "q", "qdot", "contacts", "air",
-        "ep_time", "filter_mem", "phase", "ep_steps", "cmd", "mass",
-        "friction", "prev_action", "prev_target", "episode_return",
+        "filter_mem", "ep_steps", "cmd", "mass", "friction", "prev_action",
+        "prev_target", "episode_return",
     )
 
     def state_dict(self) -> dict:

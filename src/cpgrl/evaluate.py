@@ -16,6 +16,9 @@ from .task import REWARD_TERMS
 
 
 def constant_profile(value: float):
+    if not np.isfinite(value):
+        raise ValueError(f"command {value} m/s is not finite")
+
     def profile(t: float) -> np.ndarray:
         return np.array([value, 0.0, 0.0])
 
@@ -28,6 +31,8 @@ RAMP_HOLD = 1.0
 
 def ramp_profile(peak: float, duration: float):
     """Command rising linearly to the peak, then held for the final RAMP_HOLD seconds."""
+    if not np.isfinite(peak):
+        raise ValueError(f"command {peak} m/s is not finite")
     ramp_time = max(duration - RAMP_HOLD, 1e-9)
 
     def profile(t: float) -> np.ndarray:

@@ -402,12 +402,15 @@ def refine_loss_and_grads(
     return loss, phi.T @ grad_q, grad_q.sum(axis=0)
 
 
+# conditions the warm start's normal equations: a numerical guard, not a model choice
+_RIDGE_LAMBDA = 1e-6
+
+
 def fit_motor_layer(
     demo: DemoTrajectory,
     model: GaitPlannerModel,
     geometry: LegGeometry,
     split_seed: int = 0,
-    ridge_lambda: float = 1e-6,
     refine_steps: int = 2000,
     refine_lr: float = 1e-2,
     align_phase: bool = True,
@@ -452,7 +455,7 @@ def fit_motor_layer(
     phi_mean = phi_tr.mean(axis=0)
     q_mean = q_tr.mean(axis=0)
     phi_c = phi_tr - phi_mean
-    gram = phi_c.T @ phi_c + ridge_lambda * np.eye(h)
+    gram = phi_c.T @ phi_c + _RIDGE_LAMBDA * np.eye(h)
     w = np.linalg.solve(gram, phi_c.T @ (q_tr - q_mean))
     b = q_mean - phi_mean @ w
 

@@ -80,17 +80,15 @@ class GaussianPolicy:
         self.lr = lr
         self.obs_dim = obs_dim
         self.action_dim = action_dim
-        self.obs_norm: RunningNorm | None = None
+        # passes observations through unchanged until its first update
+        self.obs_norm = RunningNorm(obs_dim)
 
     def prepare_obs(self, obs, update: bool = False) -> np.ndarray:
-        """Apply the policy's input normalizer, if any; raw passthrough else.
+        """Apply the policy's input normalizer.
 
         Rollout collection passes update=True so the running statistics track
         the training distribution; evaluation keeps them frozen.
         """
-        obs = np.asarray(obs, dtype=float)
-        if self.obs_norm is None:
-            return obs
         if update:
             self.obs_norm.update(obs)
         return self.obs_norm.normalize(obs)

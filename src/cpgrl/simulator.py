@@ -6,8 +6,9 @@ regularized Coulomb friction. Joint velocities integrate against a per-joint
 reflected inertia so joint-acceleration and action-rate penalties stay
 meaningful without articulated leg dynamics.
 
-The numerical core `_step_core` takes component-major arrays: the 3, 4 or
-12 components lead and the env axes trail, so each arithmetic call runs over
+The numerical core `_step_core` steps the physical state by `EnvParams.dt`
+and keeps no episode clock. Its arrays are component-major: the 3, 4 or 12
+components lead and the env axes trail, so each arithmetic call runs over
 whole rows of envs. The feet, their velocities and the contact reaction at
 the joints come from `kinematics.leg_kinematics`, `foot_velocities` and
 `joint_torques` on the same layout. One robot's arrays are the same with no
@@ -134,17 +135,18 @@ def contact_force(foot_pos, foot_vel, params: EnvParams, friction):
     return normal_mag * n + f_t, pen
 
 
-def _step_core(pos, rot, linvel, angvel, q, qdot, air, ep_time,
-               targets, params: EnvParams, dt: float, mass, friction):
-    """One 200 Hz substep on component-major arrays.
+def _step_core(pos, rot, linvel, angvel, q, qdot, air, targets, params: EnvParams,
+               mass, friction):
+    """One substep of params.dt on component-major arrays.
 
     The components lead and the env axes trail: pos, linvel and angvel are
     (3, ...), rot (4, ...), q, qdot and targets (12, ...), air (4, ...), and
-    ep_time, mass and friction have the env axes alone (scalars for one
-    robot, whose arrays keep their usual shapes). Inside, feet are (3, 4, ...)
-    and Jacobians (3, 3, 4, ...). Every output is a new array; the inputs are
+    mass and friction have the env axes alone (scalars for one robot, whose
+    arrays keep their usual shapes). Inside, feet are (3, 4, ...) and
+    Jacobians (3, 3, 4, ...). Every output is a new array; the inputs are
     never written.
     """
+    dt = params.dt
     tau = pd_torque(targets, q, qdot, params.kp, params.kd, params.tau_limit)
 
     feet_b, jac_b = leg_kinematics(q, params.geometry, jacobian=True)
@@ -192,9 +194,8 @@ def _step_core(pos, rot, linvel, angvel, q, qdot, air, ep_time,
 
     contacts_new = pen > 0.0
     air_new = np.where(contacts_new, 0.0, air + dt)
-    ep_time_new = ep_time + dt
 
-    return pos_new, rot_new, linvel_new, angvel_new, q_new, qdot_new, contacts_new, air_new, ep_time_new
+    return pos_new, rot_new, linvel_new, angvel_new, q_new, qdot_new, contacts_new, air_new
 
 
 def _check_divergence(pos, rot, linvel, angvel, q, qdot, limit):

@@ -26,7 +26,7 @@ from .gait_planner import (
     planner_from_arrays,
     savez_atomic,
 )
-from .nn import Adam, DimensionMismatch, RunningNorm
+from .nn import Adam, DimensionMismatch
 from .ppo import GaussianPolicy, PpoConfig, RolloutBuffer, ppo_update
 from .randomization import CurriculumState, curriculum_update, initial_curriculum
 from .task import OBS_DIM, REWARD_TERMS
@@ -104,7 +104,6 @@ def save_checkpoint(path, policy: GaussianPolicy, optimizer: Adam,
         "policy_lr": policy.lr,
         "adam_t": adam["t"],
         "norm_count": norm["count"],
-        "hidden": list(cfg.train.hidden),
         "curriculum": {
             "impulse_interval": curriculum.impulse_interval,
             "impulse_mag_cap": curriculum.impulse_mag_cap,
@@ -163,17 +162,13 @@ def truncate_metrics(path, iteration: int) -> None:
 
 
 def _new_policy(cfg: RunConfig, lr: float) -> GaussianPolicy:
-    """Fresh policy drawn from the seed's policy stream, with an empty
-    observation normalizer (which passes observations through unchanged
-    until its first update)."""
-    policy = GaussianPolicy(
+    """Fresh policy drawn from the seed's policy stream."""
+    return GaussianPolicy(
         OBS_DIM, ACTION_DIM, cfg.train.hidden,
         np.random.default_rng([cfg.seed, _POLICY_STREAM]),
         log_std_init=cfg.train.log_std_init, lr=lr,
         actor_out_scale=cfg.train.actor_out_scale,
     )
-    policy.obs_norm = RunningNorm(OBS_DIM)
-    return policy
 
 
 def policy_from_checkpoint(ck: dict) -> GaussianPolicy:

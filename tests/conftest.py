@@ -21,10 +21,12 @@ def assert_same_bits(a, b):
     np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
-def set_checkpoint_meta(path, **entries):
-    """Rewrite entries of a checkpoint's meta, as an earlier writer would have set them."""
+def set_checkpoint_meta(path, add_arrays=None, **entries):
+    """Rewrite entries of a checkpoint's meta, and add arrays, as an earlier
+    writer would have set them."""
     with np.load(path) as data:
         arrays = dict(data)
+    arrays.update(add_arrays or {})
     meta = json.loads(str(arrays["meta"]))
     meta.update(entries)
     arrays["meta"] = np.array(json.dumps(meta))
@@ -253,9 +255,9 @@ def aos_matvec3_t(m, v):
     )
 
 
-def aos_step_core(pos, rot, linvel, angvel, q, qdot, air, ep_time,
-                  targets, params, dt, mass, friction):
+def aos_step_core(pos, rot, linvel, angvel, q, qdot, air, targets, params, mass, friction):
     """One substep on (..., 3), (..., 4) and (..., 12) arrays; leading axes broadcast."""
+    dt = params.dt
     tau = pd_torque(targets, q, qdot, params.kp, params.kd, params.tau_limit)
 
     geom = params.geometry
@@ -300,9 +302,8 @@ def aos_step_core(pos, rot, linvel, angvel, q, qdot, air, ep_time,
 
     contacts_new = pen > 0.0
     air_new = np.where(contacts_new, 0.0, air + dt)
-    ep_time_new = ep_time + dt
 
-    return pos_new, rot_new, linvel_new, angvel_new, q_new, qdot_new, contacts_new, air_new, ep_time_new
+    return pos_new, rot_new, linvel_new, angvel_new, q_new, qdot_new, contacts_new, air_new
 
 
 def assert_same_bits_where_not_nan(a, b):

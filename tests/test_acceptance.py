@@ -310,16 +310,15 @@ def test_criterion_8_physics_sanity():
     params = RunConfig().env_params()
 
     def spawn(drop):
-        """(pos, rot, linvel, angvel, q, qdot, air, ep_time) of one robot."""
+        """(pos, rot, linvel, angvel, q, qdot, air) of one robot."""
         return (np.array([0.0, 0.0, params.stand_height + drop]), quat.IDENTITY.copy(),
                 np.zeros(3), np.zeros(3), params.nominal_q.copy(), np.zeros(12),
-                np.zeros(4), 0.0)
+                np.zeros(4))
 
     def run(drop, substeps):
         s = spawn(drop)
         for _ in range(substeps):
-            out = _step_core(*s, params.nominal_q, params, params.dt,
-                             params.trunk_mass, params.friction)
+            out = _step_core(*s, params.nominal_q, params, params.trunk_mass, params.friction)
             s = out[:6] + out[7:]
         return s
 
@@ -328,7 +327,7 @@ def test_criterion_8_physics_sanity():
     dv = s2[2][2] - s[2][2]
     free_fall_exact = dv == -(params.gravity * params.dt)
 
-    pos, rot, linvel, angvel, q, qdot, _air, _t = run(0.02, 600)
+    pos, rot, linvel, angvel, q, qdot, _air = run(0.02, 600)
     feet_b = forward_kinematics_all(q, params.geometry)
     feet_w = pos + quat.rotate(rot, feet_b)
     jac = leg_jacobian_all(q, params.geometry)

@@ -36,8 +36,10 @@ def test_step_advances_phase_and_time(planner):
     cfg = small_cfg()
     env = VecLocomotionEnv(cfg, planner, train_mode=False)
     env.step(np.zeros((4, 12)))
-    assert np.all(env.phase == env.substeps)
-    np.testing.assert_allclose(env.ep_time, env.substeps * cfg.sim.dt, rtol=1e-12)
+    assert np.all(env.ep_steps == 1)
+    # the planner ticks once per substep
+    np.testing.assert_array_equal(env.observe()[:, PLANNER_SLICE],
+                                  np.tile(env.baseline[env.substeps % env.period], (4, 1)))
 
 
 def test_vectorized_step_matches_scalar_bitwise(planner):
@@ -50,26 +52,25 @@ def test_vectorized_step_matches_scalar_bitwise(planner):
     env = VecLocomotionEnv(cfg, planner, train_mode=True)
     params = env.base_params
     rng = np.random.default_rng(5)
-    names = ("pos", "rot", "linvel", "angvel", "q", "qdot", "contacts", "air", "ep_time")
+    names = ("pos", "rot", "linvel", "angvel", "q", "qdot", "contacts", "air")
     for _ in range(3):
         actions = rng.normal(scale=0.1, size=(4, 12))
-        target = compose_action(env.baseline[env.phase % env.period], actions,
+        target = compose_action(env.baseline[env.ep_steps * env.substeps % env.period], actions,
                                 cfg.robot.residual_limit)
         alpha = cfg.robot.filter_alpha
         filtered = alpha * target + (1.0 - alpha) * env.filter_mem
         batched = (env.pos.T, env.rot.T, env.linvel.T, env.angvel.T,
-                   env.q.T, env.qdot.T, env.air.T, env.ep_time)
+                   env.q.T, env.qdot.T, env.air.T)
         for _ in range(env.substeps):
-            out = _step_core(*batched, filtered.T, params, params.dt, env.mass, env.friction)
+            out = _step_core(*batched, filtered.T, params, env.mass, env.friction)
             batched = out[:6] + out[7:]
         batched_out = out
         per_env = []
         for i in range(env.n):
             state = (env.pos[i], env.rot[i], env.linvel[i], env.angvel[i],
-                     env.q[i], env.qdot[i], env.air[i], env.ep_time[i])
+                     env.q[i], env.qdot[i], env.air[i])
             for _ in range(env.substeps):
-                out = _step_core(*state, filtered[i], params, params.dt,
-                                 env.mass[i], env.friction[i])
+                out = _step_core(*state, filtered[i], params, env.mass[i], env.friction[i])
                 state = out[:6] + out[7:]
             per_env.append(out)
         env.step(actions)
@@ -130,16 +131,44 @@ def test_reset_on_done_restores_spawn(planner):
     assert dones[2] == 1.0
     assert env.ep_steps[2] == 0
     assert env.pos[2, 2] == pytest.approx(cfg.robot.stand_height + cfg.sim.spawn_drop_height)
-    assert env.phase[2] == 0
+    np.testing.assert_array_equal(env.observe()[2, PLANNER_SLICE], env.baseline[0])
 
 
 def test_timeout_resets(planner):
     cfg = small_cfg()
     env = VecLocomotionEnv(cfg, planner, train_mode=False)
-    env.ep_time[:] = cfg.sim.episode_limit - 2 * cfg.sim.dt
+    # the step ends exactly on the episode limit
+    env.ep_steps[:] = round(cfg.sim.episode_limit / POLICY_DT) - 1
     rewards, dones, info = env.step(np.zeros((4, 12)))
     assert np.all(info["timeout"])
     assert np.all(dones == 1.0)
+
+
+def test_step_count_timeout_matches_the_accumulated_time_rule():
+    """`env.step`'s timeout, `ep_steps * POLICY_DT >= limit - dt / 2`, decides as
+    the earlier rule on a clock that added dt every substep, at every step count
+    up to two steps past the limit. The limits are the configs' 20 s and
+    run_eval's settle + duration + one policy step, for durations on the 20 ms
+    grid up to 60 s."""
+    dt = RunConfig().sim.dt
+    substeps = int(round(POLICY_DT / dt))
+    settle = 2.0
+    limits = [20.0] + [settle + float(f"{j * POLICY_DT:.2f}") + POLICY_DT
+                       for j in range(1, 3001)]
+    n_steps = int(round(max(limits) / POLICY_DT)) + 2
+    clock, accumulated = 0.0, [0.0]
+    for _ in range(n_steps):
+        for _ in range(substeps):
+            clock = clock + dt
+        accumulated.append(clock)
+    accumulated = np.array(accumulated)
+    for limit in limits:
+        last = int(round(limit / POLICY_DT))   # the step that ends on the limit
+        steps = np.arange(1, last + 3)
+        old = accumulated[steps] >= limit - 0.5 * dt
+        new = steps * POLICY_DT >= limit - 0.5 * dt
+        np.testing.assert_array_equal(new, old, err_msg=f"limit {limit!r}")
+        np.testing.assert_array_equal(new, steps >= last, err_msg=f"limit {limit!r}")
 
 
 def test_commands_resample_on_grid(planner):
@@ -148,7 +177,6 @@ def test_commands_resample_on_grid(planner):
     env.set_commands(np.tile([0.123, 0.0, 0.0], (4, 1)))
     boundary = int(round(cfg.commands.resample_interval / POLICY_DT))
     env.ep_steps[:] = boundary - 1
-    env.ep_time[:] = 5.0  # keep well away from the episode limit
     before = env.cmd.copy()
     env.step(np.zeros((4, 12)))
     assert not np.allclose(env.cmd, before)
@@ -207,7 +235,6 @@ def test_impulse_applied_on_boundary(planner):
     curriculum = CurriculumState(impulse_interval=15.0, impulse_mag_cap=1.0)
     boundary = int(round(15.0 / POLICY_DT))
     env.ep_steps[:] = boundary - 1
-    env.ep_time[:] = 5.0
     v_before = env.linvel[:, :2].copy()
     env.step(np.zeros((4, 12)), curriculum)
     # the velocity right after the kick also integrates contact forces, so
@@ -226,7 +253,6 @@ def test_impulse_adds_drawn_velocity(planner):
     by_hand = VecLocomotionEnv(cfg, planner, train_mode=True)
     for env in (kicked, by_hand):
         env.ep_steps[:] = boundary - 1
-        env.ep_time[:] = 5.0
     for i in range(by_hand.n):
         dv = schedule_impulse(by_hand.rngs[i], boundary * POLICY_DT, curriculum, dt=POLICY_DT)
         assert np.all(dv != 0.0) and np.all(np.abs(dv) <= 1.0)
@@ -254,6 +280,8 @@ def test_resample_and_impulse_boundaries_match_per_env_reference(planner):
     sensor noise, dynamics randomization and a timeout reset, equals a
     per-env reference loop applied around a step that does neither."""
     cfg = replace(small_cfg(seed=11), train=replace(small_cfg().train, n_envs=6))
+    # env 2 starts past the default 20 s, so the episode runs to 40 s
+    cfg = replace(cfg, sim=replace(cfg.sim, episode_limit=40.0))
     interval = cfg.commands.resample_interval
     no_resample = replace(cfg, commands=replace(cfg.commands, resample_interval=1000.0))
     curriculum = CurriculumState(impulse_interval=15.0, impulse_mag_cap=1.2)
@@ -261,11 +289,10 @@ def test_resample_and_impulse_boundaries_match_per_env_reference(planner):
     fast = VecLocomotionEnv(cfg, planner, train_mode=True)
     ref = VecLocomotionEnv(no_resample, planner, train_mode=True)
     # 10 s grid at step 500, impulse at step 750, both at 1500; env 5 times out
-    start = np.array([498, 748, 1498, 0, 499, 499])
+    # at step 2000
+    start = np.array([498, 748, 1498, 0, 499, 1999])
     for env in (fast, ref):
         env.ep_steps[:] = start
-        env.ep_time[:] = 5.0
-        env.ep_time[5] = cfg.sim.episode_limit - 2 * cfg.sim.dt
     kicks = resamples = 0
     rng = np.random.default_rng(3)
     for _ in range(3):

@@ -74,6 +74,14 @@ def test_ramp_profile_shape():
     assert p(9.9)[0] == pytest.approx(1.0)  # held at the peak for the last 1 s
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_profiles_reject_a_non_finite_command(value):
+    with pytest.raises(ValueError, match="not finite"):
+        constant_profile(value)
+    with pytest.raises(ValueError, match="not finite"):
+        ramp_profile(peak=value, duration=10.0)
+
+
 # ----------------------------------------------------------------- run_eval
 
 def test_eval_trace_rate_and_columns(fitted, tmp_path):
@@ -287,7 +295,18 @@ def test_cli_eval_window_under_one_policy_step_exit_code(checkpoint, tmp_path, c
                "--duration", duration])
     assert rc == 2
     assert "policy steps" in capsys.readouterr().err
-    assert not (tmp_path / "eval" / "trace.csv").exists()
+    assert not (tmp_path / "eval").exists()
+
+
+@pytest.mark.parametrize("profile", ["constant", "ramp"])
+@pytest.mark.parametrize("command", ["nan", "inf", "-inf"])
+def test_cli_eval_non_finite_command_exit_code(checkpoint, tmp_path, capsys, profile, command):
+    """A non-finite command is a usage error, not a numerical failure or a run."""
+    rc = main(["eval", "--checkpoint", str(checkpoint), "--out", str(tmp_path / "eval"),
+               "--profile", profile, f"--command={command}", "--duration", "1.0"])
+    assert rc == 2
+    assert "not finite" in capsys.readouterr().err
+    assert not (tmp_path / "eval").exists()
 
 
 @pytest.mark.parametrize("periods", ["0", "-2"])
@@ -299,7 +318,7 @@ def test_cli_export_gait_needs_a_period_exit_code(fitted, tmp_path, capsys, peri
                "--out", str(tmp_path / "gait")])
     assert rc == 2
     assert "at least one period" in capsys.readouterr().err
-    assert not (tmp_path / "gait" / "gait.csv").exists()
+    assert not (tmp_path / "gait").exists()
 
 
 def test_cli_bc_fit_unreachable_demo_exit_code(tmp_path, capsys):
@@ -310,6 +329,7 @@ def test_cli_bc_fit_unreachable_demo_exit_code(tmp_path, capsys):
     rc = main(["bc-fit", "--demo", str(demo_path), "--out", str(tmp_path / "fit")])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "fit").exists()
 
 
 @pytest.mark.parametrize("command, target, exc", [

@@ -70,7 +70,6 @@ def grid_step(planner, steps_after):
     env = one_env(planner)
     env.set_commands([[0.1, 0.2, 0.3]])
     env.ep_steps[0] = steps_after - 1
-    env.ep_time[0] = 5.0  # keep well away from the episode limit
     before = env.cmd[0].copy()
     env.step(np.zeros((1, 12)))
     return before, env.cmd[0]

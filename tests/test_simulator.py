@@ -16,7 +16,7 @@ from conftest import (
 )
 from cpgrl import quat
 from cpgrl.config import RunConfig
-from cpgrl.env import VecLocomotionEnv
+from cpgrl.env import POLICY_DT, VecLocomotionEnv
 from cpgrl.kinematics import forward_kinematics_all, leg_jacobian_all
 from cpgrl.simulator import (
     NumericalDivergence,
@@ -29,8 +29,8 @@ from cpgrl.simulator import (
 
 PARAMS = RunConfig().env_params()
 
-STEP_IN = ("pos", "rot", "linvel", "angvel", "q", "qdot", "air", "ep_time")
-STEP_OUT = ("pos", "rot", "linvel", "angvel", "q", "qdot", "contacts", "air", "ep_time")
+STEP_IN = ("pos", "rot", "linvel", "angvel", "q", "qdot", "air")
+STEP_OUT = ("pos", "rot", "linvel", "angvel", "q", "qdot", "contacts", "air")
 
 
 def spawn(params, drop=0.05):
@@ -44,13 +44,12 @@ def spawn(params, drop=0.05):
         "qdot": np.zeros(12),
         "contacts": np.zeros(4, dtype=bool),
         "air": np.zeros(4),
-        "ep_time": 0.0,
     }
 
 
 def substep(s, targets, params):
     """One `_step_core` substep of a single robot."""
-    out = _step_core(*(s[k] for k in STEP_IN), targets, params, params.dt,
+    out = _step_core(*(s[k] for k in STEP_IN), targets, params,
                      params.trunk_mass, params.friction)
     return dict(zip(STEP_OUT, out))
 
@@ -254,7 +253,7 @@ def batched_states(draw):
     rot = quat.normalize(field((4,), -0.2, 0.2) + quat.IDENTITY)
     q = field((12,), -0.3, 0.3) + PARAMS.nominal_q
     state = (pos, rot, field((3,), -1.0, 1.0), field((3,), -2.0, 2.0), q,
-             field((12,), -5.0, 5.0), field((4,), 0.0, 0.5), field((), 0.0, 10.0))
+             field((12,), -5.0, 5.0), field((4,), 0.0, 0.5))
     targets = field((12,), -0.3, 0.3) + PARAMS.nominal_q
     return state, targets, field((), 10.0, 14.0), field((), 0.4, 1.2)
 
@@ -265,10 +264,9 @@ def test_batched_step_core_equals_each_env_alone(sample):
     """Stepping n envs in one component-major call, env axis last, gives each
     env's slice stepped alone, bit for bit."""
     state, targets, mass, friction = sample
-    batched = _step_core(*(x.T for x in state), targets.T, PARAMS, PARAMS.dt, mass, friction)
+    batched = _step_core(*(x.T for x in state), targets.T, PARAMS, mass, friction)
     for i in range(len(mass)):
-        alone = _step_core(*(x[i] for x in state), targets[i], PARAMS, PARAMS.dt,
-                           mass[i], friction[i])
+        alone = _step_core(*(x[i] for x in state), targets[i], PARAMS, mass[i], friction[i])
         for name, b, a in zip(STEP_OUT, batched, alone):
             b, a = np.asarray(b[..., i]), np.asarray(a)
             assert (b.dtype, b.shape, b.tobytes()) == (a.dtype, a.shape, a.tobytes()), name
@@ -288,7 +286,7 @@ def test_step_core_never_writes_its_inputs(n):
     for x in inputs:
         x.flags.writeable = False
     *state, targets, mass, friction = inputs
-    _step_core(*state, targets, PARAMS, PARAMS.dt, mass, friction)
+    _step_core(*state, targets, PARAMS, mass, friction)
     for x, x0 in zip(inputs, before):
         assert_same_bits(x, x0)
 
@@ -312,7 +310,7 @@ def special_states(rng, n):
              field((4,), -0.2, 0.2, quat.IDENTITY[:, None]),
              field((3,), -1.0, 1.0), field((3,), -2.0, 2.0),
              field((12,), -0.3, 0.3, nominal), field((12,), -5.0, 5.0),
-             field((4,), 0.0, 0.5), field((), 0.0, 10.0)]
+             field((4,), 0.0, 0.5)]
     state[1] = state[1] / np.linalg.norm(state[1], axis=0)
     targets = field((12,), -0.3, 0.3, nominal)
     return state, targets, field((), 10.0, 14.0), field((), 0.4, 1.2)
@@ -328,8 +326,8 @@ def test_step_core_equals_the_array_of_structs_reference(n):
     state, targets, mass, friction = special_states(rng, n)
     ref = [x.T for x in state]
     for _ in range(60):
-        out = _step_core(*state, targets, PARAMS, PARAMS.dt, mass, friction)
-        ref_out = aos_step_core(*ref, targets.T, PARAMS, PARAMS.dt, mass, friction)
+        out = _step_core(*state, targets, PARAMS, mass, friction)
+        ref_out = aos_step_core(*ref, targets.T, PARAMS, mass, friction)
         for name, a, b in zip(STEP_OUT, out, ref_out):
             assert np.asarray(a).dtype == np.asarray(b).dtype, name
             assert_same_bits_where_not_nan(np.asarray(a, dtype=float).T, b)
@@ -354,8 +352,8 @@ def test_leg_sums_start_from_positive_zero(n):
     if n is not None:
         inputs = [np.repeat(x[..., None], n, axis=-1) for x in inputs]
     *state, targets, mass, friction = inputs
-    out = _step_core(*state, targets, params, params.dt, mass, friction)
-    ref = aos_step_core(*(x.T for x in state), targets.T, params, params.dt, mass, friction)
+    out = _step_core(*state, targets, params, mass, friction)
+    ref = aos_step_core(*(x.T for x in state), targets.T, params, mass, friction)
     for a, b in zip(out, ref):
         assert_same_bits(np.asarray(a, dtype=float).T, np.asarray(b, dtype=float))
     assert not np.signbit(out[2][0]).any()
@@ -366,8 +364,8 @@ def test_leg_sums_start_from_positive_zero(n):
 def test_timeout(planner):
     env = one_env(planner)
     p = env.base_params
-    # the step's substeps end exactly on the episode limit
-    env.ep_time[0] = p.episode_limit - env.substeps * p.dt
+    # the step ends exactly on the episode limit
+    env.ep_steps[0] = round(p.episode_limit / POLICY_DT) - 1
     _, dones, info = env.step(np.zeros((1, 12)))
     assert info["timeout"][0] and not info["collision"][0]
     assert dones[0] == 1.0
@@ -388,7 +386,6 @@ def test_running_when_nominal(planner):
     for _ in range(50):
         _, dones, _ = env.step(np.zeros((1, 12)))
         assert dones[0] == 0.0
-    env.ep_time[0] = 5.0
     _, dones, info = env.step(np.zeros((1, 12)))
     assert not info["timeout"][0] and not info["collision"][0]
     assert dones[0] == 0.0

@@ -103,19 +103,28 @@ def test_resume_reproduces_metrics_bit_identically(fitted, tmp_path):
 
     cfg2 = replace(cfg5, train=replace(cfg5.train, iterations=2))
     train(cfg2, planner, tmp_path / "part", log=None)
-    # a version-3 file from the earlier writer also stored Adam's unused "adam_lr"
+    # version-3 files from earlier writers also stored Adam's unused "adam_lr", the
+    # "hidden" sizes the config holds, and the env's "ep_time" and "phase", which
+    # derive from "ep_steps"
     shutil.copytree(tmp_path / "part", tmp_path / "legacy")
-    set_checkpoint_meta(tmp_path / "legacy" / "checkpoint_000002.npz", adam_lr=123.0)
+    legacy = tmp_path / "legacy" / "checkpoint_000002.npz"
+    with np.load(legacy) as data:
+        steps = data["env_ep_steps"]
+    set_checkpoint_meta(legacy, adam_lr=123.0, hidden=list(cfg.train.hidden),
+                        add_arrays={"env_ep_time": steps * 0.02, "env_phase": steps * 4})
+    rows = {}
     for run in ("part", "legacy"):
         resumed = train(cfg5, planner, tmp_path / run,
                         resume_from=tmp_path / run / "checkpoint_000002.npz", log=None)
         resumed_rows = list(csv.DictReader(open(resumed)))
+        rows[run] = [{k: v for k, v in row.items() if k != "wall_time_s"} for row in resumed_rows]
 
         assert len(resumed_rows) == 5
         for a, b in zip(full_rows[2:], resumed_rows[2:]):
             for key in ("mean_reward", "tracking_fraction", "approx_kl", "lr",
                         "policy_loss", "value_loss"):
                 assert a[key] == b[key], (run, key)
+    assert rows["legacy"] == rows["part"]
 
 
 def test_checkpoint_round_trip(fitted, tmp_path):
@@ -133,7 +142,8 @@ def test_checkpoint_round_trip(fitted, tmp_path):
     ck = load_checkpoint(path)
     assert ck["meta"]["iteration"] == 7
     assert ck["meta"]["config_hash"] == config_hash(cfg)
-    assert "adam_lr" not in ck["meta"]
+    assert "adam_lr" not in ck["meta"] and "hidden" not in ck["meta"]
+    assert sorted(ck["env_arrays"]) == sorted(VecLocomotionEnv._ARRAY_FIELDS)
     np.testing.assert_array_equal(ck["policy_flat"], policy.get_flat())
     restored = policy_from_checkpoint(ck)
     assert restored.obs_norm.count == policy.obs_norm.count
