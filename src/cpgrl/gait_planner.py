@@ -9,6 +9,8 @@ foot-space MSE through the analytic leg Jacobian.
 
 import csv
 import os
+import zipfile
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -578,13 +580,37 @@ def savez_atomic(path, **arrays) -> None:
         raise
 
 
+class DamagedRunFile(ValueError):
+    """A saved model or checkpoint that is not a whole npz archive or lacks an entry."""
+
+
+@contextmanager
+def open_run_file(path):
+    """The npz archive at path, opened for reading; a file cut short, not an
+    archive, or without an entry the caller reads raises DamagedRunFile."""
+    try:
+        data = np.load(path, allow_pickle=False)
+    except (zipfile.BadZipFile, EOFError, ValueError) as exc:
+        raise DamagedRunFile(f"{path}: not a whole npz archive ({exc})") from exc
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise DamagedRunFile(f"{path}: not an npz archive")
+    with data:
+        try:
+            yield data
+        except zipfile.BadZipFile as exc:
+            raise DamagedRunFile(f"{path}: damaged archive entry ({exc})") from exc
+        except KeyError as exc:
+            key = str(exc.args[0]).removesuffix(" is not a file in the archive")
+            raise DamagedRunFile(f"{path}: missing entry '{key}'") from exc
+
+
 def save_planner_model(model: GaitPlannerModel, path) -> None:
     savez_atomic(path, version=_MODEL_VERSION, **planner_arrays(model))
 
 
 def load_planner_model(path) -> GaitPlannerModel:
-    with np.load(path) as data:
+    with open_run_file(path) as data:
         version = int(data["version"])
         if version != _MODEL_VERSION:
-            raise ValueError(f"unsupported planner model version {version}")
+            raise ValueError(f"{path}: unsupported planner model version {version}")
         return planner_from_arrays(data)

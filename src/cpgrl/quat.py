@@ -52,9 +52,12 @@ def from_rotvec(r):
     return _components_last(_from_rotvec(np.asarray(r, dtype=float).T))
 
 
-def gravity_body(q, g_world=(0.0, 0.0, -1.0)):
+_GRAVITY_WORLD = np.array([0.0, 0.0, -1.0])
+
+
+def gravity_body(q):
     """Unit gravity direction expressed in the body frame."""
-    return rotate_inv(q, np.asarray(g_world, dtype=float))
+    return rotate_inv(q, _GRAVITY_WORLD)
 
 
 def to_euler_zyx(q):

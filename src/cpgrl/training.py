@@ -22,6 +22,7 @@ from .gait_planner import (
     fit_motor_layer,
     fitted_planner,
     generate_demo_trot,
+    open_run_file,
     planner_arrays,
     planner_from_arrays,
     savez_atomic,
@@ -127,11 +128,11 @@ def save_checkpoint(path, policy: GaussianPolicy, optimizer: Adam,
 
 
 def load_checkpoint(path) -> dict:
-    with np.load(path, allow_pickle=False) as data:
+    with open_run_file(path) as data:
         meta = json.loads(str(data["meta"]))
         if meta["version"] != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {meta['version']}")
-        out = {
+            raise ValueError(f"{path}: unsupported checkpoint version {meta['version']}")
+        return {
             "meta": meta,
             "policy_flat": data["policy_flat"],
             "optimizer": {"m": data["adam_m"], "v": data["adam_v"], "t": meta["adam_t"]},
@@ -139,9 +140,8 @@ def load_checkpoint(path) -> dict:
             "env_arrays": {k[4:]: data[k] for k in data.files if k.startswith("env_")},
             "obs_norm": {"count": meta["norm_count"], "mean": data["norm_mean"],
                          "var": data["norm_var"]},
+            "config": config_from_dict(meta["config"]),
         }
-    out["config"] = config_from_dict(meta["config"])
-    return out
 
 
 def truncate_metrics(path, iteration: int) -> None:
@@ -183,13 +183,18 @@ def policy_from_checkpoint(ck: dict) -> GaussianPolicy:
 
 
 def train(cfg: RunConfig, planner: GaitPlannerModel, out_dir,
-          iterations: int | None = None, resume_from=None, log=print):
+          resume_from=None, log=print):
     """Run PPO for the configured iterations; returns the metrics path.
 
+    A resume's checkpoint is loaded and checked before out_dir is written.
     On NumericalDivergence the exception propagates after the message is
     logged; the last scheduled checkpoint stays on disk.
     """
     cfg.validate()
+    if resume_from is not None:
+        ck = load_checkpoint(resume_from)
+        if ck["meta"]["config_hash"] != config_hash(cfg):
+            raise ValueError("checkpoint was produced by a different config")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_config(cfg, out_dir / "config.yaml")
@@ -202,9 +207,6 @@ def train(cfg: RunConfig, planner: GaitPlannerModel, out_dir,
     start_iteration = 0
 
     if resume_from is not None:
-        ck = load_checkpoint(resume_from)
-        if ck["meta"]["config_hash"] != config_hash(cfg):
-            raise ValueError("checkpoint was produced by a different config")
         policy = policy_from_checkpoint(ck)
         optimizer.load_state_dict(ck["optimizer"])
         train_rng.bit_generator.state = ck["meta"]["train_rng"]
@@ -212,7 +214,6 @@ def train(cfg: RunConfig, planner: GaitPlannerModel, out_dir,
         curriculum = CurriculumState(**ck["meta"]["curriculum"])
         start_iteration = ck["meta"]["iteration"]
 
-    total_iterations = cfg.train.iterations if iterations is None else iterations
     metrics_path = out_dir / "metrics.csv"
     if resume_from is not None and metrics_path.exists():
         truncate_metrics(metrics_path, start_iteration)
@@ -227,7 +228,7 @@ def train(cfg: RunConfig, planner: GaitPlannerModel, out_dir,
         writer = csv.writer(fh)
         if mode == "w":
             writer.writerow(METRICS_COLUMNS)
-        for iteration in range(start_iteration, total_iterations):
+        for iteration in range(start_iteration, cfg.train.iterations):
             buf, roll_stats = collect_rollouts(env, policy, train_rng, horizon, curriculum)
             if cfg.dr.apply_impulses:
                 curriculum = curriculum_update(
@@ -261,7 +262,7 @@ def train(cfg: RunConfig, planner: GaitPlannerModel, out_dir,
             fh.flush()
 
             if (iteration + 1) % max(1, cfg.train.checkpoint_every) == 0 or (
-                iteration + 1 == total_iterations
+                iteration + 1 == cfg.train.iterations
             ):
                 save_checkpoint(
                     out_dir / f"checkpoint_{iteration + 1:06d}.npz",
@@ -272,7 +273,7 @@ def train(cfg: RunConfig, planner: GaitPlannerModel, out_dir,
                 (iteration + 1) % 10 == 0 or iteration == start_iteration
             ):
                 log(
-                    f"iter {iteration + 1:4d}/{total_iterations}: "
+                    f"iter {iteration + 1:4d}/{cfg.train.iterations}: "
                     f"reward/step {roll_stats['mean_reward']:+.4f} "
                     f"tracking {roll_stats['tracking_fraction']:.3f} "
                     f"kl {update_stats.approx_kl:.4f} lr {update_stats.new_lr:.1e}"

@@ -1,5 +1,8 @@
 import csv
+import os
 import shutil
+import struct
+import zipfile
 
 import numpy as np
 import pytest
@@ -348,3 +351,86 @@ def test_cli_numerical_failure_exit_code(fitted, tmp_path, monkeypatch, capsys,
     rc = main(argv + ["--out", str(tmp_path / "out")])
     assert rc == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_cli_rejected_resume_leaves_the_run_as_it_was(fitted, checkpoint, tmp_path, capsys):
+    """A resume whose config differs only in seed exits 2 and rewrites no file."""
+    run = tmp_path / "run"
+    shutil.copytree(checkpoint.parent, run)
+    save_planner_model(fitted[1], tmp_path / "planner.npz")
+    other_path = tmp_path / "other.yaml"
+    save_config(tiny_cfg(seed=42), other_path)
+    before = {p.name: p.read_bytes() for p in run.iterdir()}
+    rc = main(["train", "--config", str(other_path), "--model", str(tmp_path / "planner.npz"),
+               "--checkpoint", str(run / checkpoint.name), "--out", str(run)])
+    assert rc == 2
+    assert "different config" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+
+
+def _cut_in_half(path):
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) // 2])
+
+
+def _drop_adam_m(path):
+    with np.load(path) as data:
+        arrays = {k: data[k] for k in data.files if k != "adam_m"}
+    np.savez(path, **arrays)
+
+
+def _not_an_archive(path):
+    path.write_text("iteration,reward\n1,0.5\n")
+
+
+def _single_array(path):
+    with open(path, "wb") as fh:
+        np.save(fh, np.zeros(3))
+
+
+def _flip_a_policy_byte(path):
+    """Corrupt one byte of the stored policy array, past its .npy header."""
+    with zipfile.ZipFile(path) as archive:
+        offset = archive.getinfo("policy_flat.npy").header_offset
+    with open(path, "r+b") as fh:
+        fh.seek(offset + 26)  # name and extra-field lengths in the local file header
+        name_len, extra_len = struct.unpack("<HH", fh.read(4))
+        fh.seek(offset + 30 + name_len + extra_len + 200)
+        byte = fh.read(1)[0]
+        fh.seek(-1, os.SEEK_CUR)
+        fh.write(bytes([byte ^ 0xFF]))
+
+
+@pytest.mark.parametrize("command, damaged, damage, part", [
+    ("eval", "checkpoint", _cut_in_half, "not a whole npz archive"),
+    ("train", "checkpoint", _cut_in_half, "not a whole npz archive"),
+    ("train", "model", _cut_in_half, "not a whole npz archive"),
+    ("export-gait", "model", _cut_in_half, "not a whole npz archive"),
+    ("eval", "checkpoint", _drop_adam_m, "missing entry 'adam_m'"),
+    ("eval", "checkpoint", _not_an_archive, "not a whole npz archive"),
+    ("eval", "checkpoint", _single_array, "not an npz archive"),
+    ("eval", "checkpoint", _flip_a_policy_byte, "damaged archive entry"),
+], ids=["eval-cut", "train-checkpoint-cut", "train-model-cut", "export-gait-cut",
+        "eval-no-adam_m", "eval-not-an-archive", "eval-single-array", "eval-bad-crc"])
+def test_cli_damaged_run_file_exit_code(fitted, checkpoint, tmp_path, capsys,
+                                        command, damaged, damage, part):
+    """A damaged model or checkpoint is a usage error whose message names the
+    file and the damaged part, and the command writes no --out."""
+    files = {"model": tmp_path / "planner.npz", "checkpoint": tmp_path / "checkpoint.npz"}
+    save_planner_model(fitted[1], files["model"])
+    shutil.copy(checkpoint, files["checkpoint"])
+    cfg_path = tmp_path / "config.yaml"
+    save_config(fitted[0], cfg_path)
+    damage(files[damaged])
+    argv = {
+        "eval": ["eval", "--checkpoint", str(files["checkpoint"])],
+        "train": ["train", "--config", str(cfg_path), "--model", str(files["model"])]
+        + (["--checkpoint", str(files["checkpoint"])] if damaged == "checkpoint" else []),
+        "export-gait": ["export-gait", "--model", str(files["model"])],
+    }[command]
+    rc = main(argv + ["--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(files[damaged]) in err
+    assert part in err
+    assert not (tmp_path / "out").exists()

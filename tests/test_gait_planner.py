@@ -16,6 +16,7 @@ from cpgrl.gait_planner import (
     SchemaError,
     SingularFit,
     TooManyCenters,
+    _RIDGE_LAMBDA,
     build_planner,
     circular_xcorr_lag,
     cyclic_lag_distance,
@@ -32,7 +33,7 @@ from cpgrl.gait_planner import (
     sample_rbf_centers,
     save_planner_model,
 )
-from cpgrl.kinematics import forward_kinematics_all, standing_pose
+from cpgrl.kinematics import forward_kinematics_all, inverse_kinematics, standing_pose
 
 CFG = RunConfig()
 GEOM = CFG.leg_geometry()
@@ -208,17 +209,22 @@ def test_csv_non_monotonic_time(tmp_path):
 
 # ---------------------------------------------------------------- fitting
 
-def test_fit_realizability_oracle(planner):
-    # demo produced by a known motor layer is recovered to < 1e-6 m
+def realizable_demo(planner):
+    """One cycle of the feet of a known motor layer, sampled on the orbit."""
     rng = np.random.default_rng(42)
     true_motor = MotorLayer(weights=rng.normal(scale=0.05, size=(20, 12)), bias=NOMINAL_Q)
     true_model = fitted_planner(planner, true_motor)
     feet = forward_kinematics_all(true_model.baseline_table(), GEOM)
-    demo = DemoTrajectory(
+    return DemoTrajectory(
         feet=np.transpose(feet, (1, 0, 2)),
         sample_rate=planner.params.tick_rate,
         gait_frequency=planner.params.tick_rate / planner.orbit.period_ticks,
     )
+
+
+def test_fit_realizability_oracle(planner):
+    # demo produced by a known motor layer is recovered to < 1e-6 m
+    demo = realizable_demo(planner)
     motor, report = fit_motor_layer(demo, planner, GEOM, align_phase=False)
     assert report.val_rmse < 1e-6
 
@@ -292,6 +298,57 @@ def test_refine_gradients_match_finite_differences(planner):
         db[j] = h
         fd = (loss_at(w, b + db) - loss_at(w, b - db)) / (2 * h)
         assert fd == pytest.approx(grad_b[j], rel=1e-4, abs=1e-10)
+
+
+def _ridge_oracle_table(demo, planner, split_seed, align_phase):
+    """One cycle of joint targets from a ridge fit written apart from the fit:
+    inverse kinematics of the demo, then lstsq on the centred train rows of
+    the design stacked with sqrt(lambda) I rows."""
+    t = planner.orbit.period_ticks
+    target_feet = prepare_demo_period(demo, t, align_phase=align_phase)
+    q_demo = np.array([[inverse_kinematics(target_feet[i, leg], GEOM, leg) for leg in range(4)]
+                       for i in range(t)]).reshape(t, 12)
+    phi = rbf_activations(planner.orbit.samples, planner.rbf)
+    train_idx = np.random.default_rng(split_seed).permutation(t)[: int(round(0.7 * t))]
+    phi_tr, q_tr = phi[train_idx], q_demo[train_idx]
+    h = planner.rbf.h
+    design = np.vstack([phi_tr - phi_tr.mean(axis=0), np.sqrt(_RIDGE_LAMBDA) * np.eye(h)])
+    rhs = np.vstack([q_tr - q_tr.mean(axis=0), np.zeros((h, 12))])
+    w = np.linalg.lstsq(design, rhs, rcond=None)[0]
+    b = q_tr.mean(axis=0) - phi_tr.mean(axis=0) @ w
+    return phi @ w + b
+
+
+@pytest.mark.parametrize("split_seed", [0, 1, 7])
+@pytest.mark.parametrize("demo_kind", ["trot", "realizable"])
+def test_warm_start_matches_ridge_oracle(planner, demo_kind, split_seed):
+    """The fit without refinement gives the joint targets of an independent
+    ridge solve, and reports the foot-space MSE of its own motor map.
+
+    Targets, not weights, are compared: the Gram matrix's condition number is
+    about 3e7, so the weights of two solvers agree only to about 1e-9 relative.
+    """
+    if demo_kind == "trot":
+        demo, align_phase = trot(), True
+    else:
+        demo, align_phase = realizable_demo(planner), False
+    motor, report = fit_motor_layer(demo, planner, GEOM, split_seed=split_seed,
+                                    refine_steps=0, align_phase=align_phase)
+    table = fitted_planner(planner, motor).baseline_table()
+    oracle = _ridge_oracle_table(demo, planner, split_seed, align_phase)
+    np.testing.assert_allclose(table, oracle, rtol=0, atol=1e-11)
+
+    t = planner.orbit.period_ticks
+    target_feet = prepare_demo_period(demo, t, align_phase=align_phase)
+    phi = rbf_activations(planner.orbit.samples, planner.rbf)
+    perm = np.random.default_rng(split_seed).permutation(t)
+    train_idx, val_idx = perm[: report.n_train], perm[report.n_train :]
+    assert report.train_mse == refine_loss_and_grads(
+        motor.weights, motor.bias, phi[train_idx], target_feet[train_idx], GEOM)[0]
+    assert report.val_mse == refine_loss_and_grads(
+        motor.weights, motor.bias, phi[val_idx], target_feet[val_idx], GEOM)[0]
+    assert report.init_train_mse == report.train_mse
+    assert report.refine_steps_used == 0
 
 
 def _foot_mse(q_flat, target_feet):

@@ -11,11 +11,12 @@ import numpy as np
 
 # the tracer looks up every module it wraps, so all of them must be imported
 from cpgrl import evaluate, training  # noqa: F401
-from cpgrl.config import RunConfig
+from cpgrl.config import RunConfig, load_config
 from cpgrl.env import VecLocomotionEnv
 from cpgrl.randomization import initial_curriculum
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "bench" / "tracer.py"
 
 
 def load_tracer():
@@ -57,3 +58,16 @@ def test_traced_rollout_call_counts(planner):
     assert calls["env.step"] == horizon
     assert calls["randomization.add_sensor_noise"] == n * (horizon + 1)
     assert calls["randomization.schedule_impulse"] == n * horizon
+
+
+def test_traced_setup_counts_the_fit():
+    """The tracer's set-up hook reads the FitReport that `fit_motor_layer`
+    returns, as `bench/run.py --trace 1` reports it per set-up."""
+    tracer_module = load_tracer()
+    cfg = load_config(ROOT / "configs" / "desk_acceptance.yaml")
+    with tracer_module.Tracer() as tracer:
+        _planner, report = training.planner_from_config(cfg)
+    assert tracer.stats["gait_planner.fit_motor_layer"][0] == 1
+    # the hook adds the key on its first call, so its presence shows the hook ran
+    assert "gait_planner.refine_steps" in tracer.counters
+    assert tracer.counters["gait_planner.refine_steps"] == report.refine_steps_used
