@@ -14,13 +14,7 @@ import numpy as np
 from .config import ConfigError, RunConfig, config_hash, load_config, save_config
 from .env import substeps_per_policy_step
 from .evaluate import constant_profile, contact_gait_stats, export_gait, ramp_profile, run_eval
-from .gait_planner import (
-    IkUnreachable,
-    SingularFit,
-    load_demo_csv,
-    load_planner_model,
-    save_planner_model,
-)
+from .gait_planner import SingularFit, load_demo_csv, load_planner_model, save_planner_model
 from .ppo import NonFiniteLoss
 from .simulator import NumericalDivergence
 from .training import (
@@ -192,7 +186,7 @@ def main(argv=None) -> int:
     except (NumericalDivergence, NonFiniteLoss, SingularFit) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ValueError, IkUnreachable) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -25,6 +25,18 @@ class ConfigError(ValueError):
     """Configuration failed validation; the CLI maps this to exit code 2."""
 
 
+POLICY_RATE = 50.0  # Hz
+POLICY_DT = 1.0 / POLICY_RATE
+
+
+def substeps_per_policy_step(dt: float) -> int:
+    """Physics substeps (and planner ticks) in one policy step."""
+    substeps = int(round(1.0 / (dt * POLICY_RATE)))
+    if abs(substeps * dt * POLICY_RATE - 1.0) > 1e-9:
+        raise ConfigError(f"sim.dt ({dt}) must divide the policy period 1/{POLICY_RATE:g} s")
+    return substeps
+
+
 @dataclass(frozen=True)
 class RobotConfig:
     hip_offset: float = 0.08
@@ -185,6 +197,8 @@ class RunConfig:
                 "a minibatch would be empty")
         if self.train.iterations < 0:
             raise ConfigError("train.iterations must be >= 0")
+        if not self.train.lr_init > 0:
+            raise ConfigError("train.lr_init must be positive")
         if self.planner.h < 1:
             raise ConfigError("planner.h must be >= 1")
         if not (0.0 < self.robot.filter_alpha <= 1.0):
@@ -193,8 +207,11 @@ class RunConfig:
             lo, hi = getattr(self.commands, name)
             if lo > hi:
                 raise ConfigError(f"commands.{name}: low > high")
+        if not self.commands.resample_interval > 0:
+            raise ConfigError("commands.resample_interval must be positive")
         if self.sim.dt <= 0:
             raise ConfigError("sim.dt must be positive")
+        substeps_per_policy_step(self.sim.dt)
         rate = 1.0 / self.sim.dt
         if abs(self.cpg.tick_rate - rate) > 1e-9:
             raise ConfigError(

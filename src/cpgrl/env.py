@@ -12,14 +12,17 @@ index), which makes whole runs reproducible and env streams mutually
 independent.
 
 An env's one clock is `ep_steps`, its policy steps this episode: its planner
-row is `ep_steps * substeps % period` (one planner tick per substep), and it
-times out once `ep_steps * POLICY_DT` reaches the episode limit.
+row is `ep_steps * substeps % period` (one planner tick per substep), it
+times out once `ep_steps * POLICY_DT` reaches the episode limit, and it
+resamples its command in each step that carries that time past a multiple of
+the resample interval, by the boundary test of `schedule_impulse`.
 """
 
 import numpy as np
 
 from . import quat
-from .config import RunConfig
+# the policy rate stays importable from the env, which steps at it
+from .config import POLICY_DT, POLICY_RATE, RunConfig, substeps_per_policy_step  # noqa: F401
 from .gait_planner import GaitPlannerModel
 from .kinematics import forward_kinematics_all
 from .randomization import (
@@ -36,20 +39,19 @@ from .simulator import (
 )
 from .task import build_observation_arrays, compose_action, reward_terms_arrays
 
-POLICY_RATE = 50.0  # Hz
-POLICY_DT = 1.0 / POLICY_RATE
-
-
-def substeps_per_policy_step(dt: float) -> int:
-    """Physics substeps (and planner ticks) in one policy step."""
-    substeps = int(round(1.0 / (dt * POLICY_RATE)))
-    if abs(substeps * dt * POLICY_RATE - 1.0) > 1e-9:
-        raise ValueError("sim.dt must divide the policy period 1/50 s")
-    return substeps
-
-
 class VecLocomotionEnv:
     """Lockstep batch of simulated quadrupeds driven by residual actions."""
+
+    # The per-env state, name -> (trailing shape, dtype): __init__ allocates
+    # it, _reset_env spawns it and the snapshots copy it.
+    _ARRAY_FIELDS = {
+        "pos": ((3,), float), "rot": ((4,), float), "linvel": ((3,), float),
+        "angvel": ((3,), float), "q": ((12,), float), "qdot": ((12,), float),
+        "contacts": ((4,), bool), "air": ((4,), float), "filter_mem": ((12,), float),
+        "ep_steps": ((), np.int64), "cmd": ((3,), float), "mass": ((), float),
+        "friction": ((), float), "prev_action": ((12,), float),
+        "prev_target": ((12,), float), "episode_return": ((), float),
+    }
 
     def __init__(self, cfg: RunConfig, planner: GaitPlannerModel,
                  n_envs: int | None = None, train_mode: bool = True):
@@ -68,54 +70,38 @@ class VecLocomotionEnv:
 
         self.substeps = substeps_per_policy_step(self.base_params.dt)
 
-        n = self.n
-        self.pos = np.zeros((n, 3))
-        self.rot = np.tile(quat.IDENTITY, (n, 1))
-        self.linvel = np.zeros((n, 3))
-        self.angvel = np.zeros((n, 3))
-        self.q = np.zeros((n, 12))
-        self.qdot = np.zeros((n, 12))
-        self.contacts = np.zeros((n, 4), dtype=bool)
-        self.air = np.zeros((n, 4))
-        self.filter_mem = np.zeros((n, 12))
-        self.ep_steps = np.zeros(n, dtype=np.int64)
-        self.cmd = np.zeros((n, 3))
-        self.mass = np.full(n, self.base_params.trunk_mass)
-        self.friction = np.full(n, self.base_params.friction)
-        self.prev_action = np.zeros((n, 12))
-        self.prev_target = np.tile(self.nominal_q, (n, 1))
-        self.episode_return = np.zeros(n)
+        # spawn rows: in the air with the default pose; the other fields spawn at zero
+        self._spawn = {
+            "pos": [0.0, 0.0, self.base_params.stand_height + cfg.sim.spawn_drop_height],
+            "rot": quat.IDENTITY, "q": self.nominal_q, "filter_mem": self.nominal_q,
+            "prev_target": self.baseline[0], "mass": self.base_params.trunk_mass,
+            "friction": self.base_params.friction,
+        }
+        for name, (shape, dtype) in self._ARRAY_FIELDS.items():
+            setattr(self, name, np.zeros((self.n, *shape), dtype=dtype))
         self.finished_lengths: list[int] = []
         self.finished_returns: list[float] = []
-
-        for i in range(self.n):
-            self._reset_env(i)
+        self._reset_env(np.arange(self.n))
 
     # ------------------------------------------------------------- resets
 
-    def _reset_env(self, i: int) -> None:
-        """Spawn in the air with the default pose; fresh command and dynamics."""
-        rng = self.rngs[i]
-        self.pos[i] = [0.0, 0.0, self.base_params.stand_height + self.cfg.sim.spawn_drop_height]
-        self.rot[i] = quat.IDENTITY
-        self.linvel[i] = 0.0
-        self.angvel[i] = 0.0
-        self.q[i] = self.nominal_q
-        self.qdot[i] = 0.0
-        self.contacts[i] = False
-        self.air[i] = 0.0
-        self.filter_mem[i] = self.nominal_q
-        self.ep_steps[i] = 0
-        self.prev_action[i] = 0.0
-        self.prev_target[i] = self.baseline[0]
-        self.episode_return[i] = 0.0
-        self.cmd[i] = sample_command_values(rng, self.cfg.commands.ranges)
-        if self.train_mode and self.cfg.dr.randomize_dynamics:
-            self.mass[i] = self.base_params.trunk_mass + rng.uniform(*self.cfg.dr.mass_offset_range)
-            self.friction[i] = rng.uniform(*self.cfg.dr.friction_range)
-        else:
-            self.mass[i] = self.base_params.trunk_mass
-            self.friction[i] = self.base_params.friction
+    def _reset_env(self, idx: np.ndarray) -> None:
+        """Spawn the envs idx with fresh commands and dynamics.
+
+        The spawn rows are whole-array writes; then each env draws from its
+        own stream: its command, then its mass and friction when dynamics are
+        randomized.
+        """
+        for name in self._ARRAY_FIELDS:
+            getattr(self, name)[idx] = self._spawn.get(name, 0)
+        dr = self.cfg.dr
+        randomize = self.train_mode and dr.randomize_dynamics
+        for i in idx.tolist():
+            rng = self.rngs[i]
+            self.cmd[i] = sample_command_values(rng, self.cfg.commands.ranges)
+            if randomize:
+                self.mass[i] = self.base_params.trunk_mass + rng.uniform(*dr.mass_offset_range)
+                self.friction[i] = rng.uniform(*dr.friction_range)
 
     def set_commands(self, cmd) -> None:
         """Pin commands externally (evaluation profiles)."""
@@ -211,15 +197,17 @@ class VecLocomotionEnv:
 
         info = {"terms": terms, "timeout": timeout, "collision": collided}
 
-        for i in np.nonzero(dones)[0]:
-            self.finished_lengths.append(int(self.ep_steps[i]))
-            self.finished_returns.append(float(self.episode_return[i]))
-            self._reset_env(int(i))
-
-        # command resampling on the 10 s grid for surviving envs
-        steps = self.ep_steps * POLICY_DT / self.cfg.commands.resample_interval
-        due = ~dones & (self.ep_steps != 0) & (np.abs(steps - np.round(steps)) < 1e-9)
-        for i in np.flatnonzero(due):
+        # surviving envs whose episode time crossed a resampling boundary
+        t = self.ep_steps * POLICY_DT
+        interval = self.cfg.commands.resample_interval
+        due = ~dones & (np.floor(t / interval + 1e-12)
+                        > np.floor((t - POLICY_DT) / interval + 1e-12))
+        done_idx = np.flatnonzero(dones)
+        if done_idx.size:
+            self.finished_lengths += self.ep_steps[done_idx].tolist()
+            self.finished_returns += self.episode_return[done_idx].tolist()
+            self._reset_env(done_idx)
+        for i in np.flatnonzero(due).tolist():
             self.cmd[i] = sample_command_values(self.rngs[i], self.cfg.commands.ranges)
 
         return rewards, dones.astype(float), info
@@ -230,12 +218,6 @@ class VecLocomotionEnv:
         return lengths, returns
 
     # ------------------------------------------------------------- snapshot
-
-    _ARRAY_FIELDS = (
-        "pos", "rot", "linvel", "angvel", "q", "qdot", "contacts", "air",
-        "filter_mem", "ep_steps", "cmd", "mass", "friction", "prev_action",
-        "prev_target", "episode_return",
-    )
 
     def state_dict(self) -> dict:
         state = {name: getattr(self, name).copy() for name in self._ARRAY_FIELDS}

@@ -36,7 +36,7 @@ class SingularFit(RuntimeError):
     """RBF design matrix is rank-deficient beyond ridge repair."""
 
 
-class IkUnreachable(RuntimeError):
+class IkUnreachable(ValueError):
     """A demonstration foot point lies outside the leg workspace."""
 
     def __init__(self, leg: int, sample: int, cause: Unreachable):

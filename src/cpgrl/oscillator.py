@@ -10,11 +10,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-class NoOscillation(RuntimeError):
+class NoOscillation(ValueError):
     """Raised when the state decays to the origin instead of oscillating."""
 
 
-class PeriodNotFound(RuntimeError):
+class PeriodNotFound(ValueError):
     """Raised when no zero crossing appears within the search budget."""
 
 
@@ -97,7 +97,7 @@ def find_limit_cycle(params: OscillatorParams, burn_in_ticks: int) -> PeriodicOr
     if burn_in_ticks < 5000:
         raise ValueError("burn_in_ticks must be >= 5000 for convergence")
     # alpha is deliberately not validated here: a non-oscillating gain is
-    # reported through NoOscillation after the burn-in, not as a ValueError
+    # reported through NoOscillation after the burn-in
     if not (0.0 < params.phi < np.pi):
         raise ValueError(f"phi must be in (0, pi), got {params.phi}")
 

@@ -48,6 +48,9 @@ class PpoConfig:
             raise ValueError("clip must be positive")
         if self.n_epochs < 1 or self.n_minibatches < 1:
             raise ValueError("epochs and minibatches must be >= 1")
+        if not 0 < self.lr_min <= self.lr_max:
+            raise ValueError(f"lr_min ({self.lr_min}) must be positive and at most "
+                             f"lr_max ({self.lr_max})")
 
 
 class GaussianPolicy:

@@ -186,7 +186,8 @@ def train(cfg: RunConfig, planner: GaitPlannerModel, out_dir,
           resume_from=None, log=print):
     """Run PPO for the configured iterations; returns the metrics path.
 
-    A resume's checkpoint is loaded and checked before out_dir is written.
+    A resume's checkpoint is loaded and checked before out_dir is written:
+    its config hash, and its planner bit for bit against the given one.
     On NumericalDivergence the exception propagates after the message is
     logged; the last scheduled checkpoint stays on disk.
     """
@@ -195,6 +196,12 @@ def train(cfg: RunConfig, planner: GaitPlannerModel, out_dir,
         ck = load_checkpoint(resume_from)
         if ck["meta"]["config_hash"] != config_hash(cfg):
             raise ValueError("checkpoint was produced by a different config")
+        theirs = planner_arrays(ck["planner"])
+        for name, value in planner_arrays(planner).items():
+            a, b = np.asarray(value), np.asarray(theirs[name])
+            if a.dtype != b.dtype or a.shape != b.shape or a.tobytes() != b.tobytes():
+                raise ValueError(f"checkpoint was produced with a different planner: "
+                                 f"{name!r} differs")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_config(cfg, out_dir / "config.yaml")

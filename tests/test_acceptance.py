@@ -7,14 +7,14 @@ fixture; everything it needs is seeded and deterministic.
 
 import csv
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
-from dataclasses import replace
 
 from conftest import central_difference, foot_clearances, one_leg_foot, one_leg_jacobian
 from cpgrl import quat
-from cpgrl.config import RunConfig
+from cpgrl.config import RunConfig, load_config
 from cpgrl.env import VecLocomotionEnv, substeps_per_policy_step
 from cpgrl.evaluate import constant_profile, contact_gait_stats, run_eval
 from cpgrl.gait_planner import (
@@ -49,6 +49,8 @@ from cpgrl.task import REWARD_TERMS, RewardWeights, reward_terms_arrays
 from cpgrl.training import load_checkpoint, planner_from_config, policy_from_checkpoint, train
 
 CFG = RunConfig()
+# the desk training profile of criteria 9 and 10, as the benchmark trains it
+DESK_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "desk_acceptance.yaml"
 GEOM = CFG.leg_geometry()
 NOMINAL_Q = standing_pose(GEOM, 0.32)
 
@@ -347,24 +349,9 @@ def test_criterion_8_physics_sanity():
 
 # ------------------------------------------------------------- criteria 9/10
 
-def acceptance_profile() -> RunConfig:
-    """Desk-scale training profile; every override is ledgered."""
-    cfg = RunConfig()
-    return replace(
-        cfg,
-        seed=1,
-        robot=replace(cfg.robot, residual_limit=0.3),
-        train=replace(cfg.train, hidden=(128, 64, 32), n_envs=64, horizon=24,
-                      iterations=300, checkpoint_every=300,
-                      ppo=replace(cfg.train.ppo, max_grad_norm=1.0, entropy_coef=0.0)),
-        commands=replace(cfg.commands, vx_range=(0.0, 1.0), vy_range=(0.0, 0.0),
-                         wz_range=(0.0, 0.0)),
-    )
-
-
 @pytest.fixture(scope="session")
 def desk_training(tmp_path_factory):
-    cfg = acceptance_profile()
+    cfg = load_config(DESK_CONFIG)
     planner, fit = planner_from_config(cfg)
     out = tmp_path_factory.mktemp("acceptance_run")
     t0 = time.perf_counter()

@@ -83,6 +83,19 @@ def test_validation_catches_bad_values():
         config_from_dict({"curriculum": {"cap_init": 2.0, "cap_max": 1.8}})
     with pytest.raises(ConfigError, match="interval_floor"):
         config_from_dict({"curriculum": {"interval_floor": 0.0}})
+    # a substep count of 1/(50 * dt) = 6.67: the 20 ms policy step is no whole substep count
+    with pytest.raises(ConfigError, match="divide the policy period"):
+        config_from_dict({"sim": {"dt": 0.003}, "cpg": {"tick_rate": 1.0 / 0.003}})
+    for lr in (0.0, -1e-3):
+        with pytest.raises(ConfigError, match="lr_init"):
+            config_from_dict({"train": {"lr_init": lr}})
+    # lr_min > lr_max would clamp every adapted rate to lr_max
+    for lr_min, lr_max in ((0.0, 1e-2), (-1e-6, 1e-2), (1e-2, 1e-3)):
+        with pytest.raises(ConfigError, match="lr_min"):
+            config_from_dict({"train": {"ppo": {"lr_min": lr_min, "lr_max": lr_max}}})
+    for interval in (0.0, -10.0):
+        with pytest.raises(ConfigError, match="resample_interval"):
+            config_from_dict({"commands": {"resample_interval": interval}})
 
 
 def test_hash_ignores_run_length():

@@ -317,3 +317,112 @@ def test_resample_and_impulse_boundaries_match_per_env_reference(planner):
                 resamples += 1
         assert_same_state(fast, ref)
     assert kicks == 2 and resamples == 3
+
+
+# ------------------------------------------------------------ spawn and intervals
+
+def resampled_steps(planner, interval, n_steps):
+    """The steps k in 1..n_steps after which a surviving env resamples its
+    command, read off one step of n_steps envs that start at ep_steps k - 1."""
+    cfg = small_cfg()
+    cfg = replace(cfg, sim=replace(cfg.sim, episode_limit=40.0),
+                  commands=replace(cfg.commands, resample_interval=interval))
+    env = VecLocomotionEnv(cfg, planner, n_envs=n_steps, train_mode=False)
+    env.set_commands(np.tile([0.123, 0.0, 0.0], (n_steps, 1)))
+    env.ep_steps[:] = np.arange(n_steps)
+    _, dones, _ = env.step(np.zeros((n_steps, 12)))
+    assert not dones.any()
+    return np.flatnonzero(env.cmd[:, 0] != 0.123) + 1
+
+
+def test_commands_resample_off_the_policy_grid(planner):
+    """An interval that is no whole number of 20 ms steps resamples at the
+    first step past each of its multiples."""
+    steps = resampled_steps(planner, 0.05, 1000)
+    # the multiples 0.05 j fall in the steps ending at 0.06, 0.10, 0.16, 0.20, ... s
+    np.testing.assert_array_equal(steps, [(5 * j + 1) // 2 for j in range(1, 401)])
+    # 10.005 s: once in the first 20 s, in the step ending at 10.02 s
+    np.testing.assert_array_equal(resampled_steps(planner, 10.005, 1000), [501])
+
+
+@pytest.mark.parametrize("interval", [0.02, 0.05, 0.1, 0.37, 1.0, 7.3, 10.0, 10.005, 15.0])
+def test_resample_rule_is_the_impulse_rule(planner, interval):
+    """The env resamples in exactly the steps in which `schedule_impulse`,
+    with the same interval, kicks."""
+    n_steps = 1999
+    cur = CurriculumState(impulse_interval=interval, impulse_mag_cap=1.0)
+    rng = np.random.default_rng(0)
+    kicks = [k for k in range(1, n_steps + 1)
+             if schedule_impulse(rng, k * POLICY_DT, cur, dt=POLICY_DT) is not None]
+    np.testing.assert_array_equal(resampled_steps(planner, interval, n_steps), kicks)
+
+
+def test_resample_rule_equals_the_exact_multiple_rule_on_the_grid():
+    """On every interval of m policy steps, m = 1..3000 (20 ms to 60 s), the
+    boundary rule picks the same steps as the exact-multiple test it replaced
+    (`ep_steps != 0` and t / interval an integer within 1e-9)."""
+    ep_steps = np.arange(1, 5001)
+    t = ep_steps * POLICY_DT
+    # both as the product and as the decimal a config file gives
+    for interval in sorted({x for m in range(1, 3001)
+                            for x in (m * POLICY_DT, round(m * POLICY_DT, 2))}):
+        ratio = t / interval
+        exact = np.abs(ratio - np.round(ratio)) < 1e-9
+        # the env's rule, as env.step writes it
+        crossed = np.floor(t / interval + 1e-12) > np.floor((t - POLICY_DT) / interval + 1e-12)
+        np.testing.assert_array_equal(crossed, exact, err_msg=f"interval {interval!r}")
+
+
+def test_spawn_draw_order_and_one_reset_call_per_step(planner, monkeypatch):
+    """Each env's command, mass and friction come from its own stream,
+    `default_rng([seed, 1000 + i])`, drawn in that order at construction and
+    again when it respawns; construction resets every env in one call and a
+    step makes one call for all its done envs, none when no env is done."""
+    cfg = small_cfg(seed=13)
+    cfg = replace(cfg, train=replace(cfg.train, n_envs=6),
+                  dr=replace(cfg.dr, add_noise=False, apply_impulses=False,
+                             randomize_dynamics=True))
+    calls = []
+    reset = VecLocomotionEnv._reset_env
+
+    def counted(self, idx):
+        calls.append(np.array(idx))
+        reset(self, idx)
+
+    monkeypatch.setattr(VecLocomotionEnv, "_reset_env", counted)
+    env = VecLocomotionEnv(cfg, planner, train_mode=True)
+    assert len(calls) == 1
+    np.testing.assert_array_equal(calls[0], np.arange(6))
+
+    ranges = np.asarray(cfg.commands.ranges, dtype=float)
+    streams = [np.random.default_rng([cfg.seed, 1000 + i]) for i in range(6)]
+
+    def draw(i):
+        rng = streams[i]
+        cmd = rng.uniform(ranges[:, 0], ranges[:, 1])
+        mass = cfg.sim.trunk_mass + rng.uniform(*cfg.dr.mass_offset_range)
+        return cmd, mass, rng.uniform(*cfg.dr.friction_range)
+
+    def check(expected):
+        for i, (cmd, mass, friction) in enumerate(expected):
+            np.testing.assert_array_equal(env.cmd[i], cmd)
+            assert env.mass[i] == mass and env.friction[i] == friction
+            assert env.rngs[i].bit_generator.state == streams[i].bit_generator.state
+
+    expected = [draw(i) for i in range(6)]
+    check(expected)
+
+    env.step(np.zeros((6, 12)))
+    assert len(calls) == 1
+    # envs 1, 3 and 4 reach the 20 s limit in the next step
+    env.ep_steps[[1, 3, 4]] = round(cfg.sim.episode_limit / POLICY_DT) - 1
+    _, dones, _ = env.step(np.zeros((6, 12)))
+    np.testing.assert_array_equal(np.flatnonzero(dones), [1, 3, 4])
+    assert len(calls) == 2
+    np.testing.assert_array_equal(calls[1], [1, 3, 4])
+    for i in (1, 3, 4):
+        expected[i] = draw(i)
+    check(expected)
+    np.testing.assert_array_equal(env.ep_steps, [2, 0, 2, 0, 0, 2])
+    np.testing.assert_array_equal(env.pos[[1, 3, 4]], np.tile(
+        [0.0, 0.0, cfg.robot.stand_height + cfg.sim.spawn_drop_height], (3, 1)))

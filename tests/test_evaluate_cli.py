@@ -25,6 +25,8 @@ from cpgrl.gait_planner import (
     SingularFit,
     generate_demo_trot,
     load_planner_model,
+    planner_arrays,
+    planner_from_arrays,
     save_planner_model,
 )
 from cpgrl.ppo import NonFiniteLoss
@@ -366,6 +368,49 @@ def test_cli_rejected_resume_leaves_the_run_as_it_was(fitted, checkpoint, tmp_pa
     assert rc == 2
     assert "different config" in capsys.readouterr().err
     assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+
+
+def test_cli_resume_with_another_planner_leaves_the_run_as_it_was(fitted, checkpoint,
+                                                                  tmp_path, capsys):
+    """A resume whose planner differs from the checkpoint's in one bit of one
+    motor weight exits 2, names the entry, and rewrites no file."""
+    cfg, planner = fitted
+    run = tmp_path / "run"
+    shutil.copytree(checkpoint.parent, run)
+    arrays = planner_arrays(planner)
+    arrays["weights"] = arrays["weights"].copy()
+    arrays["weights"][0, 0] = np.nextafter(arrays["weights"][0, 0], np.inf)
+    save_planner_model(planner_from_arrays(arrays), tmp_path / "other.npz")
+    cfg_path = tmp_path / "config.yaml"
+    save_config(cfg, cfg_path)
+    before = {p.name: p.read_bytes() for p in run.iterdir()}
+    rc = main(["train", "--config", str(cfg_path), "--model", str(tmp_path / "other.npz"),
+               "--checkpoint", str(run / checkpoint.name), "--out", str(run)])
+    assert rc == 2
+    assert "different planner: 'weights' differs" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+
+
+def test_cli_bc_fit_rejects_a_dt_off_the_policy_period(tmp_path, capsys):
+    """A 3 ms substep does not divide the 20 ms policy step: exit 2 before the fit."""
+    cfg_path = tmp_path / "dt.yaml"
+    cfg_path.write_text(f"sim:\n  dt: 0.003\ncpg:\n  tick_rate: {1.0 / 0.003!r}\n")
+    rc = main(["bc-fit", "--config", str(cfg_path), "--out", str(tmp_path / "fit")])
+    assert rc == 2
+    assert "must divide the policy period" in capsys.readouterr().err
+    assert not (tmp_path / "fit").exists()
+
+
+@pytest.mark.parametrize("cpg", ["alpha: 5.0", "phi: 0.001"])
+def test_cli_bc_fit_without_a_limit_cycle_exit_code(tmp_path, capsys, cpg):
+    """An oscillator whose orbit never closes within the search budget is a
+    configuration error (2), not a crash."""
+    cfg_path = tmp_path / "cpg.yaml"
+    cfg_path.write_text(f"cpg:\n  {cpg}\n")
+    rc = main(["bc-fit", "--config", str(cfg_path), "--out", str(tmp_path / "fit")])
+    assert rc == 2
+    assert "no period found" in capsys.readouterr().err
+    assert not (tmp_path / "fit").exists()
 
 
 def _cut_in_half(path):

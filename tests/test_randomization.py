@@ -44,7 +44,7 @@ def test_env_param_ranges_statistical(planner):
     env = one_env(planner)
     masses, frictions = [], []
     for _ in range(10000):
-        env._reset_env(0)
+        env._reset_env(np.array([0]))
         masses.append(env.mass[0])
         frictions.append(env.friction[0])
     masses = np.array(masses)

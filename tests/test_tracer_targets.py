@@ -8,6 +8,7 @@ import importlib.util
 from pathlib import Path
 
 import numpy as np
+from dataclasses import replace
 
 # the tracer looks up every module it wraps, so all of them must be imported
 from cpgrl import evaluate, training  # noqa: F401
@@ -44,6 +45,8 @@ def test_traced_rollout_call_counts(planner):
     rollout_1024 benchmark checks in `bench/workloads.py`, per rollout."""
     tracer_module = load_tracer()
     cfg = RunConfig()
+    # a 0.1 s episode: all envs time out together every 5 steps
+    cfg = replace(cfg, sim=replace(cfg.sim, episode_limit=0.1))
     n = 8
     env = VecLocomotionEnv(cfg, planner, n_envs=n, train_mode=True)
     policy = training._new_policy(cfg, cfg.train.lr_init)
@@ -58,6 +61,9 @@ def test_traced_rollout_call_counts(planner):
     assert calls["env.step"] == horizon
     assert calls["randomization.add_sensor_noise"] == n * (horizon + 1)
     assert calls["randomization.schedule_impulse"] == n * horizon
+    # one spawn call per step at most, for all of the step's done envs
+    assert tracer.counters["env.episodes_finished"] > calls["env.step"]
+    assert 0 < calls["env.reset_env"] <= calls["env.step"]
 
 
 def test_traced_setup_counts_the_fit():
