@@ -62,7 +62,7 @@ def cmd_bc_fit(args) -> int:
                          report.n_val, report.refine_steps_used])
     print(f"planner model      {model_path}")
     print(f"orbit period       {planner.orbit.period_ticks} ticks "
-          f"({planner.orbit.frequency(planner.params.tick_rate):.3f} Hz)")
+          f"({planner.orbit.frequency(1.0 / cfg.sim.dt):.3f} Hz)")
     print(f"train foot RMSE    {report.train_rmse * 1000:.3f} mm ({report.n_train} samples)")
     print(f"val foot RMSE      {report.val_rmse * 1000:.3f} mm ({report.n_val} samples)")
     return EXIT_OK
@@ -103,10 +103,14 @@ def cmd_eval(args) -> int:
                              trace_path=trace_path)
     save_config(cfg, out / "config.yaml")
     period_steps = ck["planner"].orbit.period_ticks // substeps_per_policy_step(cfg.sim.dt)
-    gait = contact_gait_stats(data, period_steps)
     print(f"trace              {trace_path}")
     for line in summary.lines():
         print(line)
+    if len(data) < period_steps:
+        print(f"gait statistics    need one period of {period_steps} steps, "
+              f"the window has {len(data)}")
+        return EXIT_OK
+    gait = contact_gait_stats(data, period_steps)
     print(f"stance fraction    {np.round(gait['stance_fraction'], 3)} "
           f"(mean {gait['stance_fraction'].mean():.3f})")
     print(f"diag contact lag   {gait['diag_lag_dist']} steps from 0")
@@ -119,7 +123,7 @@ def cmd_export_gait(args) -> int:
     # export_gait checks the period count and creates --out for the table
     out = Path(args.out)
     path = out / "gait.csv"
-    rows = export_gait(planner, cfg.leg_geometry(), args.periods, path)
+    rows = export_gait(planner, cfg.leg_geometry(), 1.0 / cfg.sim.dt, args.periods, path)
     save_config(cfg, out / "config.yaml")
     print(f"gait table         {path} ({rows} rows, "
           f"{planner.orbit.period_ticks} ticks/period)")
@@ -165,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ex = sub.add_parser("export-gait", help="export the baseline gait table")
     ex.add_argument("--model", required=True, help="fitted planner model (.npz)")
-    ex.add_argument("--config", help="YAML run config (geometry)")
+    ex.add_argument("--config", help="YAML run config (geometry, and sim.dt for the time column)")
     ex.add_argument("--periods", type=int, default=2)
     ex.add_argument("--out", default="runs/gait", help="output directory")
     ex.set_defaults(func=cmd_export_gait)

@@ -212,12 +212,6 @@ class RunConfig:
         if self.sim.dt <= 0:
             raise ConfigError("sim.dt must be positive")
         substeps_per_policy_step(self.sim.dt)
-        rate = 1.0 / self.sim.dt
-        if abs(self.cpg.tick_rate - rate) > 1e-9:
-            raise ConfigError(
-                f"cpg.tick_rate ({self.cpg.tick_rate}) must equal the simulation "
-                f"rate 1/sim.dt ({rate}); the oscillator ticks every substep"
-            )
 
 
 def _coerce(value, reference):

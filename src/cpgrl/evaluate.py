@@ -178,8 +178,10 @@ def run_eval(cfg: RunConfig, planner: GaitPlannerModel, policy: GaussianPolicy |
     return summary, data
 
 
-def export_gait(planner: GaitPlannerModel, geometry, n_periods: int, path) -> int:
-    """Baseline joint targets and body-frame FK feet, one row per tick."""
+def export_gait(planner: GaitPlannerModel, geometry, tick_rate: float, n_periods: int,
+                path) -> int:
+    """Baseline joint targets and body-frame FK feet, one row per tick of
+    1/tick_rate seconds."""
     if n_periods < 1:
         raise ValueError(f"gait export needs at least one period, got {n_periods}")
     table = planner.baseline_table()
@@ -198,9 +200,7 @@ def export_gait(planner: GaitPlannerModel, geometry, n_periods: int, path) -> in
         writer.writerow(columns)
         for k in range(n_periods * t_ticks):
             i = k % t_ticks
-            writer.writerow(
-                [k, k / planner.params.tick_rate, *table[i], *feet[i].ravel()]
-            )
+            writer.writerow([k, k / tick_rate, *table[i], *feet[i].ravel()])
             n_rows += 1
     return n_rows
 
@@ -209,9 +209,12 @@ def contact_gait_stats(data: np.ndarray, period_steps: int):
     """Trot structure from an eval trace: diagonal/adjacent contact lags and
     per-foot stance fractions, on the 50 Hz contact log.
 
-    period_steps is the gait period in policy steps,
-    planner.orbit.period_ticks // substeps.
+    period_steps is the gait period in policy steps, period_ticks // substeps.
+    A shorter trace would correlate lags past its end, so it is rejected.
     """
+    if len(data) < period_steps:
+        raise ValueError(f"gait statistics need one period of {period_steps} steps, "
+                         f"the trace has {len(data)}")
     col = {name: i for i, name in enumerate(TRACE_COLUMNS)}
     contacts = np.stack(
         [data[:, col[f"contact_{name}"]] for name in LEG_NAMES], axis=1

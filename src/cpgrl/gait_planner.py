@@ -168,6 +168,9 @@ class DemoTrajectory:
             raise ValueError("feet contain non-finite values")
         if self.sample_rate <= 0 or self.gait_frequency <= 0:
             raise ValueError("sample_rate and gait_frequency must be positive")
+        if self.samples_per_period < 8:
+            raise ValueError(f"{self.samples_per_period} samples per gait period, too few to "
+                             "resolve one gait cycle (at least 8)")
         if self.samples_per_period > self.feet.shape[1]:
             raise ValueError("demo shorter than one gait period")
 
@@ -185,7 +188,9 @@ class DemoConfig:
     """Synthetic trot demonstration parameters for the fitting pipeline.
 
     A sample_rate of 180 Hz puts exactly 120 samples in a 1.5 Hz cycle, so
-    the swing apex lands exactly on a sample. The backward stance offset
+    the swing apex lands exactly on a sample. The fit maps one demo period
+    onto one orbit period, so the robot trots at 1/(period_ticks * sim.dt),
+    1.667 Hz at the defaults, whatever freq is. The backward stance offset
     keeps the support line behind the COM, countering the tail-down pitch
     that stance-sweep friction otherwise induces in an open-loop trot on
     point feet.
@@ -216,9 +221,6 @@ def generate_demo_trot(demo: DemoConfig, geometry: LegGeometry,
         raise InvalidParams("freq and sample_rate must be positive")
 
     n = int(round(sample_rate / freq))
-    if n < 8:
-        raise InvalidParams("sample_rate too low to resolve one gait cycle")
-
     clearances = np.array([clearance_front, clearance_front, clearance_rear, clearance_rear])
     feet = np.zeros((4, n, 3))
     u = np.arange(n) / n
@@ -307,6 +309,9 @@ def load_demo_csv(path, gait_frequency: float | None = None) -> DemoTrajectory:
         t = np.asarray(times[name])
         if np.any(np.diff(t) <= 0):
             raise SchemaError(f"t not strictly increasing for leg {name}")
+        if np.max(np.abs(t - t0)) > 1e-9:
+            raise SchemaError(f"t of leg {name} differs from leg {LEG_NAMES[0]}'s by more "
+                              "than 1e-9 s; the legs must share one set of sample times")
     sample_rate = (n - 1) / (t0[-1] - t0[0])
     feet = np.stack([np.asarray(per_leg[name]) for name in LEG_NAMES])
     freq = gait_frequency if gait_frequency is not None else sample_rate / n
@@ -533,7 +538,6 @@ def planner_arrays(model: GaitPlannerModel, prefix: str = "") -> dict:
     arrays = {
         "phi": model.params.phi,
         "alpha": model.params.alpha,
-        "tick_rate": model.params.tick_rate,
         "orbit_samples": model.orbit.samples,
         "period_ticks": model.orbit.period_ticks,
         "centers": model.rbf.centers,
@@ -545,11 +549,7 @@ def planner_arrays(model: GaitPlannerModel, prefix: str = "") -> dict:
 
 
 def planner_from_arrays(data, prefix: str = "") -> GaitPlannerModel:
-    params = OscillatorParams(
-        phi=float(data[prefix + "phi"]),
-        alpha=float(data[prefix + "alpha"]),
-        tick_rate=float(data[prefix + "tick_rate"]),
-    )
+    params = OscillatorParams(phi=float(data[prefix + "phi"]), alpha=float(data[prefix + "alpha"]))
     orbit = PeriodicOrbit(
         samples=data[prefix + "orbit_samples"], period_ticks=int(data[prefix + "period_ticks"])
     )

@@ -24,15 +24,12 @@ class OscillatorParams:
 
     phi: float = np.pi / 60.0  # rotation per tick, rad; sets the period 2*pi/phi
     alpha: float = 0.01        # gain offset; recurrent gain 1+alpha must exceed 1
-    tick_rate: float = 200.0   # oscillator ticks per second
 
     def validate(self) -> None:
         if not (0.0 < self.phi < np.pi):
             raise ValueError(f"phi must be in (0, pi), got {self.phi}")
         if self.alpha <= 0.0:
             raise ValueError(f"alpha must be > 0 for a limit cycle, got {self.alpha}")
-        if self.tick_rate <= 0.0:
-            raise ValueError(f"tick_rate must be > 0, got {self.tick_rate}")
 
     @property
     def analytic_period(self) -> float:

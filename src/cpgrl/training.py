@@ -35,7 +35,7 @@ from .task import OBS_DIM, REWARD_TERMS
 ACTION_DIM = 12
 _POLICY_STREAM = 500
 _TRAIN_STREAM = 501
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 
 def planner_from_config(cfg: RunConfig, demo=None):

@@ -64,7 +64,7 @@ def report(num: int, name: str, detail: str, ok: bool) -> None:
 
 def test_criterion_1_oscillator_period():
     t0 = time.perf_counter()
-    params = OscillatorParams(phi=np.pi / 60, alpha=0.01, tick_rate=200.0)
+    params = OscillatorParams(phi=np.pi / 60, alpha=0.01)
     orbit = find_limit_cycle(params, CFG.planner.burn_in_ticks)
     elapsed = time.perf_counter() - t0
     freq = orbit.frequency(200.0)

@@ -65,8 +65,9 @@ def test_validation_catches_bad_values():
         config_from_dict({"cpg": {"phi": -1.0}})
     with pytest.raises(ConfigError):
         config_from_dict({"commands": {"vx_range": [1.0, -1.0]}})
-    with pytest.raises(ConfigError):
-        config_from_dict({"cpg": {"tick_rate": 100.0}})  # != 1/sim.dt
+    # the oscillator ticks once per substep of sim.dt; it has no rate of its own
+    with pytest.raises(ConfigError, match=r"cpg: unknown keys \['tick_rate'\]"):
+        config_from_dict({"cpg": {"tick_rate": 200.0}})
     with pytest.raises(ConfigError, match="minibatch"):
         config_from_dict({"train": {"n_envs": 1, "horizon": 2, "ppo": {"n_minibatches": 4}}})
     for width in (-0.1, float("inf"), float("nan")):
@@ -85,7 +86,7 @@ def test_validation_catches_bad_values():
         config_from_dict({"curriculum": {"interval_floor": 0.0}})
     # a substep count of 1/(50 * dt) = 6.67: the 20 ms policy step is no whole substep count
     with pytest.raises(ConfigError, match="divide the policy period"):
-        config_from_dict({"sim": {"dt": 0.003}, "cpg": {"tick_rate": 1.0 / 0.003}})
+        config_from_dict({"sim": {"dt": 0.003}})
     for lr in (0.0, -1e-3):
         with pytest.raises(ConfigError, match="lr_init"):
             config_from_dict({"train": {"lr_init": lr}})

@@ -142,12 +142,26 @@ def test_contact_gait_stats_uses_the_given_period():
     np.testing.assert_allclose(stats["stance_fraction"], stance / period)
 
 
+@pytest.mark.parametrize("rows", [20, 29])
+def test_contact_gait_stats_needs_a_whole_period(rows):
+    """A perfect trot shorter than its 30-step period would read diagonal lag
+    10 and adjacent lag 14 at 20 rows; it is rejected instead."""
+    period = 30
+    k = np.arange(rows)
+    data = np.zeros((rows, len(TRACE_COLUMNS)))
+    col = {name: i for i, name in enumerate(TRACE_COLUMNS)}
+    for name, offset in (("FR", 0), ("FL", period // 2), ("RR", period // 2), ("RL", 0)):
+        data[:, col[f"contact_{name}"]] = (k + offset) % period < 18
+    with pytest.raises(ValueError, match=f"one period of 30 steps, the trace has {rows}"):
+        contact_gait_stats(data, period)
+
+
 # ----------------------------------------------------------------- export
 
 def test_export_gait_rows(fitted, tmp_path):
     cfg, planner = fitted
     path = tmp_path / "gait.csv"
-    n = export_gait(planner, cfg.leg_geometry(), 2, path)
+    n = export_gait(planner, cfg.leg_geometry(), 1.0 / cfg.sim.dt, 2, path)
     rows = list(csv.reader(open(path)))
     assert n == 2 * planner.orbit.period_ticks
     assert len(rows) - 1 == n
@@ -293,6 +307,17 @@ def test_cli_eval_rejects_version_2_checkpoint(checkpoint, tmp_path, capsys):
     assert "unsupported checkpoint version 2" in capsys.readouterr().err
 
 
+def test_cli_eval_shorter_than_a_gait_period(checkpoint, tmp_path, capsys):
+    """A 0.4 s window holds 20 of the 30 policy steps of one gait period: the
+    eval runs, and prints why it has no gait statistics in place of them."""
+    rc = main(["eval", "--checkpoint", str(checkpoint), "--out", str(tmp_path / "eval"),
+               "--duration", "0.4"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "need one period of 30 steps, the window has 20" in out
+    assert "stance fraction" not in out and "diag contact lag" not in out
+
+
 @pytest.mark.parametrize("duration", ["0", "0.004", "-1", "inf"])
 def test_cli_eval_window_under_one_policy_step_exit_code(checkpoint, tmp_path, capsys, duration):
     """A window with no policy step, or with no finite count of them, is a usage error."""
@@ -324,6 +349,19 @@ def test_cli_export_gait_needs_a_period_exit_code(fitted, tmp_path, capsys, peri
     assert rc == 2
     assert "at least one period" in capsys.readouterr().err
     assert not (tmp_path / "gait").exists()
+
+
+@pytest.mark.parametrize("freq", ["400", "1000"])
+def test_cli_bc_fit_demo_period_too_short_exit_code(tmp_path, capsys, freq):
+    """A --demo-freq that leaves fewer than 8 of the CSV's samples per gait
+    period is a usage error, not an IndexError."""
+    demo_path = tmp_path / "demo.csv"
+    save_demo_csv(synthetic_demo(), demo_path)
+    rc = main(["bc-fit", "--demo", str(demo_path), "--demo-freq", freq,
+               "--out", str(tmp_path / "fit")])
+    assert rc == 2
+    assert "too few to resolve one gait cycle" in capsys.readouterr().err
+    assert not (tmp_path / "fit").exists()
 
 
 def test_cli_bc_fit_unreachable_demo_exit_code(tmp_path, capsys):
@@ -394,11 +432,39 @@ def test_cli_resume_with_another_planner_leaves_the_run_as_it_was(fitted, checkp
 def test_cli_bc_fit_rejects_a_dt_off_the_policy_period(tmp_path, capsys):
     """A 3 ms substep does not divide the 20 ms policy step: exit 2 before the fit."""
     cfg_path = tmp_path / "dt.yaml"
-    cfg_path.write_text(f"sim:\n  dt: 0.003\ncpg:\n  tick_rate: {1.0 / 0.003!r}\n")
+    cfg_path.write_text("sim:\n  dt: 0.003\n")
     rc = main(["bc-fit", "--config", str(cfg_path), "--out", str(tmp_path / "fit")])
     assert rc == 2
     assert "must divide the policy period" in capsys.readouterr().err
     assert not (tmp_path / "fit").exists()
+
+
+def test_cli_bc_fit_rejects_a_cpg_tick_rate(tmp_path, capsys):
+    """The oscillator ticks once per substep of sim.dt, so a config that still
+    sets its own rate exits 2 and names the key."""
+    cfg_path = tmp_path / "rate.yaml"
+    cfg_path.write_text("cpg:\n  tick_rate: 200.0\n")
+    rc = main(["bc-fit", "--config", str(cfg_path), "--out", str(tmp_path / "fit")])
+    assert rc == 2
+    assert "cpg: unknown keys ['tick_rate']" in capsys.readouterr().err
+    assert not (tmp_path / "fit").exists()
+
+
+def test_cli_export_gait_reads_a_planner_file_with_a_tick_rate(fitted, tmp_path):
+    """Planner files from earlier writers hold a tick_rate entry; they load,
+    and export the same gait table as the file without it."""
+    save_planner_model(fitted[1], tmp_path / "new.npz")
+    with np.load(tmp_path / "new.npz") as data:
+        np.savez(tmp_path / "old.npz", tick_rate=np.float64(200.0), **data)
+    old = load_planner_model(tmp_path / "old.npz")
+    for name, value in planner_arrays(fitted[1]).items():
+        np.testing.assert_array_equal(planner_arrays(old)[name], value)
+    for name in ("new", "old"):
+        rc = main(["export-gait", "--model", str(tmp_path / f"{name}.npz"),
+                   "--out", str(tmp_path / name)])
+        assert rc == 0
+    tables = [(tmp_path / name / "gait.csv").read_bytes() for name in ("new", "old")]
+    assert tables[0] == tables[1]
 
 
 @pytest.mark.parametrize("cpg", ["alpha: 5.0", "phi: 0.001"])

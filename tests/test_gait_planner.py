@@ -150,6 +150,9 @@ def test_demo_trot_rejects_bad_params():
         trot(clearance_front=-0.01)
     with pytest.raises(InvalidParams):
         trot(freq=0.0)
+    # the floor of 8 samples per period is DemoTrajectory's, shared with CSV demos
+    with pytest.raises(ValueError, match="too few to resolve one gait cycle"):
+        trot(sample_rate=10.0)
 
 
 # ---------------------------------------------------------------- csv io
@@ -171,6 +174,21 @@ def test_csv_missing_leg(tmp_path):
     kept = [l for l in lines if not l.split(",")[1:2] == ["RL"]]
     path.write_text("\n".join(kept) + "\n")
     with pytest.raises(SchemaError):
+        load_demo_csv(path)
+
+
+def test_csv_legs_must_share_sample_times(tmp_path):
+    """The legs are stacked by row, so a leg sampled at other times than FR's
+    (here FL, shifted by 0.3 s) is rejected, naming the leg."""
+    path = tmp_path / "demo.csv"
+    save_demo_csv(trot(), path)
+    lines = path.read_text().splitlines()
+    for i, line in enumerate(lines[1:], start=1):
+        t, leg, rest = line.split(",", 2)
+        if leg == "FL":
+            lines[i] = f"{float(t) + 0.3!r},{leg},{rest}"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(SchemaError, match="leg FL"):
         load_demo_csv(path)
 
 
@@ -217,8 +235,8 @@ def realizable_demo(planner):
     feet = forward_kinematics_all(true_model.baseline_table(), GEOM)
     return DemoTrajectory(
         feet=np.transpose(feet, (1, 0, 2)),
-        sample_rate=planner.params.tick_rate,
-        gait_frequency=planner.params.tick_rate / planner.orbit.period_ticks,
+        sample_rate=1.0 / CFG.sim.dt,
+        gait_frequency=1.0 / (CFG.sim.dt * planner.orbit.period_ticks),
     )
 
 

@@ -34,7 +34,7 @@ from cpgrl.training import _new_policy, planner_from_config
 ROOT = Path(__file__).resolve().parents[1]
 DESK_CONFIG = ROOT / "configs" / "desk_acceptance.yaml"
 
-GOLDEN_PLANNER = "c7999af3a3b21202c88eb7e36d3ea1915cceb6eb850d90d6367b13243bb4c739"
+GOLDEN_PLANNER = "c0d56a1a9795b6f255b62c433fd0bc538e36646fe31e706c82b4fc40a842f474"
 GOLDEN_STATE = "d4f27c77b846beaa55f7e4abab567a862c00175a5d9be455a89aa6b4b5320b95"
 GOLDEN_METRICS = "81662f833634191ec180e461ceefe9efb94be83f5389ef2048c6dc84f9017cd0"
 GOLDEN_EVAL = "74226072b4106e6ecb242efbed36e74e435dba0d0aa8c9d713a21f89ad5a7fa6"

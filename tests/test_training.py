@@ -1,16 +1,19 @@
 import csv
 import os
+import re
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from dataclasses import replace
 
 from conftest import set_checkpoint_meta
 from cpgrl import training
-from cpgrl.config import RunConfig, config_hash
+from cpgrl.config import RunConfig, config_from_dict, config_hash, config_to_dict
 from cpgrl.env import VecLocomotionEnv
-from cpgrl.gait_planner import load_planner_model, save_planner_model
+from cpgrl.gait_planner import load_planner_model, planner_arrays, save_planner_model
 from cpgrl.nn import Adam, DimensionMismatch
 from cpgrl.randomization import CurriculumState, initial_curriculum
 from cpgrl.task import OBS_DIM, REWARD_TERMS
@@ -103,9 +106,9 @@ def test_resume_reproduces_metrics_bit_identically(fitted, tmp_path):
 
     cfg2 = replace(cfg5, train=replace(cfg5.train, iterations=2))
     train(cfg2, planner, tmp_path / "part", log=None)
-    # version-3 files from earlier writers also stored Adam's unused "adam_lr", the
-    # "hidden" sizes the config holds, and the env's "ep_time" and "phase", which
-    # derive from "ep_steps"
+    # files from earlier writers also stored Adam's unused "adam_lr", the "hidden"
+    # sizes the config holds, and the env's "ep_time" and "phase", which derive from
+    # "ep_steps"; the reader ignores such entries
     shutil.copytree(tmp_path / "part", tmp_path / "legacy")
     legacy = tmp_path / "legacy" / "checkpoint_000002.npz"
     with np.load(legacy) as data:
@@ -169,14 +172,38 @@ def test_checkpoint_policy_size_mismatch_rejected(fitted, tmp_path, size):
         policy_from_checkpoint(ck)
 
 
-@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("version", [1, 2, 3])
 def test_old_checkpoint_version_rejected(fitted, tmp_path, version):
+    """Versions up to 3 embed a config that still sets cpg.tick_rate; the
+    message names the file and the version, not that key."""
     cfg, planner, _ = fitted
     path = tmp_path / "ck.npz"
     write_checkpoint(path, cfg, planner)
-    set_checkpoint_meta(path, version=version)
-    with pytest.raises(ValueError, match=f"unsupported checkpoint version {version}"):
+    config = config_to_dict(cfg)
+    config["cpg"]["tick_rate"] = 200.0
+    set_checkpoint_meta(path, version=version, config=config)
+    message = f"{path}: unsupported checkpoint version {version}"
+    with pytest.raises(ValueError, match=re.escape(message)):
         load_checkpoint(path)
+
+
+def test_planner_fit_does_not_read_the_physics_rate():
+    """The fit works in orbit ticks: the desk profile at sim.dt 5 ms and at
+    2.5 ms (8 substeps per policy step) gives byte-equal planner arrays and
+    an equal report."""
+    with open(Path(__file__).resolve().parents[1] / "configs" / "desk_acceptance.yaml") as fh:
+        data = yaml.safe_load(fh)
+    fits = []
+    for dt in (0.005, 0.0025):
+        data["sim"]["dt"] = dt
+        planner, report = planner_from_config(config_from_dict(data))
+        fits.append((planner_arrays(planner), report))
+    (arrays, report), (arrays_fast, report_fast) = fits
+    assert sorted(arrays) == sorted(arrays_fast)
+    for name, value in arrays.items():
+        a, b = np.asarray(value), np.asarray(arrays_fast[name])
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+    assert report == report_fast
 
 
 def test_resume_rejects_config_mismatch(fitted, tmp_path):
