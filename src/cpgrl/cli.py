@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, config_hash, load_config, save_config
+from .config import ConfigError, RunConfig, load_config, save_config
 from .env import substeps_per_policy_step
 from .evaluate import constant_profile, contact_gait_stats, export_gait, ramp_profile, run_eval
 from .gait_planner import SingularFit, load_demo_csv, load_planner_model, save_planner_model
@@ -42,6 +42,9 @@ def _load_run_config(args) -> RunConfig:
 
 
 def cmd_bc_fit(args) -> int:
+    if args.demo == "synthetic" and args.demo_freq is not None:
+        raise ValueError("--demo-freq needs a CSV --demo; the synthetic demo "
+                         "has one sample per orbit tick")
     cfg = _load_run_config(args)
     demo = None
     if args.demo != "synthetic":
@@ -84,13 +87,6 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     ck = load_checkpoint(args.checkpoint)
     cfg = ck["config"]
-    if args.config:
-        wanted = load_config(args.config)
-        if config_hash(wanted) != ck["meta"]["config_hash"]:
-            print("error: --config does not match the checkpoint's config hash",
-                  file=sys.stderr)
-            return EXIT_CONFIG
-        cfg = wanted
     policy = policy_from_checkpoint(ck)
     if args.profile == "constant":
         profile = constant_profile(args.command)
@@ -159,7 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     ev = sub.add_parser("eval", help="deterministic evaluation rollout")
     ev.add_argument("--checkpoint", required=True, help="training checkpoint (.npz)")
-    ev.add_argument("--config", help="optional config; must match the checkpoint")
     ev.add_argument("--out", default="runs/eval", help="output directory")
     ev.add_argument("--profile", choices=["constant", "ramp"], default="constant")
     ev.add_argument("--command", type=float, default=0.5,

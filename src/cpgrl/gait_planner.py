@@ -133,7 +133,6 @@ def planner_forward(state, model: GaitPlannerModel) -> np.ndarray:
 class PlannerConfig:
     h: int = 20
     sigma: float = 0.1
-    burn_in_ticks: int = 5000
 
 
 def build_planner(params: OscillatorParams, config: PlannerConfig,
@@ -142,7 +141,7 @@ def build_planner(params: OscillatorParams, config: PlannerConfig,
 
     The bias starts at nominal_q so an unfitted planner holds a pose.
     """
-    orbit = find_limit_cycle(params, config.burn_in_ticks)
+    orbit = find_limit_cycle(params)
     rbf = RbfLayer(centers=sample_rbf_centers(orbit, config.h), sigma=config.sigma)
     motor = MotorLayer(weights=np.zeros((config.h, 12)), bias=nominal_q)
     return GaitPlannerModel(params=params, orbit=orbit, rbf=rbf, motor=motor)
@@ -155,8 +154,7 @@ class DemoTrajectory:
     """Per-leg foot-end positions in the body frame, legs FR, FL, RR, RL."""
 
     feet: np.ndarray          # (4, N, 3) meters
-    sample_rate: float        # Hz
-    gait_frequency: float     # Hz
+    samples_per_period: int   # samples in one gait cycle, at most N
 
     def __post_init__(self):
         object.__setattr__(self, "feet", np.asarray(self.feet, dtype=float))
@@ -166,17 +164,11 @@ class DemoTrajectory:
             raise ValueError(f"feet must be (4, N, 3), got {self.feet.shape}")
         if not np.all(np.isfinite(self.feet)):
             raise ValueError("feet contain non-finite values")
-        if self.sample_rate <= 0 or self.gait_frequency <= 0:
-            raise ValueError("sample_rate and gait_frequency must be positive")
         if self.samples_per_period < 8:
             raise ValueError(f"{self.samples_per_period} samples per gait period, too few to "
                              "resolve one gait cycle (at least 8)")
         if self.samples_per_period > self.feet.shape[1]:
             raise ValueError("demo shorter than one gait period")
-
-    @property
-    def samples_per_period(self) -> int:
-        return int(round(self.sample_rate / self.gait_frequency))
 
 
 # trot phasing: diagonal pairs (FR, RL) and (FL, RR); adjacent legs antiphase
@@ -187,40 +179,33 @@ _LEG_PHASE = np.array([0.0, 0.5, 0.5, 0.0])
 class DemoConfig:
     """Synthetic trot demonstration parameters for the fitting pipeline.
 
-    A sample_rate of 180 Hz puts exactly 120 samples in a 1.5 Hz cycle, so
-    the swing apex lands exactly on a sample. The fit maps one demo period
-    onto one orbit period, so the robot trots at 1/(period_ticks * sim.dt),
-    1.667 Hz at the defaults, whatever freq is. The backward stance offset
-    keeps the support line behind the COM, countering the tail-down pitch
-    that stance-sweep friction otherwise induces in an open-loop trot on
-    point feet.
+    The trot is drawn at one sample per orbit tick, so the robot trots at
+    1/(period_ticks * sim.dt), 1.667 Hz at the defaults, and a 120-tick orbit
+    puts the swing apex exactly on a sample. The backward stance offset keeps
+    the support line behind the COM, countering the tail-down pitch that
+    stance-sweep friction otherwise induces in an open-loop trot on point feet.
     """
 
-    freq: float = 1.5
     clearance_front: float = 0.07
     clearance_rear: float = 0.04
     step_length: float = 0.2
     stance_fraction: float = 0.6
-    sample_rate: float = 180.0
     stance_x_offset: float = -0.06
 
 
 def generate_demo_trot(demo: DemoConfig, geometry: LegGeometry,
-                       stand_height: float) -> DemoTrajectory:
-    """Parametric trot: linear backward sweep in stance at constant height,
-    half-sine vertical lift in swing peaking at the per-leg clearance.
+                       stand_height: float, n: int) -> DemoTrajectory:
+    """One gait cycle of n samples. Parametric trot: linear backward sweep in
+    stance at constant height, half-sine vertical lift in swing peaking at
+    the per-leg clearance.
     """
-    freq, sample_rate = demo.freq, demo.sample_rate
     stance_fraction, step_length = demo.stance_fraction, demo.step_length
     clearance_front, clearance_rear = demo.clearance_front, demo.clearance_rear
     if not (0.5 <= stance_fraction < 1.0):
         raise InvalidParams(f"stance_fraction must be in [0.5, 1), got {stance_fraction}")
     if min(clearance_front, clearance_rear, step_length) <= 0:
         raise InvalidParams("clearances and step length must be positive")
-    if freq <= 0 or sample_rate <= 0:
-        raise InvalidParams("freq and sample_rate must be positive")
 
-    n = int(round(sample_rate / freq))
     clearances = np.array([clearance_front, clearance_front, clearance_rear, clearance_rear])
     feet = np.zeros((4, n, 3))
     u = np.arange(n) / n
@@ -248,7 +233,7 @@ def generate_demo_trot(demo: DemoConfig, geometry: LegGeometry,
         feet[leg, :, 0] = center[0] + x
         feet[leg, :, 1] = center[1]
         feet[leg, :, 2] = z
-    trajectory = DemoTrajectory(feet=feet, sample_rate=sample_rate, gait_frequency=freq)
+    trajectory = DemoTrajectory(feet=feet, samples_per_period=n)
     trajectory.validate()
     return trajectory
 
@@ -260,7 +245,8 @@ def load_demo_csv(path, gait_frequency: float | None = None) -> DemoTrajectory:
     """Parse a demo trajectory CSV.
 
     When gait_frequency is omitted the file is assumed to hold exactly one
-    gait period (frequency = sample_rate / samples).
+    gait period; otherwise a period is round(sample_rate / gait_frequency)
+    samples, with the sample rate taken from the t column.
     """
     per_leg: dict[str, list] = {name: [] for name in LEG_NAMES}
     times: dict[str, list] = {name: [] for name in LEG_NAMES}
@@ -312,10 +298,13 @@ def load_demo_csv(path, gait_frequency: float | None = None) -> DemoTrajectory:
         if np.max(np.abs(t - t0)) > 1e-9:
             raise SchemaError(f"t of leg {name} differs from leg {LEG_NAMES[0]}'s by more "
                               "than 1e-9 s; the legs must share one set of sample times")
-    sample_rate = (n - 1) / (t0[-1] - t0[0])
+    sample_rate = float((n - 1) / (t0[-1] - t0[0]))
+    freq = gait_frequency
+    if freq is not None and not (0.0 < freq < np.inf and sample_rate / freq < np.inf):
+        raise ValueError(f"{path}: gait frequency must be finite and positive, got {freq}")
+    samples_per_period = n if freq is None else int(round(sample_rate / freq))
     feet = np.stack([np.asarray(per_leg[name]) for name in LEG_NAMES])
-    freq = gait_frequency if gait_frequency is not None else sample_rate / n
-    demo = DemoTrajectory(feet=feet, sample_rate=float(sample_rate), gait_frequency=float(freq))
+    demo = DemoTrajectory(feet=feet, samples_per_period=samples_per_period)
     demo.validate()
     return demo
 

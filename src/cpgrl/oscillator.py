@@ -83,23 +83,24 @@ def step_oscillator(state, params: OscillatorParams) -> np.ndarray:
 # any non-zero point inside the basin works; attractivity pulls it onto the cycle
 _SEED_STATE = np.array([0.2, 0.0])
 
+# ticks iterated before the period search, enough to converge onto the cycle
+BURN_IN_TICKS = 5000
 
-def find_limit_cycle(params: OscillatorParams, burn_in_ticks: int) -> PeriodicOrbit:
+
+def find_limit_cycle(params: OscillatorParams) -> PeriodicOrbit:
     """Iterate to convergence, then sample one period of the limit cycle.
 
     The period is the integer tick count between consecutive positive-going
     zero crossings of o1 (no sub-tick interpolation: RBF centers index whole
     orbit samples).
     """
-    if burn_in_ticks < 5000:
-        raise ValueError("burn_in_ticks must be >= 5000 for convergence")
     # alpha is deliberately not validated here: a non-oscillating gain is
     # reported through NoOscillation after the burn-in
     if not (0.0 < params.phi < np.pi):
         raise ValueError(f"phi must be in (0, pi), got {params.phi}")
 
     state = _SEED_STATE.copy()
-    for _ in range(burn_in_ticks):
+    for _ in range(BURN_IN_TICKS):
         state = step_oscillator(state, params)
 
     if float(np.hypot(state[0], state[1])) < 1e-4:

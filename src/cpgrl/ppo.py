@@ -38,7 +38,6 @@ class PpoConfig:
     value_coef: float = 1.0
     lr_min: float = 1e-6
     lr_max: float = 1e-2
-    adaptive_lr: bool = True
     max_grad_norm: float = 0.0  # 0 disables clipping
 
     def validate(self) -> None:
@@ -339,11 +338,10 @@ def ppo_update(policy: GaussianPolicy, optimizer: Adam, buffer: RolloutBuffer,
             stats["entropy"].append(ent)
             stats["kl"].append(kl)
             epoch_kl.append(kl)
-        if config.adaptive_lr:
-            policy.lr = adaptive_lr(
-                policy.lr, float(np.mean(epoch_kl)), config.desired_kl,
-                config.lr_min, config.lr_max,
-            )
+        policy.lr = adaptive_lr(
+            policy.lr, float(np.mean(epoch_kl)), config.desired_kl,
+            config.lr_min, config.lr_max,
+        )
     return UpdateStats(
         policy_loss=float(np.mean(stats["policy_loss"])),
         value_loss=float(np.mean(stats["value_loss"])),

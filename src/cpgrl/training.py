@@ -35,7 +35,7 @@ from .task import OBS_DIM, REWARD_TERMS
 ACTION_DIM = 12
 _POLICY_STREAM = 500
 _TRAIN_STREAM = 501
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 
 
 def planner_from_config(cfg: RunConfig, demo=None):
@@ -43,7 +43,8 @@ def planner_from_config(cfg: RunConfig, demo=None):
     geometry = cfg.leg_geometry()
     model = build_planner(cfg.cpg, cfg.planner, cfg.env_params().nominal_q)
     if demo is None:
-        demo = generate_demo_trot(cfg.demo, geometry, cfg.robot.stand_height)
+        demo = generate_demo_trot(cfg.demo, geometry, cfg.robot.stand_height,
+                                  model.orbit.period_ticks)
     motor, report = fit_motor_layer(demo, model, geometry, split_seed=cfg.seed)
     return fitted_planner(model, motor), report
 
@@ -186,12 +187,19 @@ def train(cfg: RunConfig, planner: GaitPlannerModel, out_dir,
           resume_from=None, log=print):
     """Run PPO for the configured iterations; returns the metrics path.
 
-    A resume's checkpoint is loaded and checked before out_dir is written:
+    The planner's oscillator and RBF layer are checked against cfg, and a
+    resume's checkpoint is loaded and checked, before out_dir is written:
     its config hash, and its planner bit for bit against the given one.
     On NumericalDivergence the exception propagates after the message is
     logged; the last scheduled checkpoint stays on disk.
     """
     cfg.validate()
+    for name, theirs, ours in (("cpg.phi", planner.params.phi, cfg.cpg.phi),
+                               ("cpg.alpha", planner.params.alpha, cfg.cpg.alpha),
+                               ("planner.h", planner.rbf.h, cfg.planner.h),
+                               ("planner.sigma", planner.rbf.sigma, cfg.planner.sigma)):
+        if theirs != ours:
+            raise ValueError(f"the planner was fitted with {name} {theirs}, the config sets {ours}")
     if resume_from is not None:
         ck = load_checkpoint(resume_from)
         if ck["meta"]["config_hash"] != config_hash(cfg):

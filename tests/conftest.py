@@ -56,16 +56,17 @@ def with_special_lanes(rng, shape, share=0.2):
     return x
 
 
-def save_demo_csv(demo, path):
-    """Write the demo CSV schema `t,leg,x,y,z` that `load_demo_csv` reads;
-    repr floats round-trip bit-exactly."""
+def save_demo_csv(demo, path, sample_rate=180.0):
+    """Write the demo CSV schema `t,leg,x,y,z` that `load_demo_csv` reads,
+    sampled at sample_rate Hz (a 120-sample cycle is then 1.5 Hz); repr
+    floats round-trip bit-exactly."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(("t", "leg", "x", "y", "z"))
         n = demo.feet.shape[1]
         for leg, name in enumerate(LEG_NAMES):
             for k in range(n):
-                t = k / demo.sample_rate
+                t = k / sample_rate
                 x, y, z = demo.feet[leg, k]
                 writer.writerow(
                     [repr(float(t)), name, repr(float(x)), repr(float(y)), repr(float(z))]

@@ -65,7 +65,7 @@ def report(num: int, name: str, detail: str, ok: bool) -> None:
 def test_criterion_1_oscillator_period():
     t0 = time.perf_counter()
     params = OscillatorParams(phi=np.pi / 60, alpha=0.01)
-    orbit = find_limit_cycle(params, CFG.planner.burn_in_ticks)
+    orbit = find_limit_cycle(params)
     elapsed = time.perf_counter() - t0
     freq = orbit.frequency(200.0)
     ok = abs(orbit.period_ticks - 120) <= 1 and 1.5 <= freq <= 1.8 and elapsed < 1.0
@@ -127,9 +127,9 @@ def test_criterion_3_kinematics():
 
 def test_criterion_4_behavior_cloning():
     t0 = time.perf_counter()
-    demo = generate_demo_trot(DemoConfig(freq=1.5, clearance_front=0.07, clearance_rear=0.04),
-                              GEOM, CFG.robot.stand_height)
     planner = build_planner(CFG.cpg, CFG.planner, NOMINAL_Q)
+    demo = generate_demo_trot(DemoConfig(clearance_front=0.07, clearance_rear=0.04),
+                              GEOM, CFG.robot.stand_height, planner.orbit.period_ticks)
     motor, fit = fit_motor_layer(demo, planner, GEOM)
     model = fitted_planner(planner, motor)
     feet = model.desired_feet_table(GEOM)

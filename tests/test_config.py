@@ -2,6 +2,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from dataclasses import replace
 
 from cpgrl.config import (
@@ -9,6 +10,7 @@ from cpgrl.config import (
     RunConfig,
     config_from_dict,
     config_hash,
+    config_to_dict,
     load_config,
     save_config,
 )
@@ -21,7 +23,9 @@ def test_default_config_validates():
 
 
 def test_shipped_configs_load():
-    # defaults.yaml is documented as the full default tree
+    # defaults.yaml is documented as the full default tree: every key, no more
+    with open(CONFIGS / "defaults.yaml") as fh:
+        assert yaml.safe_load(fh) == config_to_dict(RunConfig())
     assert load_config(CONFIGS / "defaults.yaml") == RunConfig()
     load_config(CONFIGS / "desk_acceptance.yaml")
 

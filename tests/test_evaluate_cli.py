@@ -29,6 +29,7 @@ from cpgrl.gait_planner import (
     planner_from_arrays,
     save_planner_model,
 )
+from cpgrl.oscillator import find_limit_cycle
 from cpgrl.ppo import NonFiniteLoss
 from cpgrl.training import planner_from_config, train
 
@@ -61,7 +62,8 @@ def checkpoint(fitted, tmp_path_factory):
 
 def synthetic_demo():
     cfg = tiny_cfg()
-    return generate_demo_trot(cfg.demo, cfg.leg_geometry(), cfg.robot.stand_height)
+    return generate_demo_trot(cfg.demo, cfg.leg_geometry(), cfg.robot.stand_height,
+                              find_limit_cycle(cfg.cpg).period_ticks)
 
 
 # ----------------------------------------------------------------- profiles
@@ -275,19 +277,6 @@ def test_cli_usage_error_exit_code():
     assert err.value.code == 2
 
 
-def test_cli_eval_config_hash_mismatch(tmp_path):
-    cfg_path = tmp_path / "config.yaml"
-    save_config(tiny_cfg(), cfg_path)
-    main(["bc-fit", "--config", str(cfg_path), "--out", str(tmp_path / "fit")])
-    main(["train", "--config", str(cfg_path), "--model",
-          str(tmp_path / "fit" / "planner.npz"), "--out", str(tmp_path / "train")])
-    other_path = tmp_path / "other.yaml"
-    save_config(tiny_cfg(seed=42), other_path)
-    rc = main(["eval", "--checkpoint", str(tmp_path / "train" / "checkpoint_000002.npz"),
-               "--config", str(other_path), "--out", str(tmp_path / "eval")])
-    assert rc == 2
-
-
 def test_cli_eval_ramp_to_zero_commands_zero(checkpoint, tmp_path):
     rc = main(["eval", "--checkpoint", str(checkpoint), "--out", str(tmp_path / "eval"),
                "--profile", "ramp", "--command", "0", "--duration", "2.0"])
@@ -362,6 +351,47 @@ def test_cli_bc_fit_demo_period_too_short_exit_code(tmp_path, capsys, freq):
     assert rc == 2
     assert "too few to resolve one gait cycle" in capsys.readouterr().err
     assert not (tmp_path / "fit").exists()
+
+
+def test_cli_bc_fit_demo_freq_needs_a_csv_demo(tmp_path, capsys):
+    """The synthetic demo has one sample per orbit tick, so a --demo-freq
+    without a CSV --demo is a usage error, not a flag ignored."""
+    rc = main(["bc-fit", "--demo-freq", "3", "--out", str(tmp_path / "fit")])
+    assert rc == 2
+    assert "--demo-freq needs a CSV --demo" in capsys.readouterr().err
+    assert not (tmp_path / "fit").exists()
+
+
+@pytest.mark.parametrize("freq", ["nan", "inf", "0", "-1.5", "1e-320"])
+def test_cli_bc_fit_demo_freq_not_finite_and_positive_exit_code(tmp_path, capsys, freq):
+    """A CSV demo's gait frequency that is not finite and positive exits 2 and
+    names the file and the value; at 1e-320 Hz the period overflows to infinity."""
+    demo_path = tmp_path / "demo.csv"
+    save_demo_csv(synthetic_demo(), demo_path)
+    rc = main(["bc-fit", "--demo", str(demo_path), "--demo-freq", freq,
+               "--out", str(tmp_path / "fit")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{demo_path}: gait frequency must be finite and positive, got {float(freq)}" in err
+    assert not (tmp_path / "fit").exists()
+
+
+def test_cli_train_rejects_a_planner_fitted_with_another_oscillator(tmp_path, capsys):
+    """A planner fitted at cpg.phi 0.1047 (a 60-tick orbit) does not train
+    under a config that sets the default phi: exit 2, naming the field,
+    before --out is made."""
+    fast_path = tmp_path / "fast.yaml"
+    fast_path.write_text("cpg:\n  phi: 0.1047\n")
+    rc = main(["bc-fit", "--config", str(fast_path), "--out", str(tmp_path / "fit")])
+    assert rc == 0
+    capsys.readouterr()
+    cfg_path = tmp_path / "config.yaml"
+    save_config(tiny_cfg(), cfg_path)
+    rc = main(["train", "--config", str(cfg_path), "--model", str(tmp_path / "fit" / "planner.npz"),
+               "--iterations", "1", "--out", str(tmp_path / "train")])
+    assert rc == 2
+    assert "the planner was fitted with cpg.phi 0.1047" in capsys.readouterr().err
+    assert not (tmp_path / "train").exists()
 
 
 def test_cli_bc_fit_unreachable_demo_exit_code(tmp_path, capsys):

@@ -34,15 +34,18 @@ from cpgrl.gait_planner import (
     save_planner_model,
 )
 from cpgrl.kinematics import forward_kinematics_all, inverse_kinematics, standing_pose
+from cpgrl.oscillator import find_limit_cycle
 
 CFG = RunConfig()
 GEOM = CFG.leg_geometry()
 NOMINAL_Q = standing_pose(GEOM, 0.32)
+PERIOD_TICKS = find_limit_cycle(CFG.cpg).period_ticks
 
 
-def trot(**changes):
-    """The configured synthetic trot, with the given demo fields changed."""
-    return generate_demo_trot(replace(CFG.demo, **changes), GEOM, CFG.robot.stand_height)
+def trot(n=PERIOD_TICKS, **changes):
+    """The configured synthetic trot at n samples per cycle (one per tick of
+    the configured orbit), with the given demo fields changed."""
+    return generate_demo_trot(replace(CFG.demo, **changes), GEOM, CFG.robot.stand_height, n)
 
 
 @pytest.fixture(scope="module")
@@ -148,11 +151,9 @@ def test_demo_trot_rejects_bad_params():
         trot(stance_fraction=0.3)
     with pytest.raises(InvalidParams):
         trot(clearance_front=-0.01)
-    with pytest.raises(InvalidParams):
-        trot(freq=0.0)
     # the floor of 8 samples per period is DemoTrajectory's, shared with CSV demos
     with pytest.raises(ValueError, match="too few to resolve one gait cycle"):
-        trot(sample_rate=10.0)
+        trot(n=7)
 
 
 # ---------------------------------------------------------------- csv io
@@ -160,10 +161,12 @@ def test_demo_trot_rejects_bad_params():
 def test_csv_round_trip(tmp_path):
     demo = trot()
     path = tmp_path / "demo.csv"
-    save_demo_csv(demo, path)
-    back = load_demo_csv(path, gait_frequency=demo.gait_frequency)
+    save_demo_csv(demo, path, sample_rate=180.0)
+    back = load_demo_csv(path, gait_frequency=1.5)
     np.testing.assert_array_equal(back.feet, demo.feet)
-    assert back.sample_rate == pytest.approx(demo.sample_rate, rel=1e-12)
+    assert back.samples_per_period == demo.samples_per_period == 120
+    # without a frequency the file holds one period
+    assert load_demo_csv(path).samples_per_period == 120
 
 
 def test_csv_missing_leg(tmp_path):
@@ -234,10 +237,7 @@ def realizable_demo(planner):
     true_model = fitted_planner(planner, true_motor)
     feet = forward_kinematics_all(true_model.baseline_table(), GEOM)
     return DemoTrajectory(
-        feet=np.transpose(feet, (1, 0, 2)),
-        sample_rate=1.0 / CFG.sim.dt,
-        gait_frequency=1.0 / (CFG.sim.dt * planner.orbit.period_ticks),
-    )
+        feet=np.transpose(feet, (1, 0, 2)), samples_per_period=planner.orbit.period_ticks)
 
 
 def test_fit_realizability_oracle(planner):
@@ -280,7 +280,7 @@ def test_fit_unreachable_demo(planner):
     demo = trot()
     feet = demo.feet.copy()
     feet[0, 10] = GEOM.hip_mounts[0] + np.array([0.6, -0.08, 0.0])
-    bad = DemoTrajectory(feet=feet, sample_rate=demo.sample_rate, gait_frequency=demo.gait_frequency)
+    bad = replace(demo, feet=feet)
     with pytest.raises(IkUnreachable):
         fit_motor_layer(bad, planner, GEOM)
 

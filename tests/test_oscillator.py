@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from conftest import assert_same_bits, with_special_lanes
-from cpgrl.config import RunConfig
 from cpgrl.oscillator import (
     NoOscillation,
     OscillatorParams,
@@ -12,7 +11,6 @@ from cpgrl.oscillator import (
 )
 
 PARAMS = OscillatorParams()  # phi=pi/60, alpha=0.01, 200 Hz
-BURN_IN = RunConfig().planner.burn_in_ticks
 
 # pinned from the long-run iteration oracle: amplitude after 10,000 ticks from
 # (0.2, 0), and the amplitude band over one converged cycle
@@ -98,37 +96,32 @@ def test_step_bitwise_equal_to_stack_form(lead):
 
 
 def test_limit_cycle_period_default():
-    orbit = find_limit_cycle(PARAMS, BURN_IN)
+    orbit = find_limit_cycle(PARAMS)
     assert abs(orbit.period_ticks - 120) <= 1
     assert orbit.samples.shape == (orbit.period_ticks, 2)
     assert 1.5 <= orbit.frequency(200.0) <= 1.8  # one tick per 5 ms substep
 
 
 def test_limit_cycle_period_double_speed():
-    orbit = find_limit_cycle(OscillatorParams(phi=np.pi / 30), BURN_IN)
+    orbit = find_limit_cycle(OscillatorParams(phi=np.pi / 30))
     assert abs(orbit.period_ticks - 60) <= 1
 
 
 @pytest.mark.parametrize("phi", [np.pi / 120, np.pi / 60, np.pi / 30])
 def test_period_scaling(phi):
-    orbit = find_limit_cycle(OscillatorParams(phi=phi), BURN_IN)
+    orbit = find_limit_cycle(OscillatorParams(phi=phi))
     assert orbit.period_ticks * phi == pytest.approx(2 * np.pi, rel=0.02)
 
 
 def test_orbit_closure():
-    orbit = find_limit_cycle(PARAMS, BURN_IN)
+    orbit = find_limit_cycle(PARAMS)
     wrapped = step_oscillator(orbit.samples[-1], PARAMS)
     assert np.max(np.abs(wrapped - orbit.samples[0])) < orbit.closure_tol
 
 
 def test_no_oscillation_for_contracting_gain():
     with pytest.raises(NoOscillation):
-        find_limit_cycle(OscillatorParams(alpha=-0.5), BURN_IN)
-
-
-def test_burn_in_minimum_enforced():
-    with pytest.raises(ValueError):
-        find_limit_cycle(PARAMS, burn_in_ticks=100)
+        find_limit_cycle(OscillatorParams(alpha=-0.5))
 
 
 def test_params_validation():
@@ -139,7 +132,7 @@ def test_params_validation():
 
 
 def test_orbit_validate_rejects_bad_shape():
-    orbit = find_limit_cycle(PARAMS, BURN_IN)
+    orbit = find_limit_cycle(PARAMS)
     bad = PeriodicOrbit(samples=orbit.samples[:-1], period_ticks=orbit.period_ticks)
     with pytest.raises(ValueError):
         bad.validate(PARAMS)

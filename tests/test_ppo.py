@@ -289,7 +289,7 @@ def test_vanilla_policy_gradient_equivalence():
 def test_update_decreases_surrogate_on_fixed_buffer():
     policy = toy_policy(seed=13)
     buf = toy_buffer(policy, seed=14)
-    config = PpoConfig(n_epochs=1, n_minibatches=1, adaptive_lr=False)
+    config = PpoConfig(n_epochs=1, n_minibatches=1)
     n = buf.size
     obs = buf.observations.reshape(n, -1)
     actions = buf.actions.reshape(n, -1)

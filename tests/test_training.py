@@ -13,7 +13,12 @@ from conftest import set_checkpoint_meta
 from cpgrl import training
 from cpgrl.config import RunConfig, config_from_dict, config_hash, config_to_dict
 from cpgrl.env import VecLocomotionEnv
-from cpgrl.gait_planner import load_planner_model, planner_arrays, save_planner_model
+from cpgrl.gait_planner import (
+    generate_demo_trot,
+    load_planner_model,
+    planner_arrays,
+    save_planner_model,
+)
 from cpgrl.nn import Adam, DimensionMismatch
 from cpgrl.randomization import CurriculumState, initial_curriculum
 from cpgrl.task import OBS_DIM, REWARD_TERMS
@@ -172,15 +177,20 @@ def test_checkpoint_policy_size_mismatch_rejected(fitted, tmp_path, size):
         policy_from_checkpoint(ck)
 
 
-@pytest.mark.parametrize("version", [1, 2, 3])
+@pytest.mark.parametrize("version", [1, 2, 3, 4])
 def test_old_checkpoint_version_rejected(fitted, tmp_path, version):
-    """Versions up to 3 embed a config that still sets cpg.tick_rate; the
-    message names the file and the version, not that key."""
+    """Versions up to 4 embed a config that still sets demo.freq,
+    demo.sample_rate, planner.burn_in_ticks and train.ppo.adaptive_lr, and up
+    to 3 cpg.tick_rate; the message names the file and the version, not a key."""
     cfg, planner, _ = fitted
     path = tmp_path / "ck.npz"
     write_checkpoint(path, cfg, planner)
     config = config_to_dict(cfg)
-    config["cpg"]["tick_rate"] = 200.0
+    config["demo"].update(freq=1.5, sample_rate=180.0)
+    config["planner"]["burn_in_ticks"] = 5000
+    config["train"]["ppo"]["adaptive_lr"] = True
+    if version <= 3:
+        config["cpg"]["tick_rate"] = 200.0
     set_checkpoint_meta(path, version=version, config=config)
     message = f"{path}: unsupported checkpoint version {version}"
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -204,6 +214,43 @@ def test_planner_fit_does_not_read_the_physics_rate():
         a, b = np.asarray(value), np.asarray(arrays_fast[name])
         assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
     assert report == report_fast
+
+
+@pytest.mark.parametrize("phi, ticks", [(0.05, 126), (0.07, 90), (0.1047, 60)])
+def test_synthetic_demo_has_one_sample_per_orbit_tick(monkeypatch, phi, ticks):
+    """The synthetic trot is drawn on the orbit's own ticks at any cpg.phi,
+    and the fit stays within criterion 4's 5 mm."""
+    demos = []
+
+    def recording(*args):
+        demos.append(generate_demo_trot(*args))
+        return demos[-1]
+
+    monkeypatch.setattr(training, "generate_demo_trot", recording)
+    cfg = RunConfig()
+    planner, report = planner_from_config(replace(cfg, cpg=replace(cfg.cpg, phi=phi)))
+    assert planner.orbit.period_ticks == ticks
+    assert demos[0].feet.shape == (4, ticks, 3)
+    assert demos[0].samples_per_period == ticks
+    assert max(report.train_rmse, report.val_rmse) < 5e-3
+
+
+@pytest.mark.parametrize("section, field, value", [
+    ("cpg", "phi", 0.1047), ("cpg", "alpha", 0.02),
+    ("planner", "h", 19), ("planner", "sigma", 0.2),
+])
+def test_train_rejects_a_planner_fitted_with_other_settings(fitted, tmp_path,
+                                                            section, field, value):
+    """The env steps the planner's orbit and RBF layer, so a config whose
+    oscillator or RBF settings differ from the planner's is rejected before
+    anything is written, naming the field."""
+    cfg, planner, _ = fitted
+    other = replace(cfg, **{section: replace(getattr(cfg, section), **{field: value})})
+    fitted_value = getattr(getattr(cfg, section), field)
+    message = f"the planner was fitted with {section}.{field} {fitted_value}, the config sets {value}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        train(other, planner, tmp_path / "run", log=None)
+    assert not (tmp_path / "run").exists()
 
 
 def test_resume_rejects_config_mismatch(fitted, tmp_path):
