@@ -70,18 +70,7 @@ class SimConfig:
     collision_margin: float = 0.05
     episode_limit: float = 20.0
     spawn_drop_height: float = 0.05
-
-
-@dataclass(frozen=True)
-class TerrainConfig:
-    kind: str = "flat"           # flat | slope
-    angle_rad: float = 0.17453292519943295  # 10 deg, used when kind == slope
-
-
-@dataclass(frozen=True)
-class RewardConfig:
-    h_star: float = 0.32
-    weights: RewardWeights = field(default_factory=RewardWeights)
+    slope_rad: float = 0.0       # terrain incline about the y axis; 0 is flat
 
 
 @dataclass(frozen=True)
@@ -116,8 +105,7 @@ class RunConfig:
     planner: PlannerConfig = field(default_factory=PlannerConfig)
     robot: RobotConfig = field(default_factory=RobotConfig)
     sim: SimConfig = field(default_factory=SimConfig)
-    terrain: TerrainConfig = field(default_factory=TerrainConfig)
-    reward: RewardConfig = field(default_factory=RewardConfig)
+    reward: RewardWeights = field(default_factory=RewardWeights)
     demo: DemoConfig = field(default_factory=DemoConfig)
     dr: RandomizationConfig = field(default_factory=RandomizationConfig)
     curriculum: CurriculumConfig = field(default_factory=CurriculumConfig)
@@ -152,7 +140,9 @@ class RunConfig:
                 np.tile([r.abd_limits[1], r.hip_limits[1], r.knee_limits[1]], 4),
             ]
         )
-        params = EnvParams(
+        # 0.0 - sin: a flat normal's x is +0.0, which -sin(0.0) would make -0.0
+        normal = np.array([0.0 - np.sin(s.slope_rad), 0.0, np.cos(s.slope_rad)])
+        return EnvParams(
             trunk_mass=s.trunk_mass,
             trunk_inertia=s.trunk_inertia,
             friction=s.friction,
@@ -171,21 +161,21 @@ class RunConfig:
             collision_margin=s.collision_margin,
             episode_limit=s.episode_limit,
             dt=s.dt,
+            terrain_normal=normal,
         )
-        if self.terrain.kind == "slope":
-            params = params.with_slope(self.terrain.angle_rad)
-        return params
 
     def validate(self) -> None:
+        if not abs(self.sim.slope_rad) < np.pi / 2:
+            raise ConfigError(f"sim.slope_rad must be finite with |slope| < pi/2, "
+                              f"got {self.sim.slope_rad}")
         try:
             self.cpg.validate()
             self.dr.validate()
             self.curriculum.validate()
             self.train.ppo.validate()
+            self.env_params()  # EnvParams checks the physical constants it holds
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        if self.terrain.kind not in ("flat", "slope"):
-            raise ConfigError(f"terrain.kind must be flat or slope, got {self.terrain.kind!r}")
         if self.train.n_envs < 1:
             raise ConfigError("train.n_envs must be >= 1")
         if self.train.horizon < 1:
@@ -212,6 +202,12 @@ class RunConfig:
         if self.sim.dt <= 0:
             raise ConfigError("sim.dt must be positive")
         substeps_per_policy_step(self.sim.dt)
+        if not POLICY_DT <= self.sim.episode_limit < np.inf:
+            raise ConfigError(f"sim.episode_limit must be finite and at least one policy "
+                              f"step ({POLICY_DT:g} s), got {self.sim.episode_limit}")
+        if not self.robot.residual_limit >= 0:
+            raise ConfigError(f"robot.residual_limit must be >= 0, "
+                              f"got {self.robot.residual_limit}")
 
 
 def _coerce(value, reference):

@@ -28,6 +28,7 @@ from .kinematics import forward_kinematics_all
 from .randomization import (
     CurriculumState,
     add_sensor_noise,
+    noise_bands,
     sample_command_values,
     schedule_impulse,
 )
@@ -69,6 +70,8 @@ class VecLocomotionEnv:
         self.period = planner.orbit.period_ticks
 
         self.substeps = substeps_per_policy_step(self.base_params.dt)
+        self._cmd_ranges = np.asarray(cfg.commands.ranges, dtype=float).T  # (lo, hi) rows
+        self._noise_bands = noise_bands(cfg.dr)
 
         # spawn rows: in the air with the default pose; the other fields spawn at zero
         self._spawn = {
@@ -88,20 +91,25 @@ class VecLocomotionEnv:
     def _reset_env(self, idx: np.ndarray) -> None:
         """Spawn the envs idx with fresh commands and dynamics.
 
-        The spawn rows are whole-array writes; then each env draws from its
-        own stream: its command, then its mass and friction when dynamics are
-        randomized.
+        The spawn rows are whole-array writes. Then each env fills one row of
+        uniforms from its own stream: its command's three, then its mass's and
+        friction's when dynamics are randomized. lo + (hi - lo) * u is
+        Generator.uniform's own arithmetic, so this is bit for bit one
+        uniform draw per quantity in that order.
         """
         for name in self._ARRAY_FIELDS:
             getattr(self, name)[idx] = self._spawn.get(name, 0)
         dr = self.cfg.dr
         randomize = self.train_mode and dr.randomize_dynamics
-        for i in idx.tolist():
-            rng = self.rngs[i]
-            self.cmd[i] = sample_command_values(rng, self.cfg.commands.ranges)
-            if randomize:
-                self.mass[i] = self.base_params.trunk_mass + rng.uniform(*dr.mass_offset_range)
-                self.friction[i] = rng.uniform(*dr.friction_range)
+        u = np.empty((idx.size, 5 if randomize else 3))
+        for j, i in enumerate(idx.tolist()):
+            self.rngs[i].random(out=u[j])
+        lo, hi = self._cmd_ranges
+        self.cmd[idx] = lo + (hi - lo) * u[:, :3]
+        if randomize:
+            (m_lo, m_hi), (f_lo, f_hi) = dr.mass_offset_range, dr.friction_range
+            self.mass[idx] = self.base_params.trunk_mass + (m_lo + (m_hi - m_lo) * u[:, 3])
+            self.friction[idx] = f_lo + (f_hi - f_lo) * u[:, 4]
 
     def set_commands(self, cmd) -> None:
         """Pin commands externally (evaluation profiles)."""
@@ -119,8 +127,8 @@ class VecLocomotionEnv:
             self.nominal_q,
         )
         if self.train_mode and self.cfg.dr.add_noise:
-            for i, rng in enumerate(self.rngs):
-                obs[i] = add_sensor_noise(obs[i], rng, self.cfg.dr)
+            for row, rng in zip(obs, self.rngs):
+                add_sensor_noise(row, rng, self._noise_bands)
         return obs
 
     # ------------------------------------------------------------- stepping
@@ -179,7 +187,7 @@ class VecLocomotionEnv:
             self.cmd, self.rot, self.linvel, self.angvel, self.pos[:, 2],
             self.q, self.qdot, prev_qdot, self.contacts, prev_contacts, prev_air,
             target, self.prev_target, feet_body, desired,
-            self.cfg.reward.weights, self.cfg.reward.h_star, POLICY_DT,
+            self.cfg.reward, self.cfg.robot.stand_height, POLICY_DT,
         )
         rewards = np.zeros(self.n)
         for v in terms.values():

@@ -1,11 +1,10 @@
 """Two-neuron SO(2) oscillator and limit-cycle extraction.
 
-The oscillator state is a plain ndarray [o0, o1]; every function here
-broadcasts over arbitrary leading axes, so a (n_envs, 2) batch steps with
-the same call as a single (2,) state.
+The oscillator steps one state (o0, o1) of numpy float64 scalars at a time;
+the limit cycle is stored as a (period_ticks, 2) array of such states.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,7 +40,7 @@ class PeriodicOrbit:
     """One period of the converged oscillator trajectory.
 
     samples[i] is the state i ticks after the detected cycle start; stepping
-    samples[-1] once returns (within closure_tol) to samples[0].
+    samples[-1] once returns (within CLOSURE_TOL) to samples[0].
 
     The closure is approximate: the componentwise tanh makes the true period
     slightly non-integer (120.36 ticks for phi=pi/60, alpha=0.01), so the best
@@ -51,14 +50,13 @@ class PeriodicOrbit:
 
     samples: np.ndarray  # (period_ticks, 2)
     period_ticks: int
-    closure_tol: float = field(default=1e-2, repr=False)
 
     def validate(self, params: OscillatorParams) -> None:
         if self.samples.shape != (self.period_ticks, 2):
             raise ValueError("samples must have shape (period_ticks, 2)")
-        wrapped = step_oscillator(self.samples[-1], params)
-        err = np.max(np.abs(wrapped - self.samples[0]))
-        if err > self.closure_tol:
+        o0, o1 = step_oscillator(*self.samples[-1], params)
+        err = max(abs(o0 - self.samples[0, 0]), abs(o1 - self.samples[0, 1]))
+        if err > CLOSURE_TOL:
             raise ValueError(f"orbit does not close: max component error {err:.3e}")
 
     def frequency(self, tick_rate: float) -> float:
@@ -66,22 +64,24 @@ class PeriodicOrbit:
         return tick_rate / self.period_ticks
 
 
-def step_oscillator(state, params: OscillatorParams) -> np.ndarray:
-    """Advance the oscillator one tick; pure, broadcasts over leading axes."""
-    state = np.asarray(state, dtype=np.float64)
-    o0 = state[..., 0]
-    o1 = state[..., 1]
+# largest componentwise gap allowed between samples[0] and samples[-1] stepped once
+CLOSURE_TOL = 1e-2
+
+
+def step_oscillator(o0, o1, params: OscillatorParams):
+    """Advance the state (o0, o1) one tick; returns the new (o0, o1).
+
+    np.tanh, not math.tanh: the two differ in the last bit on some inputs,
+    and the orbit samples are pinned to np.tanh's.
+    """
     gain = 1.0 + params.alpha
     c = np.cos(params.phi)
     s = np.sin(params.phi)
-    out = np.empty(state.shape)
-    out[..., 0] = np.tanh(gain * (c * o0 + s * o1))
-    out[..., 1] = np.tanh(gain * (-s * o0 + c * o1))
-    return out
+    return np.tanh(gain * (c * o0 + s * o1)), np.tanh(gain * (-s * o0 + c * o1))
 
 
 # any non-zero point inside the basin works; attractivity pulls it onto the cycle
-_SEED_STATE = np.array([0.2, 0.0])
+_SEED_STATE = (np.float64(0.2), np.float64(0.0))
 
 # ticks iterated before the period search, enough to converge onto the cycle
 BURN_IN_TICKS = 5000
@@ -99,32 +99,32 @@ def find_limit_cycle(params: OscillatorParams) -> PeriodicOrbit:
     if not (0.0 < params.phi < np.pi):
         raise ValueError(f"phi must be in (0, pi), got {params.phi}")
 
-    state = _SEED_STATE.copy()
+    o0, o1 = _SEED_STATE
     for _ in range(BURN_IN_TICKS):
-        state = step_oscillator(state, params)
+        o0, o1 = step_oscillator(o0, o1, params)
 
-    if float(np.hypot(state[0], state[1])) < 1e-4:
+    amplitude = np.hypot(o0, o1)
+    if amplitude < 1e-4:
         raise NoOscillation(
-            f"amplitude {np.hypot(state[0], state[1]):.3e} after burn-in; "
+            f"amplitude {amplitude:.3e} after burn-in; "
             f"gain {1.0 + params.alpha} does not sustain an oscillation"
         )
 
     max_ticks = int(np.ceil(10.0 * params.analytic_period))
     crossings: list[int] = []
-    samples: list[np.ndarray] = []
-    prev = state
+    samples: list[tuple] = []
     for _ in range(max_ticks):
-        cur = step_oscillator(prev, params)
-        samples.append(cur)
-        if prev[1] <= 0.0 < cur[1]:
+        prev1 = o1
+        o0, o1 = step_oscillator(o0, o1, params)
+        samples.append((o0, o1))
+        if prev1 <= 0.0 < o1:
             crossings.append(len(samples) - 1)
             if len(crossings) == 2:
                 first, second = crossings
                 orbit = PeriodicOrbit(
-                    samples=np.asarray(samples[first:second]),
+                    samples=np.array(samples[first:second]),
                     period_ticks=second - first,
                 )
                 orbit.validate(params)
                 return orbit
-        prev = cur
     raise PeriodNotFound(f"no period found within {max_ticks} ticks")

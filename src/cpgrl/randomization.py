@@ -8,7 +8,6 @@ a master seed and envs are mutually independent.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -94,41 +93,32 @@ _NOISE_SLICE = slice(ANGVEL_SLICE.start, QVEL_SLICE.stop)
 _NOISE_SIZES = [s.stop - s.start for s in _NOISE_SLOTS]
 
 
-@lru_cache(maxsize=8)
-def _noise_bands(config: RandomizationConfig):
-    """Read-only (low, span, scale) vectors over the noised slots."""
+def noise_bands(config: RandomizationConfig):
+    """The (low, span, scale) vectors over the noised slots."""
     widths = np.repeat(np.array([config.noise_ang_vel, config.noise_gravity,
                                  config.noise_joint_pos, config.noise_joint_vel], dtype=float),
                        _NOISE_SIZES)
     low = -widths
     span = widths - low
     scale = np.repeat([ANG_SCALE, 1.0, 1.0, QVEL_SCALE], _NOISE_SIZES)
-    for a in (low, span, scale):
-        a.flags.writeable = False
     return low, span, scale
 
 
-def add_sensor_noise(obs: np.ndarray, rng: np.random.Generator,
-                     config: RandomizationConfig) -> np.ndarray:
-    """Additive uniform noise on the proprioceptive slots of an observation.
+def add_sensor_noise(obs: np.ndarray, rng: np.random.Generator, bands) -> None:
+    """Noise one observation row's proprioceptive slots in place; bands is noise_bands(config).
 
     Noise bands are physical units; slots holding scaled quantities receive
-    the noise scaled identically, so the perturbation before scaling matches
-    the configured band. Commands, contacts, the last action, and the planner
-    signal are returned untouched.
+    the noise scaled identically. The other slots are left untouched.
 
     One rng.random(30) draw covers, in order, the angular velocity, gravity,
     joint position and joint velocity slots, each mapped as
     (-w + (w - -w) * u) * scale. Generator.uniform(-w, w) computes the same
     low + (high - low) * u from the same doubles, and the gravity scale is
     1.0, so the result is bit-identical to four rng.uniform band draws in
-    that order. A batch of observations is noised row by row, 30 draws each.
+    that order.
     """
-    obs = np.array(obs, dtype=float, copy=True)
-    low, span, scale = _noise_bands(config)
-    u = rng.random(obs.shape[:-1] + low.shape)
-    obs[..., _NOISE_SLICE] += (low + span * u) * scale
-    return obs
+    low, span, scale = bands
+    obs[_NOISE_SLICE] += (low + span * rng.random(low.shape)) * scale
 
 
 def curriculum_update(cur: CurriculumState, tracking_fraction: float,

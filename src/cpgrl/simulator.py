@@ -17,7 +17,7 @@ into this layout, steps all envs in one call per substep, and transposes
 back; stepping one env's slice alone gives bit-identical results.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,8 +38,9 @@ class EnvParams:
     """Physical constants plus the actuation plumbing _step_core needs.
 
     `RunConfig.env_params()` fills every field from the run config; only the
-    terrain normal (flat) and the divergence limit, which no config sets,
-    have defaults. Construction is the one place these values are checked.
+    divergence limit, which no config sets, has a default. Construction is
+    the one place these values are checked, and `RunConfig.validate` builds
+    them, so a bad constant stops a run before it writes anything.
     """
 
     trunk_mass: float
@@ -60,28 +61,31 @@ class EnvParams:
     collision_margin: float
     episode_limit: float
     dt: float
-    terrain_normal: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, 1.0]))
+    terrain_normal: np.ndarray         # unit normal of the plane through the origin
     divergence_limit: float = 1.0e6
 
     def __post_init__(self):
         for name in ("trunk_inertia", "terrain_normal", "joint_limits", "trunk_half_extents"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        if self.trunk_mass <= 0:
-            raise ValueError("trunk_mass must be positive")
-        if self.friction < 0:
-            raise ValueError("friction must be >= 0")
-        if self.contact_stiffness <= 0 or self.contact_damping <= 0:
-            raise ValueError("contact stiffness and damping must be positive")
-        if self.kp < 0 or self.kd < 0:
-            raise ValueError("gains must be >= 0")
+        # every check is written as not (x > 0) or not (x >= 0), so that NaN fails too
+        if not self.trunk_mass > 0:
+            raise ValueError(f"trunk_mass must be positive, got {self.trunk_mass}")
+        if not np.all((self.trunk_inertia > 0) & np.isfinite(self.trunk_inertia)):
+            raise ValueError(f"trunk_inertia must be finite and positive, got {self.trunk_inertia}")
+        if not self.friction >= 0:
+            raise ValueError(f"friction must be >= 0, got {self.friction}")
+        if not (self.contact_stiffness > 0 and self.contact_damping > 0):
+            raise ValueError("contact_stiffness and contact_damping must be positive")
+        if not (self.kp >= 0 and self.kd >= 0):
+            raise ValueError(f"gains must be >= 0, got kp {self.kp} and kd {self.kd}")
+        if not self.tau_limit > 0:
+            raise ValueError(f"tau_limit must be positive, got {self.tau_limit}")
+        if not self.reflected_inertia > 0:
+            raise ValueError(f"reflected_inertia must be positive, got {self.reflected_inertia}")
 
     @property
     def nominal_q(self) -> np.ndarray:
         return standing_pose(self.geometry, self.stand_height)
-
-    def with_slope(self, angle_rad: float) -> "EnvParams":
-        normal = np.array([-np.sin(angle_rad), 0.0, np.cos(angle_rad)])
-        return replace(self, terrain_normal=normal)
 
 
 def pd_torque(q_star, q, qdot, kp: float, kd: float, tau_limit: float) -> np.ndarray:

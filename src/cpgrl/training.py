@@ -35,7 +35,7 @@ from .task import OBS_DIM, REWARD_TERMS
 ACTION_DIM = 12
 _POLICY_STREAM = 500
 _TRAIN_STREAM = 501
-CHECKPOINT_VERSION = 5
+CHECKPOINT_VERSION = 6
 
 
 def planner_from_config(cfg: RunConfig, demo=None):
@@ -71,7 +71,7 @@ def collect_rollouts(env: VecLocomotionEnv, policy: GaussianPolicy,
         buf.action_means[t] = means
         for name, value in info["terms"].items():
             term_totals[name] += float(np.sum(value))
-        w = env.cfg.reward.weights.lin_vel_tracking
+        w = env.cfg.reward.lin_vel_tracking
         if w != 0.0:
             tracking_sum += float(np.sum(info["terms"]["lin_vel_tracking"])) / (w * POLICY_DT)
     buf.bootstrap_values = policy.value(policy.prepare_obs(env.observe()))

@@ -30,6 +30,24 @@ def test_shipped_configs_load():
     load_config(CONFIGS / "desk_acceptance.yaml")
 
 
+def leaf_keys(tree, prefix=""):
+    keys = set()
+    for name, value in tree.items():
+        if isinstance(value, dict):
+            keys |= leaf_keys(value, f"{prefix}{name}.")
+        else:
+            keys.add(prefix + name)
+    return keys
+
+
+def test_acceptance_profile_names_every_key():
+    """A key left out of the acceptance profile would silently take the
+    library default, so the profile states every key, no more."""
+    with open(CONFIGS / "desk_acceptance.yaml") as fh:
+        profile = yaml.safe_load(fh)
+    assert leaf_keys(profile) == leaf_keys(config_to_dict(RunConfig()))
+
+
 def test_yaml_round_trip(tmp_path):
     cfg = RunConfig()
     path = tmp_path / "config.yaml"
@@ -61,8 +79,14 @@ def test_partial_override(tmp_path):
 
 
 def test_validation_catches_bad_values():
-    with pytest.raises(ConfigError):
-        config_from_dict({"terrain": {"kind": "lava"}})
+    # the slope is sim.slope_rad, and the reward's trunk height is robot.stand_height
+    with pytest.raises(ConfigError, match="unknown keys"):
+        config_from_dict({"terrain": {"kind": "slope"}})
+    with pytest.raises(ConfigError, match=r"reward: unknown keys \['h_star'\]"):
+        config_from_dict({"reward": {"h_star": 0.32}})
+    for slope in (np.pi / 2, -2.0, float("inf"), float("nan")):
+        with pytest.raises(ConfigError, match="slope_rad"):
+            config_from_dict({"sim": {"slope_rad": slope}})
     with pytest.raises(ConfigError):
         config_from_dict({"train": {"n_envs": 0}})
     with pytest.raises(ConfigError):
@@ -116,10 +140,12 @@ def test_env_params_builder():
     params = cfg.env_params()
     assert params.trunk_mass == cfg.sim.trunk_mass
     assert params.kp == cfg.robot.kp
-    np.testing.assert_array_equal(params.terrain_normal, [0.0, 0.0, 1.0])
-    sloped = replace(cfg, terrain=replace(cfg.terrain, kind="slope"))
+    # flat is exactly (+0.0, 0.0, 1.0): a -0.0 would flip zero signs in the contact sums
+    assert params.terrain_normal.tobytes() == np.array([0.0, 0.0, 1.0]).tobytes()
+    angle = np.radians(10.0)
+    sloped = replace(cfg, sim=replace(cfg.sim, slope_rad=angle))
     normal = sloped.env_params().terrain_normal
-    assert normal[2] == pytest.approx(np.cos(cfg.terrain.angle_rad))
+    np.testing.assert_array_equal(normal, [-np.sin(angle), 0.0, np.cos(angle)])
 
 
 def test_leg_geometry_builder():

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
+from conftest import assert_same_bits
 from cpgrl.config import RunConfig
 from cpgrl.env import POLICY_DT, VecLocomotionEnv
-from cpgrl.randomization import CurriculumState, schedule_impulse
+from cpgrl.randomization import CurriculumState, sample_command_values, schedule_impulse
 from cpgrl.simulator import NumericalDivergence, _step_core
 from cpgrl.task import OBS_DIM, PLANNER_SLICE, compose_action
 
@@ -426,3 +427,50 @@ def test_spawn_draw_order_and_one_reset_call_per_step(planner, monkeypatch):
     np.testing.assert_array_equal(env.ep_steps, [2, 0, 2, 0, 0, 2])
     np.testing.assert_array_equal(env.pos[[1, 3, 4]], np.tile(
         [0.0, 0.0, cfg.robot.stand_height + cfg.sim.spawn_drop_height], (3, 1)))
+
+
+@pytest.mark.parametrize("randomize", [True, False])
+def test_spawn_draws_bitwise_equal_to_per_env_uniform_draws(planner, randomize):
+    """One random(out=row) per env gives, bit for bit, the commands, masses
+    and frictions and the stream states of sample_command_values and two
+    uniform draws per env; without randomized dynamics only the command is
+    drawn and mass and friction keep their spawn values."""
+    cfg = small_cfg(seed=21)
+    cfg = replace(cfg, train=replace(cfg.train, n_envs=64),
+                  commands=replace(cfg.commands, vx_range=(-0.3, 1.7), vy_range=(0.0, 0.0)),
+                  dr=replace(cfg.dr, randomize_dynamics=randomize,
+                             mass_offset_range=(-1.5, 0.7), friction_range=(0.3, 1.1)))
+    env = VecLocomotionEnv(cfg, planner, train_mode=True)
+    streams = [np.random.default_rng([cfg.seed, 1000 + i]) for i in range(64)]
+    base = env.base_params
+
+    def check(idx):
+        for i in idx:
+            rng = streams[i]
+            cmd = sample_command_values(rng, cfg.commands.ranges)
+            mass, friction = base.trunk_mass, base.friction
+            if randomize:
+                mass = base.trunk_mass + rng.uniform(*cfg.dr.mass_offset_range)
+                friction = rng.uniform(*cfg.dr.friction_range)
+            assert_same_bits(env.cmd[i], cmd)
+            assert_same_bits([env.mass[i], env.friction[i]], [mass, friction])
+        for rng, ref in zip(env.rngs, streams):
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+    check(range(64))
+    respawn = np.array([3, 17, 40, 63])
+    env._reset_env(respawn)
+    check(respawn)
+
+
+def test_trunk_height_reward_reads_the_stand_height(planner):
+    """The trunk-height term is centred on robot.stand_height, the height the
+    robot spawns and stands at, so a config that changes it rewards the new
+    height."""
+    cfg = small_cfg()
+    cfg = replace(cfg, robot=replace(cfg.robot, stand_height=0.30))
+    env = VecLocomotionEnv(cfg, planner, train_mode=False)
+    _, _, info = env.step(np.zeros((4, 12)))
+    h_err = env.pos[:, 2] - 0.30
+    expected = cfg.reward.trunk_height * POLICY_DT * (1.0 - np.exp(-(h_err * h_err) / 8.1e-4))
+    assert_same_bits(info["terms"]["trunk_height"], expected)

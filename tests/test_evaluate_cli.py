@@ -256,6 +256,31 @@ def test_cli_train_negative_gain_exit_code(fitted, tmp_path, capsys):
     assert "gains must be >= 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("sim", "episode_limit", "0.0"),
+    ("sim", "episode_limit", ".nan"),
+    ("sim", "reflected_inertia", "0.0"),
+    ("robot", "residual_limit", "-0.1"),
+    ("robot", "tau_limit", "-5.0"),
+    ("sim", "trunk_inertia", "[0.0, 0.25, 0.3]"),
+    ("sim", "trunk_mass", "-1.0"),
+    ("robot", "kp", "-1.0"),
+])
+def test_cli_train_bad_physical_constant_exit_code(fitted, tmp_path, capsys,
+                                                   section, key, value):
+    """A physical constant the run cannot use is a usage error: exit 2, a
+    message naming it, and no output directory."""
+    cfg_path = tmp_path / "bad.yaml"
+    cfg_path.write_text(f"{section}:\n  {key}: {value}\n")
+    model = tmp_path / "planner.npz"
+    save_planner_model(fitted[1], model)
+    rc = main(["train", "--config", str(cfg_path), "--model", str(model),
+               "--out", str(tmp_path / "train"), "--envs", "4", "--iterations", "2"])
+    assert rc == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "train").exists()
+
+
 def test_cli_train_empty_minibatch_exit_code(fitted, tmp_path, capsys):
     """1 env x 2 steps cannot fill 4 minibatches: a config error (2), not the
     non-finite loss of an empty minibatch (3)."""

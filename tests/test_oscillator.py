@@ -3,6 +3,8 @@ import pytest
 
 from conftest import assert_same_bits, with_special_lanes
 from cpgrl.oscillator import (
+    BURN_IN_TICKS,
+    CLOSURE_TOL,
     NoOscillation,
     OscillatorParams,
     PeriodicOrbit,
@@ -19,26 +21,26 @@ AMPLITUDE_BAND = (0.19506676662670452, 0.20135489262012674)
 
 
 def amplitude(state):
-    return float(np.hypot(state[..., 0], state[..., 1]))
+    return float(np.hypot(*state))
 
 
 def test_origin_is_fixed_point():
-    out = step_oscillator(np.zeros(2), PARAMS)
+    out = step_oscillator(np.float64(0.0), np.float64(0.0), PARAMS)
     assert out[0] == 0.0 and out[1] == 0.0
 
 
 def test_linearization_near_origin():
     eps = 1e-6
-    out = step_oscillator(np.array([eps, 0.0]), PARAMS)
+    out = step_oscillator(np.float64(eps), np.float64(0.0), PARAMS)
     expected = 1.01 * eps * np.array([np.cos(np.pi / 60), -np.sin(np.pi / 60)])
     np.testing.assert_allclose(out, expected, atol=1e-12)
 
 
 def test_long_run_amplitude_golden():
-    s = np.array([0.2, 0.0])
+    s = (np.float64(0.2), np.float64(0.0))
     hist = []
     for _ in range(10000):
-        s = step_oscillator(s, PARAMS)
+        s = step_oscillator(*s, PARAMS)
         hist.append(amplitude(s))
     assert hist[-1] == pytest.approx(GOLDEN_AMPLITUDE, abs=1e-12)
     # phase slip (true period 120.36 ticks) caps same-tick-offset amplitude
@@ -51,7 +53,7 @@ def test_boundedness():
     for _ in range(20):
         s = rng.uniform(-0.99, 0.99, size=2)
         for _ in range(500):
-            s = step_oscillator(s, PARAMS)
+            s = step_oscillator(*s, PARAMS)
             assert np.all(np.abs(s) < 1.0)
 
 
@@ -63,16 +65,8 @@ def test_attractivity_from_varied_starts():
         theta = rng.uniform(0, 2 * np.pi)
         s = norm * np.array([np.cos(theta), np.sin(theta)])
         for _ in range(10000):
-            s = step_oscillator(s, PARAMS)
+            s = step_oscillator(*s, PARAMS)
         assert lo - 1e-4 <= amplitude(s) <= hi + 1e-4
-
-
-def test_batched_step_matches_scalar():
-    rng = np.random.default_rng(2)
-    batch = rng.uniform(-0.5, 0.5, size=(7, 2))
-    stepped = step_oscillator(batch, PARAMS)
-    for i in range(7):
-        np.testing.assert_array_equal(stepped[i], step_oscillator(batch[i], PARAMS))
 
 
 def stack_step_oscillator(state, params):
@@ -87,12 +81,64 @@ def stack_step_oscillator(state, params):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("lead", [(), (1,), (64,), (1024,)])
 def test_step_bitwise_equal_to_stack_form(lead):
+    """One state at a time equals each lane of the stacked step."""
     rng = np.random.default_rng(sum(lead) + 1)
     state = with_special_lanes(rng, lead + (2,))
-    stepped = step_oscillator(state, PARAMS)
-    assert_same_bits(stepped, stack_step_oscillator(state, PARAMS))
+    stacked = stack_step_oscillator(state, PARAMS)
     for i in np.ndindex(lead):
-        assert_same_bits(stepped[i], stack_step_oscillator(state[i], PARAMS))
+        o0, o1 = step_oscillator(*state[i], PARAMS)
+        assert type(o0) is type(o1) is np.float64
+        assert_same_bits([o0, o1], stacked[i])
+
+
+def array_find_limit_cycle(params):
+    """The earlier find_limit_cycle, which stepped a (2,) state array with the
+    broadcasting step and returned (samples, period) or raised ValueError."""
+    def step(state):
+        o0, o1 = state[..., 0], state[..., 1]
+        gain = 1.0 + params.alpha
+        c, s = np.cos(params.phi), np.sin(params.phi)
+        out = np.empty(state.shape)
+        out[..., 0] = np.tanh(gain * (c * o0 + s * o1))
+        out[..., 1] = np.tanh(gain * (-s * o0 + c * o1))
+        return out
+
+    state = np.array([0.2, 0.0])
+    for _ in range(BURN_IN_TICKS):
+        state = step(state)
+    crossings, samples, prev = [], [], state
+    for _ in range(int(np.ceil(10.0 * params.analytic_period))):
+        cur = step(prev)
+        samples.append(cur)
+        if prev[1] <= 0.0 < cur[1]:
+            crossings.append(len(samples) - 1)
+            if len(crossings) == 2:
+                first, second = crossings
+                samples = np.asarray(samples[first:second])
+                err = np.max(np.abs(step(samples[-1]) - samples[0]))
+                if err > 1e-2:
+                    raise ValueError(f"orbit does not close: max component error {err:.3e}")
+                return samples, second - first
+        prev = cur
+    raise AssertionError("no period")
+
+
+@pytest.mark.parametrize("phi, alpha", [
+    (np.pi / 60, 0.01), (0.1047, 0.01), (0.05, 0.02), (0.07, 0.01), (np.pi / 30, 0.05),
+    (0.04, 0.01), (0.3, 0.1), (0.2, 0.01)])
+def test_find_limit_cycle_bitwise_equal_to_array_loop(phi, alpha):
+    """Same samples and period bit for bit as the (2,)-array loop; where that
+    loop's orbit does not close, the same message."""
+    params = OscillatorParams(phi=phi, alpha=alpha)
+    try:
+        samples, period = array_find_limit_cycle(params)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{exc}$"):
+            find_limit_cycle(params)
+        return
+    orbit = find_limit_cycle(params)
+    assert orbit.period_ticks == period
+    assert_same_bits(orbit.samples, samples)
 
 
 def test_limit_cycle_period_default():
@@ -115,8 +161,8 @@ def test_period_scaling(phi):
 
 def test_orbit_closure():
     orbit = find_limit_cycle(PARAMS)
-    wrapped = step_oscillator(orbit.samples[-1], PARAMS)
-    assert np.max(np.abs(wrapped - orbit.samples[0])) < orbit.closure_tol
+    wrapped = step_oscillator(*orbit.samples[-1], PARAMS)
+    assert np.max(np.abs(np.subtract(wrapped, orbit.samples[0]))) < CLOSURE_TOL
 
 
 def test_no_oscillation_for_contracting_gain():

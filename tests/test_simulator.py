@@ -29,6 +29,11 @@ from cpgrl.simulator import (
 
 PARAMS = RunConfig().env_params()
 
+
+def sloped(angle_rad):
+    cfg = RunConfig()
+    return replace(cfg, sim=replace(cfg.sim, slope_rad=angle_rad)).env_params()
+
 STEP_IN = ("pos", "rot", "linvel", "angvel", "q", "qdot", "air")
 STEP_OUT = ("pos", "rot", "linvel", "angvel", "q", "qdot", "contacts", "air")
 
@@ -343,7 +348,7 @@ def test_leg_sums_start_from_positive_zero(n):
     of -0.0 sum to +0.0 where a written-out chain of adds keeps -0.0. Airborne
     feet slipping forward on a slope all get an x force of -0.0, and on a
     trunk at linvel_x = -0.0 the sum's sign shows in the new velocity."""
-    params = PARAMS.with_slope(0.2)
+    params = sloped(0.2)
     s = spawn(params, drop=0.5)
     s["linvel"] = np.array([-0.0, 0.0, 0.0])
     s["qdot"] = np.tile([0.0, -1.0, 0.0], 4)
@@ -401,7 +406,7 @@ def test_trunk_clearance_flat():
 # ---------------------------------------------------------------- slope
 
 def test_slope_terrain_normal():
-    p = PARAMS.with_slope(np.radians(10.0))
+    p = sloped(np.radians(10.0))
     assert p.terrain_normal[2] == pytest.approx(np.cos(np.radians(10.0)))
     # a foot below the inclined plane feels a force along the normal
     f = force(np.array([0.1, 0.0, 0.1 * np.tan(np.radians(10.0)) - 0.002]),
@@ -421,3 +426,11 @@ def test_params_validation():
     for gain in ("kp", "kd"):
         with pytest.raises(ValueError, match="gains"):
             replace(PARAMS, **{gain: -1.0})
+    # the physics divides by the inertias and clamps torque at tau_limit; NaN fails too
+    for name, value in (("trunk_mass", np.nan), ("friction", np.nan), ("kd", np.nan),
+                        ("contact_stiffness", np.nan), ("tau_limit", 0.0), ("tau_limit", -5.0),
+                        ("reflected_inertia", 0.0), ("reflected_inertia", np.nan),
+                        ("trunk_inertia", (0.0, 0.25, 0.3)),
+                        ("trunk_inertia", (0.1, np.inf, 0.3))):
+        with pytest.raises(ValueError, match=name):
+            replace(PARAMS, **{name: value})

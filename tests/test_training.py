@@ -177,18 +177,24 @@ def test_checkpoint_policy_size_mismatch_rejected(fitted, tmp_path, size):
         policy_from_checkpoint(ck)
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
 def test_old_checkpoint_version_rejected(fitted, tmp_path, version):
-    """Versions up to 4 embed a config that still sets demo.freq,
-    demo.sample_rate, planner.burn_in_ticks and train.ppo.adaptive_lr, and up
-    to 3 cpg.tick_rate; the message names the file and the version, not a key."""
+    """Versions up to 5 embed a config with a terrain section and the reward
+    weights under reward.weights next to reward.h_star; up to 4 it still sets
+    demo.freq, demo.sample_rate, planner.burn_in_ticks and
+    train.ppo.adaptive_lr, and up to 3 cpg.tick_rate. The message names the
+    file and the version, not a key."""
     cfg, planner, _ = fitted
     path = tmp_path / "ck.npz"
     write_checkpoint(path, cfg, planner)
     config = config_to_dict(cfg)
-    config["demo"].update(freq=1.5, sample_rate=180.0)
-    config["planner"]["burn_in_ticks"] = 5000
-    config["train"]["ppo"]["adaptive_lr"] = True
+    config["terrain"] = {"kind": "flat", "angle_rad": 0.17453292519943295}
+    config["reward"] = {"h_star": 0.32, "weights": config["reward"]}
+    del config["sim"]["slope_rad"]
+    if version <= 4:
+        config["demo"].update(freq=1.5, sample_rate=180.0)
+        config["planner"]["burn_in_ticks"] = 5000
+        config["train"]["ppo"]["adaptive_lr"] = True
     if version <= 3:
         config["cpg"]["tick_rate"] = 200.0
     set_checkpoint_meta(path, version=version, config=config)
