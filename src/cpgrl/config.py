@@ -1,13 +1,15 @@
 """Run configuration: one YAML file drives every module.
 
 Nested dataclasses mirror the YAML structure; loading rejects unknown keys
-so typos fail before any work starts, and every run writes its fully
-resolved config next to its outputs for bit-identical reruns.
+and any value outside its domain (DOMAINS) before work starts, and every run
+writes its fully resolved config next to its outputs for bit-identical reruns.
 """
 
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from math import inf
+from operator import attrgetter
 
 import numpy as np
 import yaml
@@ -31,7 +33,8 @@ POLICY_DT = 1.0 / POLICY_RATE
 
 def substeps_per_policy_step(dt: float) -> int:
     """Physics substeps (and planner ticks) in one policy step."""
-    substeps = int(round(1.0 / (dt * POLICY_RATE)))
+    ratio = 1.0 / (dt * POLICY_RATE)
+    substeps = int(round(ratio)) if ratio < inf else 0
     if abs(substeps * dt * POLICY_RATE - 1.0) > 1e-9:
         raise ConfigError(f"sim.dt ({dt}) must divide the policy period 1/{POLICY_RATE:g} s")
     return substeps
@@ -165,61 +168,108 @@ class RunConfig:
         )
 
     def validate(self) -> None:
-        if not abs(self.sim.slope_rad) < np.pi / 2:
-            raise ConfigError(f"sim.slope_rad must be finite with |slope| < pi/2, "
-                              f"got {self.sim.slope_rad}")
-        try:
-            self.cpg.validate()
-            self.dr.validate()
-            self.curriculum.validate()
-            self.train.ppo.validate()
-            self.env_params()  # EnvParams checks the physical constants it holds
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        if self.train.n_envs < 1:
-            raise ConfigError("train.n_envs must be >= 1")
-        if self.train.horizon < 1:
-            raise ConfigError("train.horizon must be >= 1")
-        if self.train.horizon * self.train.n_envs < self.train.ppo.n_minibatches:
-            raise ConfigError(
-                f"train.horizon * train.n_envs ({self.train.horizon * self.train.n_envs}) "
-                f"must be >= train.ppo.n_minibatches ({self.train.ppo.n_minibatches}); "
-                "a minibatch would be empty")
-        if self.train.iterations < 0:
-            raise ConfigError("train.iterations must be >= 0")
-        if not self.train.lr_init > 0:
-            raise ConfigError("train.lr_init must be positive")
-        if self.planner.h < 1:
-            raise ConfigError("planner.h must be >= 1")
-        if not (0.0 < self.robot.filter_alpha <= 1.0):
-            raise ConfigError("robot.filter_alpha must be in (0, 1]")
-        for name in ("vx_range", "vy_range", "wz_range"):
-            lo, hi = getattr(self.commands, name)
-            if lo > hi:
-                raise ConfigError(f"commands.{name}: low > high")
-        if not self.commands.resample_interval > 0:
-            raise ConfigError("commands.resample_interval must be positive")
-        if self.sim.dt <= 0:
-            raise ConfigError("sim.dt must be positive")
-        substeps_per_policy_step(self.sim.dt)
-        if not POLICY_DT <= self.sim.episode_limit < np.inf:
-            raise ConfigError(f"sim.episode_limit must be finite and at least one policy "
-                              f"step ({POLICY_DT:g} s), got {self.sim.episode_limit}")
-        if not self.robot.residual_limit >= 0:
-            raise ConfigError(f"robot.residual_limit must be >= 0, "
-                              f"got {self.robot.residual_limit}")
+        """Check each leaf's domain in DOMAINS, then the cross-field rules; errors name the key."""
+        for key, get, text, test in _CHECKS:
+            if not test(get(self)):
+                raise ConfigError(f"{key} must be {text}, got {get(self)}")
+        r, s, t, c = self.robot, self.sim, self.train, self.curriculum
+        if not abs(r.thigh_len - r.calf_len) <= r.stand_height < r.thigh_len + r.calf_len:
+            raise ConfigError(f"robot.stand_height ({r.stand_height}) must be in the leg's reach, "
+                              "[|thigh_len - calf_len|, thigh_len + calf_len)")
+        if not abs(s.slope_rad) < np.pi / 2:
+            raise ConfigError(f"sim.slope_rad must have |slope| < pi/2, got {s.slope_rad}")
+        substeps_per_policy_step(s.dt)
+        if not s.episode_limit >= POLICY_DT:
+            raise ConfigError(f"sim.episode_limit ({s.episode_limit}) must be at least one "
+                              f"policy step ({POLICY_DT:g} s)")
+        if not t.ppo.lr_min <= t.ppo.lr_max:
+            raise ConfigError(f"train.ppo.lr_min {t.ppo.lr_min} > train.ppo.lr_max {t.ppo.lr_max}")
+        if not c.cap_init <= c.cap_max:
+            raise ConfigError(f"curriculum.cap_init {c.cap_init} > curriculum.cap_max {c.cap_max}")
+        if t.horizon * t.n_envs < t.ppo.n_minibatches:
+            raise ConfigError(f"train.horizon * train.n_envs ({t.horizon * t.n_envs}) must be >= "
+                              f"train.ppo.n_minibatches ({t.ppo.n_minibatches}); a minibatch "
+                              "would be empty")
 
 
-def _coerce(value, reference):
+# Each leaf's domain, one row per domain: (what a value must be, its test, the keys). Each
+# test is false for NaN, as it asks 0 < x and never not (x <= 0); _coerce checks the types.
+DOMAINS = (
+    # signed values: a negative reward weight is a penalty; validate bounds the slope
+    ("finite", lambda x: -inf < x < inf,
+     "reward.lin_vel_tracking reward.ang_vel_tracking reward.lin_vel_penalty "
+     "reward.ang_vel_penalty reward.orientation reward.trunk_height reward.joint_acceleration "
+     "reward.action_rate reward.self_collision reward.foot_air_time reward.foot_position "
+     "demo.stance_x_offset train.log_std_init sim.slope_rad"),
+    # joint targets are clipped to the pair; commands and mass offsets are drawn from it
+    ("a finite (low, high) pair", lambda v: len(v) == 2 and -inf < v[0] <= v[1] < inf,
+     "robot.abd_limits robot.hip_limits robot.knee_limits dr.mass_offset_range "
+     "commands.vx_range commands.vy_range commands.wz_range"),
+    # friction coefficients are drawn from it
+    ("a (low, high) pair with 0 <= low", lambda v: len(v) == 2 and 0 <= v[0] <= v[1] < inf,
+     "dr.friction_range"),
+    # scales with no zero: the physics divides by masses, inertias and dt, gravity points
+    # down, and the front and left hips sit at +x and +y
+    ("positive and finite", lambda x: 0 < x < inf,
+     "cpg.alpha planner.sigma robot.hip_offset robot.thigh_len robot.calf_len robot.hip_mount_x "
+     "robot.hip_mount_y robot.stand_height robot.tau_limit sim.trunk_mass sim.contact_stiffness "
+     "sim.contact_damping sim.gravity sim.reflected_inertia sim.dt sim.episode_limit "
+     "commands.resample_interval demo.clearance_front demo.clearance_rear demo.step_length "
+     "dr.impulse_interval_init curriculum.interval_multiplier curriculum.cap_multiplier "
+     "curriculum.interval_floor train.lr_init train.ppo.clip train.ppo.desired_kl "
+     "train.ppo.lr_min train.ppo.lr_max"),
+    # the trunk's principal inertias and the half sizes of its collision box
+    ("three positive finite numbers", lambda v: len(v) == 3 and all(0 < x < inf for x in v),
+     "sim.trunk_inertia sim.trunk_half_extents"),
+    # gains, margins, noise widths, caps and loss weights, which 0 turns off
+    ("non-negative and finite", lambda x: 0 <= x < inf,
+     "robot.kp robot.kd robot.residual_limit sim.friction sim.tangential_gain "
+     "sim.collision_margin sim.spawn_drop_height dr.noise_ang_vel dr.noise_gravity "
+     "dr.noise_joint_pos dr.noise_joint_vel curriculum.cap_init curriculum.cap_max "
+     "train.actor_out_scale train.ppo.entropy_coef train.ppo.value_coef train.ppo.max_grad_norm"),
+    # a fraction of the tracking reward, a discount and a trace decay
+    ("in [0, 1]", lambda x: 0 <= x <= 1,
+     "curriculum.threshold train.ppo.gamma train.ppo.gae_lambda"),
+    # the low-pass filter's weight on the new target: at 0 the target never moves
+    ("in (0, 1]", lambda x: 0 < x <= 1, "robot.filter_alpha"),
+    # a trot keeps each foot down for at least half the cycle; at 1 no foot swings
+    ("in [0.5, 1)", lambda x: 0.5 <= x < 1, "demo.stance_fraction"),
+    # the rotation per oscillator tick: at pi or more the orbit aliases
+    ("in (0, pi)", lambda x: 0 < x < np.pi, "cpg.phi"),
+    # counts of centres, envs, steps, epochs and minibatches; a checkpoint cadence
+    ("an integer >= 1", lambda x: x >= 1, "planner.h train.n_envs train.horizon "
+     "train.checkpoint_every train.ppo.n_epochs train.ppo.n_minibatches"),
+    # hidden layer widths, any number of layers (none is a linear policy)
+    ("integers >= 1", lambda v: all(x >= 1 for x in v), "train.hidden"),
+    # numpy seeds take no negative entropy; 0 iterations only writes the config
+    ("an integer >= 0", lambda x: x >= 0, "seed train.iterations"),
+    ("true or false", lambda x: isinstance(x, bool),  # switches
+     "dr.randomize_dynamics dr.apply_impulses dr.add_noise"),
+)
+_CHECKS = [(k, attrgetter(k), text, test) for text, test, keys in DOMAINS for k in keys.split()]
+
+
+def leaves(tree: dict, prefix: str = ""):
+    """(dotted key, value) of each leaf of a nested dict, such as config_to_dict's."""
+    for name, value in tree.items():
+        if isinstance(value, dict):
+            yield from leaves(value, f"{prefix}{name}.")
+        else:
+            yield prefix + name, value
+
+
+def _coerce(value, reference, key):
+    """A file's value for the leaf whose default is reference: a list becomes
+    a tuple, an int widens to float and an integral float narrows to int; any
+    other type raises, naming the key."""
     if isinstance(reference, tuple):
-        return tuple(value)
-    if isinstance(reference, bool):
-        return bool(value)
-    if isinstance(reference, int) and not isinstance(reference, bool):
-        return int(value)
-    if isinstance(reference, float):
-        return float(value)
-    return value
+        if isinstance(value, (list, tuple)):
+            return tuple(_coerce(v, reference[0], key) for v in value)
+    elif isinstance(value, (int, float)) and isinstance(value, bool) == isinstance(reference, bool):
+        if isinstance(reference, float) or float(value).is_integer():
+            return type(reference)(value)
+    kind = {tuple: "a list", bool: "true or false", int: "an integer", float: "a number"}
+    raise ConfigError(f"{key} must be {kind[type(reference)]}, got {value!r}")
 
 
 def _dataclass_from_dict(cls, data: dict, path: str = ""):
@@ -237,7 +287,7 @@ def _dataclass_from_dict(cls, data: dict, path: str = ""):
         if is_dataclass(current):
             kwargs[name] = _dataclass_from_dict(type(current), value, sub_path)
         else:
-            kwargs[name] = _coerce(value, current)
+            kwargs[name] = _coerce(value, current, sub_path)
     return replace(defaults, **kwargs)
 
 
@@ -245,6 +295,20 @@ def config_from_dict(data: dict) -> RunConfig:
     cfg = _dataclass_from_dict(RunConfig, data or {})
     cfg.validate()
     return cfg
+
+
+def embedded_config(data: dict, path) -> RunConfig:
+    """The config a run file embeds. It must hold exactly RunConfig's keys,
+    since a key it lacked would take today's default; errors name the file."""
+    theirs = {key for key, _ in leaves(data)}
+    ours = {key for key, _ in leaves(config_to_dict(RunConfig()))}
+    for which, keys in (("unknown", theirs - ours), ("missing", ours - theirs)):
+        if keys:
+            raise ConfigError(f"{path}: the embedded config has {which} key {min(keys)}")
+    try:
+        return config_from_dict(data)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
@@ -263,9 +327,7 @@ def config_to_dict(cfg: RunConfig) -> dict:
 def load_config(path) -> RunConfig:
     with open(path) as fh:
         data = yaml.safe_load(fh)
-    if data is None:
-        data = {}
-    if not isinstance(data, dict):
+    if data is not None and not isinstance(data, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
     return config_from_dict(data)
 

@@ -45,10 +45,6 @@ class IkUnreachable(ValueError):
         super().__init__(f"leg {LEG_NAMES[leg]} sample {sample}: {cause}")
 
 
-class InvalidParams(ValueError):
-    """Demonstration generator precondition violated."""
-
-
 class ParseError(ValueError):
     """CSV cell failed to parse; carries row/column location."""
 
@@ -200,13 +196,8 @@ def generate_demo_trot(demo: DemoConfig, geometry: LegGeometry,
     the per-leg clearance.
     """
     stance_fraction, step_length = demo.stance_fraction, demo.step_length
-    clearance_front, clearance_rear = demo.clearance_front, demo.clearance_rear
-    if not (0.5 <= stance_fraction < 1.0):
-        raise InvalidParams(f"stance_fraction must be in [0.5, 1), got {stance_fraction}")
-    if min(clearance_front, clearance_rear, step_length) <= 0:
-        raise InvalidParams("clearances and step length must be positive")
-
-    clearances = np.array([clearance_front, clearance_front, clearance_rear, clearance_rear])
+    clearances = np.array([demo.clearance_front, demo.clearance_front,
+                           demo.clearance_rear, demo.clearance_rear])
     feet = np.zeros((4, n, 3))
     u = np.arange(n) / n
     for leg in range(4):

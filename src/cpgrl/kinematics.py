@@ -55,8 +55,6 @@ class LegGeometry:
     def __post_init__(self):
         object.__setattr__(self, "hip_mounts", np.asarray(self.hip_mounts, dtype=float))
         object.__setattr__(self, "side_signs", np.asarray(self.side_signs, dtype=float))
-        if min(self.hip_offset, self.thigh_len, self.calf_len) <= 0.0:
-            raise ValueError("all leg lengths must be positive")
 
     @property
     def max_reach(self) -> float:

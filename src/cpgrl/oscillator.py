@@ -24,12 +24,6 @@ class OscillatorParams:
     phi: float = np.pi / 60.0  # rotation per tick, rad; sets the period 2*pi/phi
     alpha: float = 0.01        # gain offset; recurrent gain 1+alpha must exceed 1
 
-    def validate(self) -> None:
-        if not (0.0 < self.phi < np.pi):
-            raise ValueError(f"phi must be in (0, pi), got {self.phi}")
-        if self.alpha <= 0.0:
-            raise ValueError(f"alpha must be > 0 for a limit cycle, got {self.alpha}")
-
     @property
     def analytic_period(self) -> float:
         return 2.0 * np.pi / self.phi

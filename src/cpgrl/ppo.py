@@ -40,17 +40,6 @@ class PpoConfig:
     lr_max: float = 1e-2
     max_grad_norm: float = 0.0  # 0 disables clipping
 
-    def validate(self) -> None:
-        if not (0.0 <= self.gamma <= 1.0 and 0.0 <= self.gae_lambda <= 1.0):
-            raise ValueError("gamma and lambda must be in [0, 1]")
-        if self.clip <= 0:
-            raise ValueError("clip must be positive")
-        if self.n_epochs < 1 or self.n_minibatches < 1:
-            raise ValueError("epochs and minibatches must be >= 1")
-        if not 0 < self.lr_min <= self.lr_max:
-            raise ValueError(f"lr_min ({self.lr_min}) must be positive and at most "
-                             f"lr_max ({self.lr_max})")
-
 
 class GaussianPolicy:
     """Actor-critic pair plus learned log-std; everything the update touches.
@@ -199,8 +188,6 @@ def gae(rewards, values, dones, bootstrap_value, gamma: float, lam: float):
 def adaptive_lr(lr: float, approx_kl: float, desired_kl: float, lo: float,
                 hi: float) -> float:
     """Shrink on KL overshoot, grow when updates are timid; clamped."""
-    if lr <= 0:
-        raise ValueError("lr must be positive")
     if approx_kl > 2.0 * desired_kl:
         lr = lr / 1.5
     elif approx_kl < desired_kl / 2.0:
@@ -290,7 +277,6 @@ def ppo_update(policy: GaussianPolicy, optimizer: Adam, buffer: RolloutBuffer,
     so the obs array minibatch_grads receives is overwritten by the next
     minibatch.
     """
-    config.validate()
     n = buffer.size
     if n < config.n_minibatches:
         raise ValueError(

@@ -36,17 +36,6 @@ class RandomizationConfig:
     apply_impulses: bool = True
     add_noise: bool = True
 
-    def validate(self) -> None:
-        for name in ("mass_offset_range", "friction_range"):
-            lo, hi = getattr(self, name)
-            if lo > hi:
-                raise ValueError(f"{name}: low {lo} > high {hi}")
-        if self.impulse_interval_init <= 0:
-            raise ValueError("impulse interval must be positive")
-        for name in ("noise_ang_vel", "noise_gravity", "noise_joint_pos", "noise_joint_vel"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and >= 0")
-
 
 @dataclass(frozen=True)
 class CurriculumConfig:
@@ -58,13 +47,6 @@ class CurriculumConfig:
     interval_floor: float = 5.0     # s
     cap_init: float = 1.0           # m/s
     cap_max: float = 1.8            # m/s, Table bound on impulse magnitude
-
-    def validate(self) -> None:
-        if not 0.0 <= self.cap_init <= self.cap_max:
-            raise ValueError(f"curriculum.cap_init ({self.cap_init}) must be in "
-                             f"[0, cap_max ({self.cap_max})]")
-        if not self.interval_floor > 0:
-            raise ValueError("curriculum.interval_floor must be positive")
 
 
 @dataclass(frozen=True)

@@ -38,9 +38,9 @@ class EnvParams:
     """Physical constants plus the actuation plumbing _step_core needs.
 
     `RunConfig.env_params()` fills every field from the run config; only the
-    divergence limit, which no config sets, has a default. Construction is
-    the one place these values are checked, and `RunConfig.validate` builds
-    them, so a bad constant stops a run before it writes anything.
+    divergence limit, which no config sets, has a default. The values are
+    checked as config keys, by `RunConfig.validate` against the domain table
+    in `config.py`, so a bad constant stops a run before it writes anything.
     """
 
     trunk_mass: float
@@ -67,21 +67,6 @@ class EnvParams:
     def __post_init__(self):
         for name in ("trunk_inertia", "terrain_normal", "joint_limits", "trunk_half_extents"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        # every check is written as not (x > 0) or not (x >= 0), so that NaN fails too
-        if not self.trunk_mass > 0:
-            raise ValueError(f"trunk_mass must be positive, got {self.trunk_mass}")
-        if not np.all((self.trunk_inertia > 0) & np.isfinite(self.trunk_inertia)):
-            raise ValueError(f"trunk_inertia must be finite and positive, got {self.trunk_inertia}")
-        if not self.friction >= 0:
-            raise ValueError(f"friction must be >= 0, got {self.friction}")
-        if not (self.contact_stiffness > 0 and self.contact_damping > 0):
-            raise ValueError("contact_stiffness and contact_damping must be positive")
-        if not (self.kp >= 0 and self.kd >= 0):
-            raise ValueError(f"gains must be >= 0, got kp {self.kp} and kd {self.kd}")
-        if not self.tau_limit > 0:
-            raise ValueError(f"tau_limit must be positive, got {self.tau_limit}")
-        if not self.reflected_inertia > 0:
-            raise ValueError(f"reflected_inertia must be positive, got {self.reflected_inertia}")
 
     @property
     def nominal_q(self) -> np.ndarray:

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, config_from_dict, config_hash, config_to_dict, save_config
+from .config import RunConfig, config_hash, config_to_dict, embedded_config, save_config
 from .env import POLICY_DT, VecLocomotionEnv
 from .gait_planner import (
     GaitPlannerModel,
@@ -141,7 +141,7 @@ def load_checkpoint(path) -> dict:
             "env_arrays": {k[4:]: data[k] for k in data.files if k.startswith("env_")},
             "obs_norm": {"count": meta["norm_count"], "mean": data["norm_mean"],
                          "var": data["norm_var"]},
-            "config": config_from_dict(meta["config"]),
+            "config": embedded_config(meta["config"], path),
         }
 
 
@@ -276,7 +276,7 @@ def train(cfg: RunConfig, planner: GaitPlannerModel, out_dir,
             writer.writerow(row)
             fh.flush()
 
-            if (iteration + 1) % max(1, cfg.train.checkpoint_every) == 0 or (
+            if (iteration + 1) % cfg.train.checkpoint_every == 0 or (
                 iteration + 1 == cfg.train.iterations
             ):
                 save_checkpoint(

@@ -1,10 +1,11 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
 
-from cpgrl.config import RunConfig
+from cpgrl.config import ConfigError, RunConfig, config_from_dict
 from cpgrl.gait_planner import MotorLayer, build_planner, fitted_planner
 from cpgrl.kinematics import LEG_NAMES, forward_kinematics_all, leg_jacobian_all
 from cpgrl.nn import elu, elu_grad
@@ -19,6 +20,22 @@ def assert_same_bits(a, b):
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     assert a.shape == b.shape
     np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def config_with(key, value):
+    """The config dict that sets one dotted key, e.g. config_with("sim.dt", 0.01)."""
+    *sections, name = key.split(".")
+    data = {name: value}
+    for section in reversed(sections):
+        data = {section: data}
+    return data
+
+
+def assert_config_rejects(key, value):
+    """Loading a config that sets only this key to value raises a ConfigError
+    naming the key."""
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        config_from_dict(config_with(key, value))
 
 
 def set_checkpoint_meta(path, add_arrays=None, **entries):

@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import numpy as np
@@ -5,17 +6,21 @@ import pytest
 import yaml
 from dataclasses import replace
 
+from conftest import config_with
 from cpgrl.config import (
+    DOMAINS,
     ConfigError,
     RunConfig,
     config_from_dict,
     config_hash,
     config_to_dict,
+    leaves,
     load_config,
     save_config,
 )
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+DEFAULTS = dict(leaves(config_to_dict(RunConfig())))
 
 
 def test_default_config_validates():
@@ -30,22 +35,103 @@ def test_shipped_configs_load():
     load_config(CONFIGS / "desk_acceptance.yaml")
 
 
-def leaf_keys(tree, prefix=""):
-    keys = set()
-    for name, value in tree.items():
-        if isinstance(value, dict):
-            keys |= leaf_keys(value, f"{prefix}{name}.")
-        else:
-            keys.add(prefix + name)
-    return keys
-
-
 def test_acceptance_profile_names_every_key():
     """A key left out of the acceptance profile would silently take the
     library default, so the profile states every key, no more."""
     with open(CONFIGS / "desk_acceptance.yaml") as fh:
         profile = yaml.safe_load(fh)
-    assert leaf_keys(profile) == leaf_keys(config_to_dict(RunConfig()))
+    assert dict(leaves(profile)).keys() == DEFAULTS.keys()
+
+
+def test_shipped_configs_parse_to_the_same_hash():
+    """The type-checked coercion changes no value the shipped configs load to."""
+    assert config_hash(load_config(CONFIGS / "defaults.yaml")) == (
+        "6bea3a4eff101c020ff098aa22999e1d510dc2eea72cea9425102cc728c16e47")
+    assert config_hash(load_config(CONFIGS / "desk_acceptance.yaml")) == (
+        "991a05836862a5e00de6e35aefd6189ddbcbd1bb0b06e1783f0ee27c4b8acaf6")
+
+
+TINY = 5e-324          # the smallest positive float
+MAX = np.finfo(float).max
+ABOVE_1 = np.nextafter(1.0, 2.0)
+BELOW_1 = np.nextafter(1.0, 0.0)
+INF = float("inf")
+
+# Per domain of config.DOMAINS: values on its edge, or next to an open end,
+# that it holds, and values just outside it.
+DOMAIN_EDGES = {
+    "finite": ([-MAX, MAX], [-INF, INF]),
+    "a finite (low, high) pair": ([[-MAX, MAX], [0.5, 0.5]],
+                                  [[-INF, 0.0], [0.0, INF], [0.5, 0.25], [0.0]]),
+    "a (low, high) pair with 0 <= low": ([[0.0, 0.0], [0.0, MAX]],
+                                         [[-TINY, 1.0], [0.0, INF], [1.0, 0.5], [0.5, 1.0, 2.0]]),
+    "positive and finite": ([TINY, MAX], [0.0, INF]),
+    "three positive finite numbers": ([[TINY, TINY, MAX]],
+                                      [[0.0, 1.0, 1.0], [1.0, 1.0, INF], [1.0, 1.0]]),
+    "non-negative and finite": ([0.0, MAX], [-TINY, INF]),
+    "in [0, 1]": ([0.0, 1.0], [-TINY, ABOVE_1]),
+    "in (0, 1]": ([TINY, 1.0], [0.0, ABOVE_1]),
+    "in [0.5, 1)": ([0.5, BELOW_1], [np.nextafter(0.5, 0.0), 1.0]),
+    "in (0, pi)": ([TINY, np.nextafter(np.pi, 0.0)], [0.0, np.pi]),
+    "an integer >= 1": ([1], [0]),
+    "integers >= 1": ([[1], [], [1, 1, 1]], [[0], [256, 0]]),
+    "an integer >= 0": ([0], [-1]),
+    "true or false": ([True, False], [1, "no"]),
+}
+
+
+def test_every_leaf_has_one_domain():
+    """A new config field needs a row in config.DOMAINS, and every domain
+    needs its edge values here."""
+    keys = [key for _, _, row in DOMAINS for key in row.split()]
+    assert sorted(keys) == sorted(DEFAULTS)
+    assert {text for text, _, _ in DOMAINS} == DOMAIN_EDGES.keys()
+
+
+@pytest.mark.parametrize("key", sorted(DEFAULTS))
+def test_domain_edges(key):
+    """NaN and a value just outside the key's domain fail, naming the key;
+    a value on the edge passes the domain, though a cross-field rule (the
+    policy period for sim.dt, say) may still refuse it."""
+    text = next(text for text, _, row in DOMAINS if key in row.split())
+    inside, outside = DOMAIN_EDGES[text]
+    default = DEFAULTS[key]
+    nan = [float("nan"), *default[1:]] if isinstance(default, list) else float("nan")
+    for value in (nan, *outside):
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            config_from_dict(config_with(key, value))
+    for value in inside:
+        try:
+            config_from_dict(config_with(key, value))
+        except ConfigError as exc:
+            assert f"{key} must be {text}" not in str(exc)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("train.n_envs", 2.7),          # was cut to 2
+    ("seed", 3.9),                  # was cut to 3
+    ("dr.add_noise", "no"),         # was True
+    ("dr.add_noise", 0),
+    ("train.n_envs", True),
+    ("sim.gravity", True),
+    ("sim.gravity", "9.81"),
+    ("train.hidden", [0.5, 256, 128]),
+    ("train.hidden", 128),
+    ("commands.vx_range", 1.0),
+    ("sim.trunk_inertia", [0.1, 0.25]),
+])
+def test_a_value_of_another_type_is_rejected(key, value):
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        config_from_dict(config_with(key, value))
+
+
+def test_an_int_widens_and_an_integral_float_narrows():
+    cfg = config_from_dict({"sim": {"gravity": 10, "trunk_inertia": [1, 2, 3]},
+                            "train": {"n_envs": 8.0, "hidden": [64.0, 32]}})
+    assert type(cfg.sim.gravity) is float and cfg.sim.gravity == 10.0
+    assert all(type(x) is float for x in cfg.sim.trunk_inertia)
+    assert type(cfg.train.n_envs) is int and cfg.train.n_envs == 8
+    assert cfg.train.hidden == (64, 32) and all(type(x) is int for x in cfg.train.hidden)
 
 
 def test_yaml_round_trip(tmp_path):
@@ -125,6 +211,10 @@ def test_validation_catches_bad_values():
     for interval in (0.0, -10.0):
         with pytest.raises(ConfigError, match="resample_interval"):
             config_from_dict({"commands": {"resample_interval": interval}})
+    # the standing pose puts each foot below its hip, so the height must be in the leg's reach
+    for height, thigh in ((1.0, 0.213), (0.426, 0.213), (0.1, 0.4)):
+        with pytest.raises(ConfigError, match="robot.stand_height"):
+            config_from_dict({"robot": {"stand_height": height, "thigh_len": thigh}})
 
 
 def test_hash_ignores_run_length():

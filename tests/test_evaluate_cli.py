@@ -6,9 +6,10 @@ import zipfile
 
 import numpy as np
 import pytest
+import yaml
 from dataclasses import replace
 
-from conftest import save_demo_csv, set_checkpoint_meta
+from conftest import config_with, save_demo_csv, set_checkpoint_meta
 from cpgrl import cli
 from cpgrl.cli import main
 from cpgrl.config import RunConfig, save_config
@@ -253,7 +254,7 @@ def test_cli_train_negative_gain_exit_code(fitted, tmp_path, capsys):
     rc = main(["train", "--config", str(cfg_path), "--model", str(model),
                "--out", str(tmp_path / "train")])
     assert rc == 2
-    assert "gains must be >= 0" in capsys.readouterr().err
+    assert "robot.kp" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("section, key, value", [
@@ -265,20 +266,44 @@ def test_cli_train_negative_gain_exit_code(fitted, tmp_path, capsys):
     ("sim", "trunk_inertia", "[0.0, 0.25, 0.3]"),
     ("sim", "trunk_mass", "-1.0"),
     ("robot", "kp", "-1.0"),
+    # what each of these did before the domain table, under train --envs 4 --iterations 2
+    ("sim", "dt", ".inf"),                         # exit 1, 0 substeps per policy step
+    ("sim", "gravity", "-9.81"),                   # exit 0
+    ("sim", "gravity", ".nan"),                    # exit 3
+    ("sim", "tangential_gain", "-100.0"),          # exit 3
+    ("", "seed", "-1"),                            # exit 2, no key named, config.yaml written
+    ("train", "hidden", "[0.5, 256, 128]"),        # exit 1
+    ("train", "hidden", "[0, 256, 128]"),          # exit 2, no key named, files written
+    ("sim", "collision_margin", ".nan"),           # exit 0, no collision ever detected
+    ("reward", "foot_position", ".nan"),           # exit 3
+    ("curriculum", "threshold", "2.0"),            # exit 0
+    ("dr", "friction_range", "[-1.0, -0.5]"),      # exit 0
+    ("train.ppo", "clip", ".nan"),                 # exit 3
+    ("commands", "vx_range", "[.nan, .nan]"),      # exit 3
+    ("sim", "spawn_drop_height", ".nan"),          # exit 3
+    ("sim", "trunk_half_extents", "[0.0, 0.0, 0.0]"),  # exit 0
+    ("dr", "impulse_interval_init", ".nan"),       # exit 2, no key named
+    ("train", "log_std_init", ".inf"),             # exit 3
+    ("train", "checkpoint_every", "0"),            # exit 0, a checkpoint every iteration
+    ("robot", "stand_height", "1.0"),              # exit 2 from the IK, config.yaml written
+    ("robot", "knee_limits", "[0.5, -0.5]"),       # exit 0 under bc-fit and train
 ])
 def test_cli_train_bad_physical_constant_exit_code(fitted, tmp_path, capsys,
                                                    section, key, value):
-    """A physical constant the run cannot use is a usage error: exit 2, a
-    message naming it, and no output directory."""
+    """A config value outside its domain is a usage error for bc-fit and
+    train alike: exit 2, a message naming the key, and no output directory."""
+    dotted = f"{section}.{key}" if section else key
     cfg_path = tmp_path / "bad.yaml"
-    cfg_path.write_text(f"{section}:\n  {key}: {value}\n")
+    cfg_path.write_text(yaml.safe_dump(config_with(dotted, yaml.safe_load(value))))
     model = tmp_path / "planner.npz"
     save_planner_model(fitted[1], model)
-    rc = main(["train", "--config", str(cfg_path), "--model", str(model),
-               "--out", str(tmp_path / "train"), "--envs", "4", "--iterations", "2"])
-    assert rc == 2
-    assert key in capsys.readouterr().err
-    assert not (tmp_path / "train").exists()
+    for command in (["bc-fit"], ["train", "--model", str(model), "--envs", "4",
+                                 "--iterations", "2"]):
+        out = tmp_path / command[0]
+        rc = main([*command, "--config", str(cfg_path), "--out", str(out)])
+        assert rc == 2, command[0]
+        assert dotted in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_cli_train_empty_minibatch_exit_code(fitted, tmp_path, capsys):

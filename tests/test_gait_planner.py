@@ -3,13 +3,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import foot_clearances, save_demo_csv
+from conftest import assert_config_rejects, foot_clearances, save_demo_csv
 from cpgrl.config import RunConfig
 from cpgrl.gait_planner import (
     DemoTrajectory,
     FitReport,
     IkUnreachable,
-    InvalidParams,
     MotorLayer,
     ParseError,
     RbfLayer,
@@ -147,10 +146,9 @@ def test_demo_trot_stance_fraction():
 
 
 def test_demo_trot_rejects_bad_params():
-    with pytest.raises(InvalidParams):
-        trot(stance_fraction=0.3)
-    with pytest.raises(InvalidParams):
-        trot(clearance_front=-0.01)
+    # the trot's shape is checked as config keys
+    assert_config_rejects("demo.stance_fraction", 0.3)
+    assert_config_rejects("demo.clearance_front", -0.01)
     # the floor of 8 samples per period is DemoTrajectory's, shared with CSV demos
     with pytest.raises(ValueError, match="too few to resolve one gait cycle"):
         trot(n=7)

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from conftest import assert_same_bits, one_leg_foot, one_leg_jacobian, with_special_lanes
+from conftest import (
+    assert_config_rejects,
+    assert_same_bits,
+    one_leg_foot,
+    one_leg_jacobian,
+    with_special_lanes,
+)
 from cpgrl.config import RunConfig
 from cpgrl.kinematics import (
     LEG_INDEX,
@@ -196,8 +202,8 @@ def test_standing_pose_height():
 
 
 def test_geometry_validation():
-    with pytest.raises(ValueError):
-        replace(GO1, thigh_len=-0.1)
+    """The leg lengths are checked as config keys."""
+    assert_config_rejects("robot.thigh_len", -0.1)
 
 
 # ---------------------------------------------------------------- bitwise oracles

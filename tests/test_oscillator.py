@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import assert_same_bits, with_special_lanes
+from conftest import assert_config_rejects, assert_same_bits, with_special_lanes
 from cpgrl.oscillator import (
     BURN_IN_TICKS,
     CLOSURE_TOL,
@@ -171,10 +171,9 @@ def test_no_oscillation_for_contracting_gain():
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        OscillatorParams(phi=0.0).validate()
-    with pytest.raises(ValueError):
-        OscillatorParams(alpha=0.0).validate()
+    """The oscillator's parameters are checked as config keys."""
+    assert_config_rejects("cpg.phi", 0.0)
+    assert_config_rejects("cpg.alpha", 0.0)
 
 
 def test_orbit_validate_rejects_bad_shape():

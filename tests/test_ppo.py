@@ -11,6 +11,7 @@ import pytest
 from conftest import (
     allocating_backward,
     allocating_forward_cached,
+    assert_config_rejects,
     assert_same_bits,
     central_difference,
 )
@@ -446,9 +447,7 @@ def test_buffer_capacity():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        PpoConfig(gamma=1.2).validate()
-    with pytest.raises(ValueError):
-        PpoConfig(clip=0.0).validate()
-    with pytest.raises(ValueError):
-        PpoConfig(n_epochs=0).validate()
+    """PpoConfig's values are checked as config keys."""
+    assert_config_rejects("train.ppo.gamma", 1.2)
+    assert_config_rejects("train.ppo.clip", 0.0)
+    assert_config_rejects("train.ppo.n_epochs", 0)

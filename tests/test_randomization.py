@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
+from conftest import assert_config_rejects
 from cpgrl.config import RunConfig
 from cpgrl.env import POLICY_DT, VecLocomotionEnv
 from cpgrl.randomization import (
@@ -254,9 +255,7 @@ def test_table_ranges_hundred_thousand_draws():
 
 
 def test_randomization_config_validation():
-    with pytest.raises(ValueError):
-        RandomizationConfig(friction_range=(1.5, 0.5)).validate()
-    with pytest.raises(ValueError):
-        RandomizationConfig(impulse_interval_init=0.0).validate()
-    with pytest.raises(ValueError):
-        RandomizationConfig(noise_joint_pos=-0.1).validate()
+    """RandomizationConfig's values are checked as config keys."""
+    assert_config_rejects("dr.friction_range", [1.5, 0.5])
+    assert_config_rejects("dr.impulse_interval_init", 0.0)
+    assert_config_rejects("dr.noise_joint_pos", -0.1)

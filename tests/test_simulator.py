@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 from conftest import (
     SPECIAL_LANES,
     aos_step_core,
+    assert_config_rejects,
     assert_same_bits,
     assert_same_bits_where_not_nan,
     with_special_lanes,
@@ -418,19 +419,17 @@ def test_slope_terrain_normal():
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        replace(PARAMS, trunk_mass=-1.0)
-    with pytest.raises(ValueError):
-        replace(PARAMS, friction=-0.1)
-    # pd_torque clips unchecked; the gains are checked here, once
-    for gain in ("kp", "kd"):
-        with pytest.raises(ValueError, match="gains"):
-            replace(PARAMS, **{gain: -1.0})
+    """EnvParams' constants are checked as the config keys that fill them."""
+    assert_config_rejects("sim.trunk_mass", -1.0)
+    assert_config_rejects("sim.friction", -0.1)
+    # pd_torque clips unchecked; the gains are checked once, as config keys
+    for gain in ("robot.kp", "robot.kd"):
+        assert_config_rejects(gain, -1.0)
     # the physics divides by the inertias and clamps torque at tau_limit; NaN fails too
-    for name, value in (("trunk_mass", np.nan), ("friction", np.nan), ("kd", np.nan),
-                        ("contact_stiffness", np.nan), ("tau_limit", 0.0), ("tau_limit", -5.0),
-                        ("reflected_inertia", 0.0), ("reflected_inertia", np.nan),
-                        ("trunk_inertia", (0.0, 0.25, 0.3)),
-                        ("trunk_inertia", (0.1, np.inf, 0.3))):
-        with pytest.raises(ValueError, match=name):
-            replace(PARAMS, **{name: value})
+    for key, value in (("sim.trunk_mass", np.nan), ("sim.friction", np.nan),
+                       ("robot.kd", np.nan), ("sim.contact_stiffness", np.nan),
+                       ("robot.tau_limit", 0.0), ("robot.tau_limit", -5.0),
+                       ("sim.reflected_inertia", 0.0), ("sim.reflected_inertia", np.nan),
+                       ("sim.trunk_inertia", [0.0, 0.25, 0.3]),
+                       ("sim.trunk_inertia", [0.1, np.inf, 0.3])):
+        assert_config_rejects(key, value)

@@ -11,7 +11,7 @@ from dataclasses import replace
 
 from conftest import set_checkpoint_meta
 from cpgrl import training
-from cpgrl.config import RunConfig, config_from_dict, config_hash, config_to_dict
+from cpgrl.config import ConfigError, RunConfig, config_from_dict, config_hash, config_to_dict
 from cpgrl.env import VecLocomotionEnv
 from cpgrl.gait_planner import (
     generate_demo_trot,
@@ -200,6 +200,29 @@ def test_old_checkpoint_version_rejected(fitted, tmp_path, version):
     set_checkpoint_meta(path, version=version, config=config)
     message = f"{path}: unsupported checkpoint version {version}"
     with pytest.raises(ValueError, match=re.escape(message)):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("sim.wobble", 1.0, "the embedded config has unknown key sim.wobble"),
+    ("sim.slope_rad", None, "the embedded config has missing key sim.slope_rad"),
+    ("sim.gravity", float("nan"), "sim.gravity must be positive and finite, got nan"),
+], ids=["added", "deleted", "nan"])
+def test_checkpoint_config_is_checked_by_key(fitted, tmp_path, key, value, message):
+    """A version-6 file whose embedded config gains a key, lacks one (which
+    would load as today's default) or holds a value outside its domain is
+    rejected, and the message names the file and the key."""
+    cfg, planner, _ = fitted
+    path = tmp_path / "ck.npz"
+    write_checkpoint(path, cfg, planner)
+    config = config_to_dict(cfg)
+    section, name = key.split(".")
+    if value is None:
+        del config[section][name]
+    else:
+        config[section][name] = value
+    set_checkpoint_meta(path, config=config)
+    with pytest.raises(ConfigError, match=re.escape(f"{path}: {message}")):
         load_checkpoint(path)
 
 
