@@ -31,10 +31,18 @@ POLICY_RATE = 50.0  # Hz
 POLICY_DT = 1.0 / POLICY_RATE
 
 
+# The most substeps one policy step may take, so sim.dt >= 20 us. env.step runs them one
+# by one in Python: at 1e-12 s a policy step would be 2e10 substeps and never return.
+MAX_SUBSTEPS = 1000
+
+
 def substeps_per_policy_step(dt: float) -> int:
     """Physics substeps (and planner ticks) in one policy step."""
     ratio = 1.0 / (dt * POLICY_RATE)
     substeps = int(round(ratio)) if ratio < inf else 0
+    if substeps > MAX_SUBSTEPS:
+        raise ConfigError(f"sim.dt ({dt}) must be at least {POLICY_DT / MAX_SUBSTEPS:g} s, "
+                          f"at most {MAX_SUBSTEPS} substeps per policy step")
     if abs(substeps * dt * POLICY_RATE - 1.0) > 1e-9:
         raise ConfigError(f"sim.dt ({dt}) must divide the policy period 1/{POLICY_RATE:g} s")
     return substeps
@@ -172,13 +180,18 @@ class RunConfig:
         for key, get, text, test in _CHECKS:
             if not test(get(self)):
                 raise ConfigError(f"{key} must be {text}, got {get(self)}")
-        r, s, t, c = self.robot, self.sim, self.train, self.curriculum
+        r, s, t, c, d = self.robot, self.sim, self.train, self.curriculum, self.dr
         if not abs(r.thigh_len - r.calf_len) <= r.stand_height < r.thigh_len + r.calf_len:
             raise ConfigError(f"robot.stand_height ({r.stand_height}) must be in the leg's reach, "
                               "[|thigh_len - calf_len|, thigh_len + calf_len)")
         if not abs(s.slope_rad) < np.pi / 2:
             raise ConfigError(f"sim.slope_rad must have |slope| < pi/2, got {s.slope_rad}")
         substeps_per_policy_step(s.dt)
+        # the physics divides by each env's drawn trunk mass
+        if not s.trunk_mass + d.mass_offset_range[0] > 0:
+            raise ConfigError(f"sim.trunk_mass + dr.mass_offset_range[0] ({s.trunk_mass} + "
+                              f"{d.mass_offset_range[0]}) must be positive: it is the lightest "
+                              "trunk that randomization draws")
         if not s.episode_limit >= POLICY_DT:
             raise ConfigError(f"sim.episode_limit ({s.episode_limit}) must be at least one "
                               f"policy step ({POLICY_DT:g} s)")

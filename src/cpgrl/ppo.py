@@ -47,8 +47,8 @@ class GaussianPolicy:
     `params` holds actor | critic | log_std and `grads` their gradients in the
     same layout; the networks' weights and biases and `log_std` are views into
     `params`, so they are only ever written in place. `workspace` holds the
-    update's minibatch observation gather and the scratch that the actor and
-    the critic share.
+    rollout storage, the update's minibatch observation gather and the
+    scratch that the actor and the critic share.
     """
 
     def __init__(self, obs_dim: int, action_dim: int, hidden,
@@ -123,7 +123,9 @@ class RolloutBuffer:
     """horizon x n_envs transition storage consumed whole by ppo_update.
 
     action_means and sample_log_std snapshot the sampling-time distribution
-    so the update can measure the analytic Gaussian KL per state.
+    so the update can measure the analytic Gaussian KL per state. The seven
+    per-step arrays are views into a Workspace, which the next buffer drawn
+    from it overwrites (see empty).
     """
 
     observations: np.ndarray  # (T, N, obs_dim)
@@ -137,16 +139,28 @@ class RolloutBuffer:
     sample_log_std: np.ndarray  # (act_dim,)
 
     @classmethod
-    def empty(cls, horizon: int, n_envs: int, obs_dim: int, act_dim: int) -> "RolloutBuffer":
+    def empty(cls, workspace: Workspace, horizon: int, n_envs: int, obs_dim: int,
+              act_dim: int) -> "RolloutBuffer":
+        """A buffer whose seven per-step arrays are taken from workspace, unset.
+
+        They are named ("rollout", field), which no other take uses: an alias
+        of the update's "obs" gather would corrupt the update. Every buffer
+        drawn from one workspace is the same memory, so the caller writes
+        each field for every step. bootstrap_values and sample_log_std are
+        small and allocated.
+        """
+        def take(name, *width):
+            return workspace.take(("rollout", name), (horizon, n_envs, *width))
+
         return cls(
-            observations=np.zeros((horizon, n_envs, obs_dim)),
-            actions=np.zeros((horizon, n_envs, act_dim)),
-            log_probs=np.zeros((horizon, n_envs)),
-            values=np.zeros((horizon, n_envs)),
-            rewards=np.zeros((horizon, n_envs)),
-            dones=np.zeros((horizon, n_envs)),
+            observations=take("observations", obs_dim),
+            actions=take("actions", act_dim),
+            log_probs=take("log_probs"),
+            values=take("values"),
+            rewards=take("rewards"),
+            dones=take("dones"),
             bootstrap_values=np.zeros(n_envs),
-            action_means=np.zeros((horizon, n_envs, act_dim)),
+            action_means=take("action_means", act_dim),
             sample_log_std=np.zeros(act_dim),
         )
 

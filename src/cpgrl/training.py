@@ -52,8 +52,13 @@ def planner_from_config(cfg: RunConfig, demo=None):
 def collect_rollouts(env: VecLocomotionEnv, policy: GaussianPolicy,
                      rng: np.random.Generator, horizon: int,
                      curriculum: CurriculumState | None = None):
-    """Fill a fresh buffer with horizon policy steps from every env."""
-    buf = RolloutBuffer.empty(horizon, env.n, OBS_DIM, ACTION_DIM)
+    """Fill a buffer with horizon policy steps from every env.
+
+    The buffer lives in the policy's workspace: the next rollout of this
+    policy overwrites it, so a caller that keeps one buffer while it collects
+    the next holds one set of arrays, not two.
+    """
+    buf = RolloutBuffer.empty(policy.workspace, horizon, env.n, OBS_DIM, ACTION_DIM)
     term_totals = {name: 0.0 for name in REWARD_TERMS}
     tracking_sum = 0.0
     buf.sample_log_std = policy.log_std.copy()

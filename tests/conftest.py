@@ -1,6 +1,11 @@
+import ast
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,6 +53,20 @@ def set_checkpoint_meta(path, add_arrays=None, **entries):
     meta.update(entries)
     arrays["meta"] = np.array(json.dumps(meta))
     np.savez(path, **arrays)
+
+
+def in_fresh_process(module, function):
+    """module.function()'s value, called in a new interpreter that imports
+    from tests/ and src/; for figures such as page faults and the peak
+    resident set, which depend on a process's history."""
+    tests = Path(__file__).parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(tests), str(tests.parent / "src"), env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", f"import {module}; print({module}.{function}())"],
+        env=env, check=True, timeout=600, capture_output=True, text=True).stdout
+    return ast.literal_eval(out.strip().splitlines()[-1])
 
 
 def central_difference(params, idx, h, loss):
@@ -125,6 +144,12 @@ def allocating_forward_cached(net, x):
         if i < net.n_layers - 1:
             inputs.append(elu(pre))
     return pres[-1], (inputs, pres)
+
+
+def allocating_take(workspace, name, shape):
+    """A Workspace.take that hands out new zeroed memory on every call, as the
+    earlier RolloutBuffer.empty and the earlier networks did."""
+    return np.zeros(shape)
 
 
 def allocating_backward(net, cache, grad_out):
@@ -339,8 +364,7 @@ def assert_same_bits_where_not_nan(a, b):
     assert_same_bits(np.where(nan, 0.0, a), np.where(nan, 0.0, b))
 
 
-@pytest.fixture(scope="session")
-def planner():
+def random_motor_planner():
     """A planner with a small random motor map: cheap, no behavior cloning."""
     cfg = RunConfig()
     model = build_planner(cfg.cpg, cfg.planner, cfg.env_params().nominal_q)
@@ -348,3 +372,8 @@ def planner():
     motor = MotorLayer(weights=rng.normal(scale=0.02, size=(cfg.planner.h, 12)),
                        bias=cfg.env_params().nominal_q)
     return fitted_planner(model, motor)
+
+
+@pytest.fixture(scope="session")
+def planner():
+    return random_motor_planner()

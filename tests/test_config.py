@@ -9,6 +9,8 @@ from dataclasses import replace
 from conftest import config_with
 from cpgrl.config import (
     DOMAINS,
+    MAX_SUBSTEPS,
+    POLICY_DT,
     ConfigError,
     RunConfig,
     config_from_dict,
@@ -17,6 +19,7 @@ from cpgrl.config import (
     leaves,
     load_config,
     save_config,
+    substeps_per_policy_step,
 )
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -215,6 +218,29 @@ def test_validation_catches_bad_values():
     for height, thigh in ((1.0, 0.213), (0.426, 0.213), (0.1, 0.4)):
         with pytest.raises(ConfigError, match="robot.stand_height"):
             config_from_dict({"robot": {"stand_height": height, "thigh_len": thigh}})
+
+
+def test_a_drawn_trunk_mass_is_positive():
+    """The lightest trunk randomization draws, sim.trunk_mass plus the low
+    mass offset, must be positive. sim.trunk_mass 0.5 with the default
+    offsets of -1..1 kg drew -0.125 and -0.407 kg in an 8-env run, and that
+    env flew to z = 18.3 m."""
+    for mass, offsets in ((0.5, [-1.0, 1.0]), (1.0, [-1.0, 1.0]), (12.0, [-12.0, 0.0])):
+        with pytest.raises(ConfigError, match=r"sim\.trunk_mass \+ dr\.mass_offset_range"):
+            config_from_dict({"sim": {"trunk_mass": mass}, "dr": {"mass_offset_range": offsets}})
+    cfg = config_from_dict({"sim": {"trunk_mass": ABOVE_1}})
+    assert cfg.sim.trunk_mass + cfg.dr.mass_offset_range[0] > 0
+
+
+def test_sim_dt_gives_at_most_1000_substeps():
+    """1e-300 s would be 2e298 substeps per policy step and 1e-12 s 2e10,
+    and env.step would never return; both divide the 20 ms policy period.
+    20 us, 1000 substeps, is the finest step."""
+    for dt in (1e-300, 1e-12, POLICY_DT / (MAX_SUBSTEPS + 1)):
+        with pytest.raises(ConfigError, match=r"sim\.dt .* must be at least 2e-05 s"):
+            config_from_dict({"sim": {"dt": dt}})
+    edge = POLICY_DT / MAX_SUBSTEPS
+    assert substeps_per_policy_step(config_from_dict({"sim": {"dt": edge}}).sim.dt) == 1000
 
 
 def test_hash_ignores_run_length():

@@ -287,6 +287,10 @@ def test_cli_train_negative_gain_exit_code(fitted, tmp_path, capsys):
     ("train", "checkpoint_every", "0"),            # exit 0, a checkpoint every iteration
     ("robot", "stand_height", "1.0"),              # exit 2 from the IK, config.yaml written
     ("robot", "knee_limits", "[0.5, -0.5]"),       # exit 0 under bc-fit and train
+    # and before the cross-field rules on the drawn trunk mass and the substep count
+    ("sim", "trunk_mass", "0.5"),                  # train drew trunks of -0.4 kg
+    ("sim", "dt", "1.0e-12"),                      # train never returned: 2e10 substeps
+    ("sim", "dt", "1.0e-300"),                     # train never returned: 2e298 substeps
 ])
 def test_cli_train_bad_physical_constant_exit_code(fitted, tmp_path, capsys,
                                                    section, key, value):

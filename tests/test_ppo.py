@@ -1,9 +1,4 @@
-import ast
-import os
-import subprocess
-import sys
 from dataclasses import astuple
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,9 +9,10 @@ from conftest import (
     assert_config_rejects,
     assert_same_bits,
     central_difference,
+    in_fresh_process,
 )
 from cpgrl.config import RunConfig
-from cpgrl.nn import Adam, Mlp
+from cpgrl.nn import Adam, Mlp, Workspace
 from cpgrl.ppo import (
     LOG_2PI,
     GaussianPolicy,
@@ -41,7 +37,7 @@ def toy_policy(seed=0, obs_dim=6, act_dim=3, hidden=(8, 8), log_std_init=-0.5):
 
 def toy_buffer(policy, seed=1, horizon=10, n_envs=4):
     rng = np.random.default_rng(seed)
-    buf = RolloutBuffer.empty(horizon, n_envs, policy.obs_dim, policy.action_dim)
+    buf = RolloutBuffer.empty(Workspace(), horizon, n_envs, policy.obs_dim, policy.action_dim)
     buf.observations[:] = rng.normal(size=buf.observations.shape)
     buf.sample_log_std = policy.log_std.copy()
     for t in range(horizon):
@@ -404,7 +400,7 @@ def test_update_rejects_an_empty_minibatch():
 
 def desk_update_faults():
     """Minor page faults of three desk-shaped updates (64 x 24 transitions,
-    128/64/32 nets, 4 minibatches), each on a fresh buffer as in training."""
+    128/64/32 nets, 4 minibatches), each on a new buffer."""
     import resource
 
     policy = GaussianPolicy(61, 12, (128, 64, 32), np.random.default_rng(30),
@@ -429,19 +425,12 @@ def test_update_does_not_fault_in_its_temporaries():
     zeroed. Whether it does depends on the heap's history (its thresholds
     adapt to earlier frees), so the count is taken in a fresh process."""
     pytest.importorskip("resource")
-    tests = Path(__file__).parent
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(tests), str(tests.parent / "src"), env.get("PYTHONPATH")]))
-    out = subprocess.run(
-        [sys.executable, "-c", "import test_ppo; print(test_ppo.desk_update_faults())"],
-        env=env, check=True, timeout=600, capture_output=True, text=True).stdout
-    faults = ast.literal_eval(out.strip().splitlines()[-1])
+    faults = in_fresh_process("test_ppo", "desk_update_faults")
     assert max(faults[1:]) <= 300, faults
 
 
 def test_buffer_capacity():
-    buf = RolloutBuffer.empty(24, 8, 61, 12)
+    buf = RolloutBuffer.empty(Workspace(), 24, 8, 61, 12)
     assert buf.size == 192
     assert buf.observations.shape == (24, 8, 61)
 

@@ -2,14 +2,21 @@ import csv
 import os
 import re
 import shutil
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
-from dataclasses import replace
+from dataclasses import astuple, fields, replace
 
-from conftest import set_checkpoint_meta
+from conftest import (
+    allocating_take,
+    assert_same_bits,
+    in_fresh_process,
+    random_motor_planner,
+    set_checkpoint_meta,
+)
 from cpgrl import training
 from cpgrl.config import ConfigError, RunConfig, config_from_dict, config_hash, config_to_dict
 from cpgrl.env import VecLocomotionEnv
@@ -19,7 +26,8 @@ from cpgrl.gait_planner import (
     planner_arrays,
     save_planner_model,
 )
-from cpgrl.nn import Adam, DimensionMismatch
+from cpgrl.nn import Adam, DimensionMismatch, Workspace
+from cpgrl.ppo import RolloutBuffer, ppo_update
 from cpgrl.randomization import CurriculumState, initial_curriculum
 from cpgrl.task import OBS_DIM, REWARD_TERMS
 from cpgrl.training import (
@@ -88,6 +96,92 @@ def test_zero_actor_actions_are_pure_noise(fitted):
     assert np.allclose(actions.std(axis=0), np.exp(cfg.train.log_std_init), rtol=0.15)
     # the planner still drives motion: the robots move even with a zero actor
     assert np.abs(env.pos[:, 0]).max() > 0.02
+
+
+# the per-step arrays of a RolloutBuffer, which live in the policy's workspace
+ROLLOUT_ARRAYS = ("observations", "actions", "log_probs", "values", "rewards", "dones",
+                  "action_means")
+
+
+def test_rollouts_reuse_one_buffer_bit_for_bit(planner, monkeypatch):
+    """Rollouts of horizon 24, 4 and 24 on one policy write into the same
+    memory and give, bit for bit, the buffers, env state and normalizer of a
+    twin whose every Workspace.take allocates. The rollout arrays hold NaN
+    before each call, so a value left unwritten would show. One update on the
+    last, reused buffer then equals the twin's."""
+    cfg = tiny_cfg()
+
+    def run():
+        env = VecLocomotionEnv(cfg, planner, train_mode=True)
+        policy = training._new_policy(cfg, cfg.train.lr_init)
+        rng = np.random.default_rng(6)
+        curriculum = initial_curriculum(cfg.curriculum, cfg.dr)
+        # the longest rollout's buffer spans all of the workspace's rollout memory
+        whole = RolloutBuffer.empty(policy.workspace, 24, env.n, policy.obs_dim,
+                                    policy.action_dim)
+        bufs, snapshots = [], []
+        for horizon in (24, 4, 24):
+            for name in ROLLOUT_ARRAYS:
+                getattr(whole, name).fill(np.nan)
+            buf, stats = collect_rollouts(env, policy, rng, horizon, curriculum)
+            bufs.append(buf)
+            snapshots.append(({f.name: getattr(buf, f.name).copy() for f in fields(buf)},
+                              stats, env.state_dict(), policy.obs_norm.state_dict()))
+        optimizer = Adam(policy.n_params)
+        update = ppo_update(policy, optimizer, buf, cfg.train.ppo, rng)
+        return bufs, snapshots, (policy.params, optimizer.m, optimizer.v, astuple(update))
+
+    bufs, snapshots, updated = run()
+    with monkeypatch.context() as m:
+        m.setattr(Workspace, "take", allocating_take)
+        _, ref_snapshots, ref_updated = run()
+
+    for a, b in zip(bufs, bufs[1:]):
+        for name in ROLLOUT_ARRAYS:
+            assert np.shares_memory(getattr(a, name), getattr(b, name)), name
+    for got, ref in zip(snapshots, ref_snapshots):
+        (arrays, stats, env_state, norm), (ref_arrays, ref_stats, ref_env, ref_norm) = got, ref
+        for name, value in arrays.items():
+            assert_same_bits(value, ref_arrays[name])
+        assert stats.keys() == ref_stats.keys()
+        assert_same_bits(list(stats.values()), list(ref_stats.values()))
+        assert env_state.pop("rng_states") == ref_env.pop("rng_states")
+        for name, value in env_state.items():
+            assert_same_bits(value, ref_env[name])
+        for name, value in norm.items():
+            assert_same_bits(value, ref_norm[name])
+    for value, ref in zip(updated, ref_updated):
+        assert_same_bits(value, ref)
+
+
+def rollout_rss_growth():
+    """(How far the peak resident set grew from the first of four rollouts
+    at n = 512 to the last, one buffer's bytes). Each rollout is collected
+    while the previous buffer is held, as train() holds it."""
+    import resource
+
+    cfg = RunConfig()
+    env = VecLocomotionEnv(cfg, random_motor_planner(), n_envs=512, train_mode=True)
+    policy = training._new_policy(cfg, cfg.train.lr_init)
+    rng = np.random.default_rng(7)
+    curriculum = initial_curriculum(cfg.curriculum, cfg.dr)
+    kib = 1 if sys.platform == "darwin" else 1024  # ru_maxrss is in KiB on Linux
+    buf, _ = collect_rollouts(env, policy, rng, cfg.train.horizon, curriculum)
+    first = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    for _ in range(3):
+        buf, _ = collect_rollouts(env, policy, rng, cfg.train.horizon, curriculum)
+    grown = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - first) * kib
+    return grown, sum(getattr(buf, name).nbytes for name in ROLLOUT_ARRAYS)
+
+
+def test_rollouts_hold_one_buffer():
+    """Four rollouts at n = 512 raise the peak resident set by less than half
+    a buffer (about 8.7 MB) after the first. A fresh buffer per rollout, made
+    while the caller still held the last one, raised it by a whole buffer.
+    The peak is a process's own, so it is taken in a fresh one."""
+    pytest.importorskip("resource")
+    grown, buffer_bytes = in_fresh_process("test_training", "rollout_rss_growth")
+    assert grown < buffer_bytes / 2, (grown, buffer_bytes)
 
 
 def test_train_writes_metrics_and_checkpoints(fitted, tmp_path):
