@@ -179,7 +179,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError, FileExistsError) as exc:
+        # a path that is missing, or a file where a directory belongs or the reverse
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (NumericalDivergence, NonFiniteLoss, SingularFit) as exc:

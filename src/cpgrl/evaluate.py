@@ -171,7 +171,9 @@ def run_eval(cfg: RunConfig, planner: GaitPlannerModel, policy: GaussianPolicy |
             writer = csv.writer(fh)
             writer.writerow(TRACE_COLUMNS)
             contact_cols = [col[f"contact_{name}"] for name in LEG_NAMES]
-            for row in data.tolist():
+            # one row's Python floats at a time, not the whole trace's
+            for values in data:
+                row = values.tolist()
                 for j in contact_cols:
                     row[j] = int(row[j])
                 writer.writerow(row)

@@ -27,11 +27,12 @@ def elu(x, out=None, scratch=None):
     Bit-identical to np.where(x > 0, x, np.expm1(x)) for every input,
     including -0.0 (the 0.0 operands come first, so np.maximum and np.minimum
     return the -0.0), +-inf, NaN and subnormals. Two buffers of x's shape and
-    no temporaries: `out` receives the result and `scratch` the expm1 term,
-    each freshly allocated when not given. Neither may alias x.
+    no temporaries: `scratch` receives the expm1 term, then `out` the result,
+    each freshly allocated when not given. x is read in full before `out` is
+    written, so `out` may be x itself; `scratch` may alias neither.
     """
-    out = np.maximum(0.0, x, out=np.empty_like(x) if out is None else out)
     neg = np.expm1(x, out=np.empty_like(x) if scratch is None else scratch)
+    out = np.maximum(0.0, x, out=np.empty_like(x) if out is None else out)
     out += np.minimum(0.0, neg, out=neg)
     return out
 
@@ -95,15 +96,17 @@ class Mlp:
     gradients views into `grads`. A network inside a larger model is handed
     zeroed slices of the model's buffers; a standalone one allocates its own.
 
-    forward_cached and backward write every batch-sized array into
-    workspaces: the cache into the net's own, and the ELU scratch and the
-    backward's running gradient into `scratch`, which nets whose calls never
-    overlap (the actor and the critic of one policy) may share.
+    forward_cached and backward write every batch-sized array into one
+    `workspace`: the cache under ("pre", i) and ("act", i), the ELU scratch
+    under "elu" and the backward's running gradient under "g". Nets that
+    each finish backward before the next one's forward_cached (the actor and
+    the critic of one policy) may share it, and then share their caches; a
+    standalone net makes its own. forward takes nothing from it.
     """
 
     def __init__(self, sizes, rng: np.random.Generator, out_scale: float = 1.0,
                  params: np.ndarray | None = None, grads: np.ndarray | None = None,
-                 scratch: Workspace | None = None):
+                 workspace: Workspace | None = None):
         if len(sizes) < 2:
             raise ValueError("need at least input and output sizes")
         self.sizes = tuple(int(s) for s in sizes)
@@ -117,8 +120,7 @@ class Mlp:
             limit = np.sqrt(6.0 / (n_in + n_out))
             w[...] = rng.uniform(-limit, limit, size=(n_in, n_out))
         self.weights[-1] *= out_scale
-        self._cache = Workspace()
-        self._scratch = Workspace() if scratch is None else scratch
+        self._ws = Workspace() if workspace is None else workspace
 
     @property
     def n_layers(self) -> int:
@@ -129,21 +131,30 @@ class Mlp:
         return self.params.size
 
     def forward(self, x: np.ndarray) -> np.ndarray:
+        """The output for x, a fresh array on every call; x is not written.
+
+        Each layer's matmul allocates its output and the bias and ELU are
+        applied to it in place, so a call holds one layer's activations and
+        one ELU scratch at a time.
+        """
         x = np.asarray(x, dtype=float)
         if x.shape[-1] != self.sizes[0]:
             raise DimensionMismatch(f"input width {x.shape[-1]} != {self.sizes[0]}")
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            x = x @ w + b
+            x = x @ w
+            x += b
             if i < self.n_layers - 1:
-                x = elu(x)
+                elu(x, out=x)
         return x
 
     def forward_cached(self, x: np.ndarray):
         """Forward pass keeping inputs and pre-activations for backward().
 
-        The output and the cache are views into this net's workspace: the
-        next forward_cached on the same net overwrites them. backward() only
-        reads the cache, so it may run on it any number of times.
+        The output and the cache are views into the workspace: the next
+        forward_cached of any net on that workspace overwrites them, so a
+        caller finishes this net's backward, and its reads of the output,
+        first. backward() only reads the cache, so it may run on it any
+        number of times before then.
         """
         x = np.asarray(x, dtype=float)
         if x.shape[-1] != self.sizes[0]:
@@ -153,12 +164,12 @@ class Mlp:
         pres = []
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             shape = lead + (w.shape[1],)
-            pre = np.matmul(inputs[-1], w, out=self._cache.take(("pre", i), shape))
+            pre = np.matmul(inputs[-1], w, out=self._ws.take(("pre", i), shape))
             pre += b
             pres.append(pre)
             if i < self.n_layers - 1:
-                inputs.append(elu(pre, out=self._cache.take(("act", i), shape),
-                                  scratch=self._scratch.take("elu", shape)))
+                inputs.append(elu(pre, out=self._ws.take(("act", i), shape),
+                                  scratch=self._ws.take("elu", shape)))
         return pres[-1], (inputs, pres)
 
     def backward(self, cache, grad_out: np.ndarray) -> np.ndarray:
@@ -166,15 +177,15 @@ class Mlp:
 
         Overwrites every slot of the `grads` buffer and returns it; batch
         items are summed, so the caller bakes any 1/N into grad_out. The
-        running gradient lives in two scratch buffers: "elu" holds
+        running gradient lives in two workspace buffers: "elu" holds
         g * elu_grad(pre) of the layer at hand, "g" its product with the
-        layer's weights, the next layer's g.
+        layer's weights, the next layer's g. The cache is only read.
         """
         inputs, pres = cache
         g = np.asarray(grad_out, dtype=float)
         for i in range(self.n_layers - 1, -1, -1):
             if i < self.n_layers - 1:
-                d = elu_grad(pres[i], out=self._scratch.take("elu", pres[i].shape))
+                d = elu_grad(pres[i], out=self._ws.take("elu", pres[i].shape))
                 g = np.multiply(g, d, out=d)
             x = inputs[i]
             g2 = g.reshape(-1, g.shape[-1])
@@ -182,7 +193,7 @@ class Mlp:
             g2.sum(axis=0, out=self.grad_bs[i])
             if i > 0:
                 g = np.matmul(g, self.weights[i].T,
-                              out=self._scratch.take("g", g.shape[:-1] + (self.sizes[i],)))
+                              out=self._ws.take("g", g.shape[:-1] + (self.sizes[i],)))
         return self.grads
 
 
@@ -216,11 +227,23 @@ class RunningNorm:
         self.var = new_var
         self.count = total
 
-    def normalize(self, obs: np.ndarray) -> np.ndarray:
+    def normalize(self, obs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """clip((obs - mean) / std, -OBS_CLIP, OBS_CLIP), or obs itself as
+        floats while no batch has been seen.
+
+        Every step writes into `out`, allocated once when not given; `out`
+        may be obs, and is filled with a copy of obs while the normalizer is
+        empty. Without `out` an empty normalizer returns obs, not a copy.
+        """
         if self.count == 0:
-            return np.asarray(obs, dtype=float)
+            if out is None:
+                return np.asarray(obs, dtype=float)
+            out[...] = obs
+            return out
         std = np.sqrt(self.var + NORM_EPS)
-        return np.clip((obs - self.mean) / std, -OBS_CLIP, OBS_CLIP)
+        out = np.subtract(obs, self.mean, out=out)
+        out /= std
+        return np.clip(out, -OBS_CLIP, OBS_CLIP, out=out)
 
     def state_dict(self) -> dict:
         return {"count": self.count, "mean": self.mean.copy(), "var": self.var.copy()}

@@ -47,8 +47,8 @@ class GaussianPolicy:
     `params` holds actor | critic | log_std and `grads` their gradients in the
     same layout; the networks' weights and biases and `log_std` are views into
     `params`, so they are only ever written in place. `workspace` holds the
-    rollout storage, the update's minibatch observation gather and the
-    scratch that the actor and the critic share.
+    rollout storage, the update's minibatch observation gather, and the one
+    forward cache and scratch that the actor and the critic use in turn.
     """
 
     def __init__(self, obs_dim: int, action_dim: int, hidden,
@@ -62,9 +62,9 @@ class GaussianPolicy:
         self.grads = np.zeros(c + action_dim)
         self.workspace = Workspace()
         self.actor = Mlp(actor_sizes, rng, out_scale=actor_out_scale,
-                         params=self.params[:a], grads=self.grads[:a], scratch=self.workspace)
+                         params=self.params[:a], grads=self.grads[:a], workspace=self.workspace)
         self.critic = Mlp(critic_sizes, rng, params=self.params[a:c], grads=self.grads[a:c],
-                          scratch=self.workspace)
+                          workspace=self.workspace)
         self.log_std = self.params[c:]
         self.log_std[...] = float(log_std_init)
         self.grad_log_std = self.grads[c:]
@@ -74,15 +74,17 @@ class GaussianPolicy:
         # passes observations through unchanged until its first update
         self.obs_norm = RunningNorm(obs_dim)
 
-    def prepare_obs(self, obs, update: bool = False) -> np.ndarray:
-        """Apply the policy's input normalizer.
+    def prepare_obs(self, obs, update: bool = False, out: np.ndarray | None = None) -> np.ndarray:
+        """Apply the policy's input normalizer, writing into `out` when given.
 
         Rollout collection passes update=True so the running statistics track
-        the training distribution; evaluation keeps them frozen.
+        the training distribution, and its buffer row as `out`, which is then
+        overwritten with the normalized obs; evaluation keeps the statistics
+        frozen. The statistics are updated from obs before `out` is written.
         """
         if update:
             self.obs_norm.update(obs)
-        return self.obs_norm.normalize(obs)
+        return self.obs_norm.normalize(obs, out=out)
 
     # ---- distribution
 
@@ -242,6 +244,11 @@ def minibatch_grads(policy: GaussianPolicy, obs, actions, old_logp, advantages,
     old_log_std) to the current one.
 
     The gradient returned is policy.grads itself, overwritten by the next call.
+    The actor and the critic share one workspace, so the actor runs whole
+    first: its forward_cached, its backward, and the KL, the last read of its
+    output. Only then does the critic's forward_cached overwrite that cache.
+    A non-finite loss raises before the critic's backward, with the actor's
+    gradient slots already written.
     """
     m = obs.shape[0]
     std = np.exp(policy.log_std)
@@ -256,6 +263,14 @@ def minibatch_grads(policy: GaussianPolicy, obs, actions, old_logp, advantages,
     objective = np.minimum(surr1, surr2)
     policy_loss = -float(np.mean(objective))
 
+    # d(policy_loss)/d(logp): the unclipped branch carries the gradient;
+    # where the clipped branch is strictly smaller the derivative is zero
+    active = (surr1 <= surr2).astype(float)
+    dlogp = -(active * ratio * advantages) / m
+    dmean = dlogp[:, None] * (z / std)
+    policy.actor.backward(actor_cache, dmean)
+    approx_kl = gaussian_kl(old_means, old_log_std, mean, policy.log_std)
+
     values, critic_cache = policy.critic.forward_cached(obs)
     v = values[..., 0]
     value_err = v - returns
@@ -266,20 +281,11 @@ def minibatch_grads(policy: GaussianPolicy, obs, actions, old_logp, advantages,
     if not np.isfinite(total):
         raise FloatingPointError("non-finite loss")
 
-    # d(policy_loss)/d(logp): the unclipped branch carries the gradient;
-    # where the clipped branch is strictly smaller the derivative is zero
-    active = (surr1 <= surr2).astype(float)
-    dlogp = -(active * ratio * advantages) / m
-    dmean = dlogp[:, None] * (z / std)
-    policy.actor.backward(actor_cache, dmean)
-
     dvalue = (2.0 / m) * config.value_coef * value_err
     policy.critic.backward(critic_cache, dvalue[:, None])
 
     # log_std: density term (z^2 - 1) plus the entropy bonus (d entropy = 1)
     policy.grad_log_std[...] = np.sum(dlogp[:, None] * (z * z - 1.0), axis=0) - config.entropy_coef
-
-    approx_kl = gaussian_kl(old_means, old_log_std, mean, policy.log_std)
     return policy.grads, policy_loss, value_loss, entropy, approx_kl
 
 

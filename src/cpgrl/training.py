@@ -56,18 +56,19 @@ def collect_rollouts(env: VecLocomotionEnv, policy: GaussianPolicy,
 
     The buffer lives in the policy's workspace: the next rollout of this
     policy overwrites it, so a caller that keeps one buffer while it collects
-    the next holds one set of arrays, not two.
+    the next holds one set of arrays, not two. Each step's observations are
+    normalized straight into the buffer row buf.observations[t], which the
+    actor and the critic then read as their input.
     """
     buf = RolloutBuffer.empty(policy.workspace, horizon, env.n, OBS_DIM, ACTION_DIM)
     term_totals = {name: 0.0 for name in REWARD_TERMS}
     tracking_sum = 0.0
     buf.sample_log_std = policy.log_std.copy()
     for t in range(horizon):
-        obs = policy.prepare_obs(env.observe(), update=True)
+        obs = policy.prepare_obs(env.observe(), update=True, out=buf.observations[t])
         actions, logp, means = policy.sample(obs, rng)
         values = policy.value(obs)
         rewards, dones, info = env.step(actions, curriculum)
-        buf.observations[t] = obs
         buf.actions[t] = actions
         buf.log_probs[t] = logp
         buf.values[t] = values

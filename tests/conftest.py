@@ -13,7 +13,7 @@ import pytest
 from cpgrl.config import ConfigError, RunConfig, config_from_dict
 from cpgrl.gait_planner import MotorLayer, build_planner, fitted_planner
 from cpgrl.kinematics import LEG_NAMES, forward_kinematics_all, leg_jacobian_all
-from cpgrl.nn import elu, elu_grad
+from cpgrl.nn import NORM_EPS, OBS_CLIP, elu, elu_grad
 from cpgrl.simulator import pd_torque
 
 # values a rewritten kernel must carry through bit for bit: both zeros, both infinities, NaN
@@ -144,6 +144,24 @@ def allocating_forward_cached(net, x):
         if i < net.n_layers - 1:
             inputs.append(elu(pre))
     return pres[-1], (inputs, pres)
+
+
+def allocating_forward(net, x):
+    """The earlier Mlp.forward, which allocated the bias sum and the ELU."""
+    x = np.asarray(x, dtype=float)
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        x = x @ w + b
+        if i < net.n_layers - 1:
+            x = elu(x)
+    return x
+
+
+def allocating_normalize(norm, obs):
+    """The earlier RunningNorm.normalize, which allocated each step's result."""
+    if norm.count == 0:
+        return np.asarray(obs, dtype=float)
+    std = np.sqrt(norm.var + NORM_EPS)
+    return np.clip((obs - norm.mean) / std, -OBS_CLIP, OBS_CLIP)
 
 
 def allocating_take(workspace, name, shape):

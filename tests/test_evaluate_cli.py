@@ -9,7 +9,13 @@ import pytest
 import yaml
 from dataclasses import replace
 
-from conftest import config_with, save_demo_csv, set_checkpoint_meta
+from conftest import (
+    config_with,
+    in_fresh_process,
+    random_motor_planner,
+    save_demo_csv,
+    set_checkpoint_meta,
+)
 from cpgrl import cli
 from cpgrl.cli import main
 from cpgrl.config import RunConfig, save_config
@@ -102,6 +108,33 @@ def test_eval_trace_rate_and_columns(fitted, tmp_path):
     assert abs((len(rows) - 1) - 4.0 * 50) <= 1
     assert data.shape[1] == len(TRACE_COLUMNS)
     assert summary.duration == 4.0
+
+
+def eval_trace_extra_peak_mib():
+    """How many MiB writing trace.csv adds to the peak of a 10 s run_eval,
+    as tracemalloc counts it: the traced peak with a trace_path minus the
+    traced peak without one."""
+    import tempfile
+    import tracemalloc
+
+    cfg = RunConfig()
+    planner = random_motor_planner()
+    peaks = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for trace_path in (None, os.path.join(tmp, "trace.csv")):
+            tracemalloc.start()
+            run_eval(cfg, planner, None, constant_profile(0.5), 10.0, trace_path=trace_path)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+    return (peaks[1] - peaks[0]) / 2**20
+
+
+def test_eval_trace_is_written_one_row_at_a_time():
+    """Writing a 10 s trace adds 0.13 MiB to run_eval's peak. Converting the
+    whole trace to Python lists first added 1.38 MiB; the bound lies
+    between. tracemalloc counts exactly, in a fresh process."""
+    extra = in_fresh_process("test_evaluate_cli", "eval_trace_extra_peak_mib")
+    assert extra < 0.75, extra
 
 
 def test_eval_baseline_walks(fitted):
@@ -230,6 +263,38 @@ def test_cli_train_requires_model(tmp_path):
     rc = main(["train", "--model", str(tmp_path / "missing.npz"),
                "--out", str(tmp_path / "x")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("command, message", [
+    ("eval-checkpoint-directory", "Is a directory"),
+    ("train-model-directory", "Is a directory"),
+    ("bc-fit-out-existing-file", "File exists"),
+    ("export-gait-out-under-a-file", "Not a directory"),
+])
+def test_cli_path_of_the_wrong_kind_exit_code(fitted, tmp_path, capsys, command, message):
+    """A directory where a file belongs, or a file where a directory belongs,
+    is a usage error whose message names the path, not a traceback."""
+    directory = tmp_path / "directory"
+    directory.mkdir()
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    model = tmp_path / "planner.npz"
+    save_planner_model(fitted[1], model)
+    argv, path = {
+        "eval-checkpoint-directory": (
+            ["eval", "--checkpoint", str(directory), "--out", str(tmp_path / "out")], directory),
+        "train-model-directory": (
+            ["train", "--model", str(directory), "--out", str(tmp_path / "out")], directory),
+        "bc-fit-out-existing-file": (["bc-fit", "--out", str(a_file)], a_file),
+        "export-gait-out-under-a-file": (
+            ["export-gait", "--model", str(model), "--out", str(a_file / "sub")],
+            a_file / "sub"),
+    }[command]
+    rc = main(argv)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert str(path) in err
 
 
 def test_cli_missing_demo_csv(tmp_path):

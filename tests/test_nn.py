@@ -7,11 +7,23 @@ from hypothesis.extra.numpy import arrays
 from conftest import (
     SPECIAL_LANES,
     allocating_backward,
+    allocating_forward,
     allocating_forward_cached,
+    allocating_normalize,
     assert_same_bits,
     central_difference,
 )
-from cpgrl.nn import Adam, DimensionMismatch, Mlp, RunningNorm, Workspace, elu, elu_grad
+from cpgrl.nn import (
+    NORM_EPS,
+    OBS_CLIP,
+    Adam,
+    DimensionMismatch,
+    Mlp,
+    RunningNorm,
+    Workspace,
+    elu,
+    elu_grad,
+)
 
 
 def test_elu_values():
@@ -65,6 +77,26 @@ def test_elu_kernels_bitwise_on_network_sized_arrays():
         x = rng.normal(scale=2.0, size=shape)
         assert_same_bits(elu(x), where_elu(x))
         assert_same_bits(elu_grad(x), where_elu_grad(x))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_elu_in_place_bitwise_equal_to_elu():
+    """elu(x, out=x) reads x whole before it writes it: every special value,
+    in every lane position, and network-sized arrays."""
+    rng = np.random.default_rng(10)
+    for n in (1, 7, 64, len(SPECIAL) + 3):
+        for shift in range(len(SPECIAL)):
+            x = rng.normal(scale=3.0, size=max(n, len(SPECIAL)))
+            x[(np.arange(len(SPECIAL)) + shift) % x.size] = SPECIAL
+            x = x[:n]
+            expected = elu(x)
+            assert elu(x, out=x) is x
+            assert_same_bits(x, expected)
+    for shape in [(1024, 128), (64, 32)]:
+        x = rng.normal(scale=2.0, size=shape)
+        x[-1, :SPECIAL_LANES.size] = SPECIAL_LANES
+        expected = elu(x)
+        assert_same_bits(elu(x, out=x, scratch=np.empty(shape)), expected)
 
 
 def test_zero_weights_output_bias():
@@ -153,27 +185,47 @@ def signed_zero_lanes(rng, shape, special_row=False):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_workspace_path_bitwise_equal_to_allocating_formulas():
-    """Two nets sharing one scratch workspace, called in minibatch_grads' order
-    (forward, forward, backward, backward), over a grow-shrink-grow row
-    sequence; each backward runs twice on its cache."""
+    """Two nets sharing one workspace, called in minibatch_grads' order (each
+    net's forward_cached, then its backward, before the next net's
+    forward_cached), over a grow-shrink-grow row sequence; each backward runs
+    twice on its cache."""
     sizes = [61, 128, 64, 32, 12]
-    scratch = Workspace()
-    nets = [Mlp(sizes, np.random.default_rng(s), scratch=scratch) for s in (7, 8)]
+    workspace = Workspace()
+    nets = [Mlp(sizes, np.random.default_rng(s), workspace=workspace) for s in (7, 8)]
     twins = [Mlp(sizes, np.random.default_rng(s)) for s in (7, 8)]
     rng = np.random.default_rng(9)
     for rows in (1, 3, 384, 3, 1, 384, 3):
         x = signed_zero_lanes(rng, (rows, sizes[0]), special_row=rows == 3)
-        runs = [net.forward_cached(x) for net in nets]
-        refs = [allocating_forward_cached(twin, x) for twin in twins]
-        for (out, (inputs, pres)), (ref_out, (ref_inputs, ref_pres)) in zip(runs, refs):
+        for net, twin in zip(nets, twins):
+            out, (inputs, pres) = net.forward_cached(x)
+            ref_out, (ref_inputs, ref_pres) = allocating_forward_cached(twin, x)
             assert_same_bits(out, ref_out)
             for a, b in zip(inputs + pres, ref_inputs + ref_pres, strict=True):
                 assert_same_bits(a, b)
-        for net, twin, (_, cache), (_, ref_cache) in zip(nets, twins, runs, refs):
             grad_out = signed_zero_lanes(rng, (rows, sizes[-1]))
-            expected = allocating_backward(twin, ref_cache, grad_out)
-            assert_same_bits(net.backward(cache, grad_out), expected)
-            assert_same_bits(net.backward(cache, grad_out), expected)
+            expected = allocating_backward(twin, (ref_inputs, ref_pres), grad_out)
+            assert_same_bits(net.backward((inputs, pres), grad_out), expected)
+            assert_same_bits(net.backward((inputs, pres), grad_out), expected)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("rows", [1, 2, 3, 64, 1024])
+def test_forward_in_place_bitwise_equal_to_allocating_forward(rows):
+    """forward's in-place bias and ELU give the bits of x @ w + b, then elu,
+    for the desk actor and critic, with one row of SPECIAL_LANES; the input
+    is left as it was and every call returns a new array."""
+    rng = np.random.default_rng(11)
+    for sizes in ([61, 128, 64, 32, 12], [61, 128, 64, 32, 1]):
+        net = Mlp(sizes, rng)
+        for b in net.biases:
+            b[...] = rng.normal(size=b.shape)
+        x = signed_zero_lanes(rng, (rows, sizes[0]), special_row=True)
+        x_before = x.copy()
+        out = net.forward(x)
+        assert_same_bits(out, allocating_forward(net, x))
+        assert_same_bits(x, x_before)
+        assert not np.shares_memory(net.forward(x), out)
+        assert_same_bits(net.forward(x[0]), allocating_forward(net, x[0]))
 
 
 def test_out_scale_shrinks_last_layer():
@@ -196,6 +248,31 @@ def test_running_norm_state_of_wrong_size_rejected(field, size):
         norm.load_state_dict(state)
     norm.load_state_dict({**state, field: np.ones(61)})
     assert norm.normalize(np.ones(61)).shape == (61,)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("filled", [False, True], ids=["empty", "filled"])
+def test_normalize_into_a_row_bitwise_equal_to_allocating_normalize(filled):
+    """normalize(obs, out=row) writes the bits of the allocating form into a
+    row of a rollout-shaped array and returns that row, with values at and
+    past +-OBS_CLIP, SPECIAL_LANES and NaN among the inputs; out may be obs."""
+    rng = np.random.default_rng(12)
+    norm = RunningNorm(61)
+    if filled:
+        norm.update(rng.normal(loc=0.5, scale=2.0, size=(40, 61)))
+    std = np.sqrt(norm.var + NORM_EPS)
+    obs = signed_zero_lanes(rng, (5, 61), special_row=True)
+    k = np.array([OBS_CLIP, -OBS_CLIP, 1.5 * OBS_CLIP, -1.5 * OBS_CLIP, np.nan])
+    obs[0, :k.size] = norm.mean[:k.size] + k * std[:k.size]
+    obs[1, :k.size] = k
+    expected = allocating_normalize(norm, obs)
+    rows = np.full((3, 5, 61), np.nan)
+    row = rows[1]
+    assert norm.normalize(obs, out=row) is row
+    assert_same_bits(row, expected)
+    assert np.isnan(rows[[0, 2]]).all()
+    assert_same_bits(norm.normalize(obs), expected)
+    assert_same_bits(norm.normalize(obs, out=obs), expected)
 
 
 def test_adam_converges_on_quadratic():
